@@ -54,7 +54,10 @@ def cmd_weight(args) -> int:
         g = _graph_arg(args.graph)
     except ValueError as exc:
         return _fail_usage(f"bad graph encoding: {exc}")
-    est = compute_weight(g, args.kind, args.samples, args.seed, args.threads)
+    try:
+        est = compute_weight(g, args.kind, args.samples, args.seed, args.threads)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     out = est.to_json_dict()
     if est.exact and len(g.edges) != 2 * g.n + g.m - 2:
         out["note"] = "edge count does not match the slice dimension; weight is exactly zero"

@@ -449,6 +449,9 @@ def counterterm_probe(g: Graph, subset, kind: str,
 
     For clusters of three or more points the expected limit is zero.
     """
+    if (len(scales) < 2 or len(set(scales)) != len(scales)
+            or not all(math.isfinite(r) and r > 0 for r in scales)):
+        raise ValueError("scales must be at least two distinct positive finite numbers")
     B = sorted(set(subset))
     d = gauge_dim(g.n, g.m)
     top = len(g.edges) == d

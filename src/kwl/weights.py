@@ -28,6 +28,10 @@ from .halfplane import gauge_dim, gauge_supported
 
 BATCHES = 16
 COLLISION_EPS = 1e-12
+# rows per pairing-matrix chunk in integrand_batch; per-row values do not
+# depend on it.  A chunk of 6 x 6 complex matrices is 2.4 MB; chunks of
+# 1k-16k rows ran at about the same speed, whole 65,536-row batches slower
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class WeightEstimate:
     def to_json_dict(self) -> dict:
         return {"graph": self.graph, "kind": self.kind, "samples": self.samples,
                 "seed": self.seed, "value": [self.value.real, self.value.imag],
-                "stderr": self.stderr}
+                "stderr": self.stderr, "rejected": self.rejected}
 
 
 def default_threads() -> int:
@@ -117,50 +121,75 @@ def _frame_columns(n: int, m: int) -> List[Tuple[int, str]]:
     return cols
 
 
+def _pairing_chunk(g: Graph, cols: List[Tuple[int, str]], point: List[np.ndarray],
+                   angle: bool) -> np.ndarray:
+    """Unscaled pairing matrices of one row chunk, shape (rows, E, d).
+
+    Moving the source of the edge ``(s, t)`` with velocity ``v`` pairs to
+    ``v*a - conj(v)*b`` and moving its target to ``-v*(a - b)``, where
+    ``a = 1/(zs - zt)`` and ``b = 1/(conj(zs) - zt)``.  The angle propagator
+    keeps only the imaginary parts.
+    """
+    M = np.zeros((len(point[0]), len(g.edges), len(cols)),
+                 dtype=float if angle else complex)
+    for ei, (s, t) in enumerate(g.edges):
+        zs, zt = point[s], point[t]
+        a = 1.0 / (zs - zt)
+        b = 1.0 / (np.conj(zs) - zt)
+        diff = a - b
+        for ci, (p, mode) in enumerate(cols):
+            # velocities: x and g move by 1, y by i, phi by i*z along the circle
+            if p == s:  # sources are aerial: x, y or phi
+                if mode == "x":
+                    entry = diff
+                elif mode == "y":
+                    entry = 1j * (a + b)
+                else:
+                    v = 1j * zs
+                    entry = v * a - np.conj(v) * b
+            elif p == t:
+                if mode == "x" or mode == "g":
+                    entry = -diff
+                elif mode == "y":
+                    entry = -1j * diff
+                else:
+                    entry = -1j * zt * diff
+            else:
+                continue
+            M[:, ei, ci] = entry.imag if angle else entry
+    return M
+
+
 def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int]:
     """Hypercube integrand values for a batch of sample points.
 
     Returns (values, rejected) where values already include the sampling
     Jacobian and samples within ``COLLISION_EPS`` of a collision are zeroed.
+    Pairing matrices are built and reduced ``CHUNK_ROWS`` rows at a time, so
+    their memory does not grow with the batch; chunk boundaries depend only
+    on the row index.
     """
     n, m = g.n, g.m
     Z, G, jac = _config_batch(n, m, U)
     B = U.shape[0]
-    d = U.shape[1]
     E = len(g.edges)
+    angle = kind == ANGLE
 
-    point = [Z[:, v] if v < n else G[:, v - n].astype(complex) for v in range(n + m)]
+    point = [Z[:, v] if v < n else G[:, v - n] for v in range(n + m)]
     cols = _frame_columns(n, m)
+    # det(M / c) = det(M) * c^-E for the E x E pairing matrix
+    scale = (2.0 * math.pi) ** -E if angle else (2j * math.pi) ** -E
 
-    def velocity(col) -> np.ndarray:
-        p, mode = col
-        if mode == "x" or mode == "g":
-            return np.ones(B, dtype=complex)
-        if mode == "y":
-            return np.full(B, 1j)
-        return 1j * Z[:, 0]  # angular direction of the circle-pinned point
-
+    vals = np.ones(B, dtype=float if angle else complex)
     # near-collision samples may overflow here; they are zeroed by the mask
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        M = np.zeros((B, E, d), dtype=complex)
-        for ei, (s, t) in enumerate(g.edges):
-            zs, zt = point[s], point[t]
-            num = zs - zt
-            den = np.conj(zs) - zt
-            for ci, col in enumerate(cols):
-                p, _ = col
-                if p != s and p != t:
-                    continue
-                vel = velocity(col)
-                vs = vel if p == s else 0.0
-                vt = vel if p == t else 0.0
-                M[:, ei, ci] = (vs - vt) / num - (np.conj(vs) - vt) / den
-
-        if kind == ANGLE:
-            vals = np.linalg.det(M.imag / (2.0 * math.pi)) if E else np.ones(B)
-        else:
-            vals = np.linalg.det(M / (2j * math.pi)) if E else np.ones(B, dtype=complex)
-        vals = vals * jac
+        if E:
+            for lo in range(0, B, CHUNK_ROWS):
+                rows = slice(lo, lo + CHUNK_ROWS)
+                M = _pairing_chunk(g, cols, [p[rows] for p in point], angle)
+                vals[rows] = np.linalg.det(M)
+        vals *= scale
+        vals *= jac
 
     # guard integrable singularities: zero out samples at near-collisions
     mind = np.full(B, np.inf)
@@ -204,6 +233,8 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown propagator kind {kind!r}")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     enc = encode_graph(g)
     d_top = 2 * g.n + g.m - 2
     if len(g.edges) != d_top:

@@ -50,6 +50,20 @@ def test_weight_parse_failure_exit_2(capsys):
     assert code == 2
 
 
+def assert_usage_error(args, capsys):
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_weight_bad_budget_or_seed_exit_2(capsys):
+    wedge = ["weight", "--graph", "1 2 ; a1>g1 a1>g2"]
+    for extra in (["--samples", "0"], ["--samples", "-5"], ["--seed", "-1"]):
+        assert_usage_error(wedge + extra, capsys)
+
+
 def test_empty_graph_weight_exactly_one(capsys):
     code, out = run_cli(["weight", "--graph", "0 2 ;", "--samples", "10000"],
                         capsys)
@@ -109,6 +123,12 @@ def test_counterterm_command(capsys):
     data = json.loads(out)
     assert data["cauchy_decreasing"]
     assert abs(complex(*data["limit"])) < 1e-3
+
+
+def test_counterterm_bad_scales_exit_2(capsys):
+    probe = ["counterterm", "--graph", "2 1 ; a1>a2 a1>g1 a2>g1", "--subset", "0,1"]
+    for scales in (["1e-2"], ["1e-2", "1e-2"], ["1e-2", "0"]):
+        assert_usage_error(probe + ["--scales"] + scales, capsys)
 
 
 def test_suite_reduced_config_runs_and_is_deterministic(tmp_path, capsys):

@@ -7,12 +7,15 @@ from scipy import integrate
 from kwl import forms, halfplane
 from kwl.forms import ANGLE, LOG
 from kwl.graphs import make_graph, parse_graph
-from kwl.weights import (NO_OUTGOING, ONE_IN_ONE_OUT, UNIVALENT, WHEEL,
+from kwl.weights import (CHUNK_ROWS, COLLISION_EPS, NO_OUTGOING,
+                         ONE_IN_ONE_OUT, UNIVALENT, WHEEL, _config_batch,
                          cached_weight, clear_weight_cache, compute_weight,
                          detect_vanishing_pattern, integrand_batch, qmc_mean,
                          vanishing_check)
 
 WEDGE = make_graph(1, 2, [(0, 1), (0, 2)])
+G40 = parse_graph("4 0 ; a1>a2 a1>a3 a2>a3 a2>a4 a3>a4 a4>a1")
+G31 = parse_graph("3 1 ; a1>a2 a1>a3 a2>a1 a2>g1 a3>a1")
 
 
 def wedge_quadrature_oracle():
@@ -76,6 +79,16 @@ def test_determinism_bit_identical_across_threads():
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
+def test_determinism_bit_identical_across_threads_multi_chunk():
+    # 2^17 samples are 8,192-row batches, more than one kernel chunk each
+    for kind in (ANGLE, LOG):
+        a = compute_weight(G31, kind, 1 << 17, seed=9, threads=1)
+        b = compute_weight(G31, kind, 1 << 17, seed=9, threads=2)
+        assert a.samples // 16 > CHUNK_ROWS
+        assert (a.value, a.stderr, a.rejected) == (b.value, b.stderr, b.rejected)
+        assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
 def test_seed_changes_estimate():
     a = compute_weight(WEDGE, ANGLE, 10 ** 4, seed=5)
     b = compute_weight(WEDGE, ANGLE, 10 ** 4, seed=6)
@@ -93,24 +106,60 @@ def test_sample_budget_zero_rejected():
         compute_weight(WEDGE, ANGLE, 0, 1)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed"):
+        compute_weight(WEDGE, ANGLE, 10, -1)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         compute_weight(WEDGE, "harmonic", 10, 1)
 
 
+def _assert_rows_match_scalar(g, kind, U, vals, rows):
+    for k in rows:
+        cfg, jac = halfplane.sample_configuration(g.n, g.m, U[k])
+        want = forms.integrand(g, kind, cfg) * jac
+        assert abs(vals[k] - want) < 1e-10 * max(1.0, abs(want)), (g, kind, k)
+
+
 def test_vectorized_kernel_matches_scalar():
+    # (1,3) has a ground-vertex frame column; (4,0) the m = 0 frame with a
+    # 6 x 6 determinant; in (3,1) edges also enter the circle-pinned vertex
+    # a1, and those phi entries reach the determinant.  The long batches
+    # span three kernel chunks and are checked on both sides of each
+    # chunk boundary.
     rng = np.random.default_rng(0)
-    for g in [WEDGE, parse_graph("2 1 ; a1>a2 a1>g1 a2>g1"),
-              parse_graph("2 0 ; a1>a2 a2>a1")]:
+    C = CHUNK_ROWS
+    boundary_rows = [0, 1, C - 1, C, 2 * C - 1, 2 * C, 2 * C + 4]
+    cases = [(WEDGE, 8, range(8)),
+             (parse_graph("2 1 ; a1>a2 a1>g1 a2>g1"), 8, range(8)),
+             (parse_graph("2 0 ; a1>a2 a2>a1"), 8, range(8)),
+             (parse_graph("1 3 ; a1>g1 a1>g2 a1>g3"), 8, range(8)),
+             (G40, 2 * C + 5, boundary_rows), (G31, 2 * C + 5, boundary_rows)]
+    for g, B, rows in cases:
         d = halfplane.gauge_dim(g.n, g.m)
-        U = rng.uniform(0.1, 0.9, size=(8, d))
+        U = rng.uniform(0.1, 0.9, size=(B, d))
         for kind in (ANGLE, LOG):
             vals, rejected = integrand_batch(g, kind, U)
-            assert rejected == 0
-            for k in range(8):
-                cfg, jac = halfplane.sample_configuration(g.n, g.m, U[k])
-                want = forms.integrand(g, kind, cfg) * jac
-                assert abs(vals[k] - want) < 1e-10 * max(1.0, abs(want))
+            assert vals.shape == (B,) and rejected == 0
+            _assert_rows_match_scalar(g, kind, U, vals, rows)
+
+
+def test_kernel_zeroes_near_collision_rows():
+    rng = np.random.default_rng(2)
+    B = CHUNK_ROWS + 3
+    U = rng.uniform(0.1, 0.9, size=(B, 5))
+    bad = CHUNK_ROWS + 1
+    # aerial vertex a2 at x = 0, height ~1e-47: on top of ground vertex g1
+    U[bad, 1:3] = [0.5, 0.01]
+    Z, G, _ = _config_batch(3, 1, U[bad:bad + 1])
+    assert abs(Z[0, 1] - G[0, 0]) < COLLISION_EPS
+    for kind in (ANGLE, LOG):
+        vals, rejected = integrand_batch(G31, kind, U)
+        assert rejected == 1
+        assert vals[bad] == 0
+        _assert_rows_match_scalar(G31, kind, U, vals, [bad - 1, bad + 1])
 
 
 def test_cached_weight_consistent_under_relabelling():
@@ -174,5 +223,7 @@ def test_qmc_mean_constant():
 def test_weight_json_shape():
     est = compute_weight(WEDGE, ANGLE, 10 ** 4, seed=5)
     d = est.to_json_dict()
-    assert set(d) == {"graph", "kind", "samples", "seed", "value", "stderr"}
+    assert set(d) == {"graph", "kind", "samples", "seed", "value", "stderr",
+                      "rejected"}
+    assert d["rejected"] == est.rejected
     assert d["value"] == [est.value.real, est.value.imag]
