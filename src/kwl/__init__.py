@@ -12,15 +12,14 @@ from .graphs import (Graph, Contraction, make_graph, enumerate_graphs,
                      contract, canonical_key, canonical_graph, encode_graph,
                      parse_graph, TYPE_I, TYPE_II)
 from .halfplane import (Configuration, make_configuration, center_of_mass,
-                        sample_configuration, gauge_dim, gauge_frame,
-                        coords_of_config, config_from_coords, regauge,
-                        NestedFamily, chart_membership, gcd_families,
-                        torus_rotate, degenerating_family, cluster_coordinates,
-                        local_coordinates)
+                        slice_columns, slice_map, sample_configuration,
+                        gauge_dim, gauge_frame, coords_of_config,
+                        config_from_coords, regauge, NestedFamily,
+                        chart_membership, gcd_families, torus_rotate,
+                        degenerating_family, cluster_coordinates)
 from .forms import (ANGLE, LOG, edge_function, edge_covector, edge_pairing,
                     propagator_pairing, integrand, contracted_integrand,
-                    restricted_contracted_integrand,
-                    nested_contracted_integrand)
+                    restricted_contracted_integrand)
 from .weights import (WeightEstimate, compute_weight, cached_weight, qmc_mean,
                       vanishing_check, detect_vanishing_pattern)
 from .stokes import (BoundaryStratum, IdentityReport, CountertermReport,

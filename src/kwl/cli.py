@@ -102,8 +102,11 @@ def cmd_star(args) -> int:
         g = poly_from_json_list(pi.dim, _json_arg(args.g))
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage(f"bad input: {exc}")
-    series = star_product(pi, args.order, args.kind, args.samples, args.seed,
-                          args.threads)
+    try:
+        series = star_product(pi, args.order, args.kind, args.samples, args.seed,
+                              args.threads)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     orders = []
     for p in series.multiply(f, g):
         orders.append([{"monomial": list(mono),
@@ -133,8 +136,11 @@ def cmd_associativity(args) -> int:
 
 
 def cmd_globalization(args) -> int:
-    rep = check_globalization(args.kind, args.samples, args.seed,
-                              threads=args.threads)
+    try:
+        rep = check_globalization(args.kind, args.samples, args.seed,
+                                  threads=args.threads)
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     out = {
         "kind": rep.kind,
         "vector_pair": [{"graph": g, "pattern": p,

@@ -248,75 +248,3 @@ def restricted_contracted_integrand(g: Graph, kind: str, cfg: Configuration,
     if len(columns) != d - 1:
         raise ValueError("frame size mismatch")
     return _det(_pair_matrix(g, kind, cfg, columns), kind)
-
-
-def nested_cluster_frames(cfg: Configuration, chain: Sequence[Sequence[int]]) -> List[Velocity]:
-    """Boundary frame for a strictly nested chain of aerial clusters.
-
-    Column order: all rotation generators (outermost first), then per level
-    the radial direction and the non-rotation shape directions of the
-    effective points (deeper clusters count once, at their center), then
-    the transported outer slice frame.
-    """
-    levels = [sorted(set(B)) for B in chain]
-    for a, b in zip(levels, levels[1:]):
-        if not set(b) < set(a):
-            raise ValueError("chain must be strictly nested")
-    columns: List[Velocity] = []
-    centers = []
-    scales = []
-    for B in levels:
-        zeta = sum(cfg.aerial[v] for v in B) / len(B)
-        r = math.sqrt(sum(abs(cfg.aerial[v] - zeta) ** 2 for v in B))
-        centers.append(zeta)
-        scales.append(r)
-        columns.append({v: 1j * (cfg.aerial[v] - zeta) for v in B})
-    for k, B in enumerate(levels):
-        zeta, r = centers[k], scales[k]
-        columns.append({v: (cfg.aerial[v] - zeta) / r for v in B})
-        deeper = set(levels[k + 1]) if k + 1 < len(levels) else set()
-        eff: List[Tuple[complex, List[int]]] = []
-        for v in B:
-            if v in deeper:
-                continue
-            eff.append((cfg.aerial[v], [v]))
-        if deeper:
-            eff.append((centers[k + 1], sorted(deeper)))
-        eff.sort(key=lambda t: t[1][0])
-        offsets = np.array([p for p, _ in eff], dtype=complex) - zeta
-        norm = math.sqrt(float(np.sum(np.abs(offsets) ** 2)))
-        shape = tuple(offsets / norm)
-        if len(eff) > 2:
-            for u in shape_tangent_basis(shape):
-                col: Velocity = {}
-                for coeff, (_, verts) in zip(u, eff):
-                    for v in verts:
-                        col[v] = r * coeff
-                columns.append(col)
-    outer_cfg, slot = collapse_cluster(cfg, levels[0])
-    Bset = set(levels[0])
-
-    def lift_vertex(w: int) -> List[int]:
-        if w == slot:
-            return levels[0]
-        if w < outer_cfg.n:
-            kept = [v for v in range(cfg.n) if v not in Bset]
-            return [kept[w] if w < slot else kept[w - 1]]
-        return [w - outer_cfg.n + cfg.n]
-
-    for p, vel in gauge_frame(outer_cfg):
-        columns.append({v: vel for v in lift_vertex(p)})
-    return columns
-
-
-def nested_contracted_integrand(g: Graph, kind: str, cfg: Configuration,
-                                chain: Sequence[Sequence[int]]) -> complex:
-    """Integrand contracted by every rotation generator of a nested chain."""
-    _check_kind(kind)
-    d = gauge_dim(g.n, g.m)
-    if len(g.edges) != d:
-        raise ValueError("graph degree does not match the slice dimension")
-    columns = nested_cluster_frames(cfg, chain)
-    if len(columns) != d:
-        raise ValueError("frame size mismatch")
-    return _det(_pair_matrix(g, kind, cfg, columns), kind)

@@ -11,7 +11,7 @@ slices:
 * ``m == 0``: first aerial point pinned to ``i``.
 
 The slice has ``2n + m - 2`` free real coordinates; their fixed order
-(defined by :func:`gauge_frame`) also fixes the orientation used by every
+(defined by :func:`slice_columns`) also fixes the orientation used by every
 integral in this package.
 
 Free aerial points map from the unit square by ``x = tan(pi(u - 1/2))``
@@ -115,128 +115,117 @@ def gauge_dim(n: int, m: int) -> int:
     return 2 * n + m - 2
 
 
-def sample_configuration(n: int, m: int, u: Sequence[float]) -> Tuple[Configuration, float]:
-    """Map a point of the open unit hypercube to the gauge slice.
+def slice_columns(n: int, m: int) -> List[Tuple[int, str]]:
+    """Ordered slice coordinates as ``(vertex, mode)`` pairs.
 
-    Returns the configuration and the (positive) Jacobian of the map, so
-    that integrating ``integrand * jacobian`` over the hypercube equals the
-    integral of the integrand over the slice in its coordinate orientation.
+    Modes: ``phi`` is the angle of the circle-pinned aerial point 0
+    (``m == 1``), ``x`` and ``y`` are the real and imaginary parts of a free
+    aerial point, ``g`` is a free ground point.  This order fixes the slice
+    coordinates and orientation.
     """
+    gauge_dim(n, m)
+    cols = [(0, "phi")] if m == 1 else []
+    for a in range(0 if m >= 2 else 1, n):
+        cols += [(a, "x"), (a, "y")]
+    return cols + [(n + k, "g") for k in range(2, m)]
+
+
+def _pinned_points(n: int, m: int) -> Tuple[List[complex], List[float]]:
+    """Aerial and ground points with the gauge-pinned entries set; the
+    entries of free coordinates are placeholders."""
+    aerial = [1j if m == 0 and a == 0 else 0j for a in range(n)]
+    return aerial, [0.0, 1.0][:m] + [0.0] * (m - 2)
+
+
+def slice_map(n: int, m: int, U: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map rows of the open unit hypercube to the gauge slice.
+
+    Returns aerial points ``(B, n)``, ground points ``(B, m)`` and the
+    (positive) Jacobians ``(B,)``, so that integrating ``integrand *
+    jacobian`` over the hypercube equals the integral of the integrand over
+    the slice in its coordinate orientation.
+    """
+    cols = slice_columns(n, m)
+    B, d = U.shape
+    if d != len(cols):
+        raise ValueError(f"expected {len(cols)} hypercube coordinates per row, got {d}")
+    aerial, ground = _pinned_points(n, m)
+    Z = np.empty((B, n), dtype=complex)
+    G = np.empty((B, m), dtype=float)
+    Z[:] = aerial
+    G[:] = ground
+    jac = np.ones(B, dtype=float)
+    for pos, (v, mode) in enumerate(cols):
+        u = U[:, pos]
+        if mode == "phi":
+            Z[:, v] = np.exp(1j * (math.pi * u))
+            jac *= math.pi
+        elif mode == "x":
+            x = np.tan(math.pi * (u - 0.5))
+            jac *= math.pi * (1.0 + x * x)
+            Z[:, v] = x
+        elif mode == "y":  # follows the "x" column of the same point
+            s = u / (1.0 - u)
+            e = np.exp(-1.0 / s)
+            Z[:, v] += 1j * np.maximum(s * s * e, 1e-300)
+            jac *= e * (2.0 * s + 1.0) / (1.0 - u) ** 2
+        else:
+            G[:, v - n] = G[:, v - n - 1] + u / (1.0 - u)
+            jac *= 1.0 / (1.0 - u) ** 2
+    return Z, G, jac
+
+
+def sample_configuration(n: int, m: int, u: Sequence[float]) -> Tuple[Configuration, float]:
+    """One point of :func:`slice_map`: configuration and Jacobian."""
     d = gauge_dim(n, m)
     u = np.asarray(u, dtype=float)
     if u.shape != (d,):
         raise ValueError(f"expected {d} hypercube coordinates, got shape {u.shape}")
     if d and (u.min() <= 0.0 or u.max() >= 1.0):
         raise ValueError("hypercube point must be strictly interior")
+    Z, G, jac = slice_map(n, m, u[None, :])
+    return make_configuration(Z[0], G[0]), float(jac[0])
 
-    jac = 1.0
-    aerial: List[complex] = []
-    pos = 0
 
-    if m >= 2:
-        ground = [0.0, 1.0]
-        free_aerial = range(n)
-    elif m == 1:
-        ground = [0.0]
-        phi = math.pi * u[pos]
-        jac *= math.pi
-        pos += 1
-        aerial.append(cmath.exp(1j * phi))
-        free_aerial = range(1, n)
-    else:
-        ground = []
-        aerial.append(1j)
-        free_aerial = range(1, n)
-
-    for _ in free_aerial:
-        x = math.tan(math.pi * (u[pos] - 0.5))
-        jac *= math.pi * (1.0 + x * x)
-        v = u[pos + 1]
-        s = v / (1.0 - v)
-        y = max(s * s * math.exp(-1.0 / s), 1e-300)
-        jac *= math.exp(-1.0 / s) * (2.0 * s + 1.0) / (1.0 - v) ** 2
-        aerial.append(complex(x, y))
-        pos += 2
-
-    for _ in range(max(0, m - 2)):
-        t = u[pos]
-        ground.append(ground[-1] + t / (1.0 - t))
-        jac *= 1.0 / (1.0 - t) ** 2
-        pos += 1
-
-    return make_configuration(aerial, ground), jac
+_VELOCITY = {"x": 1.0 + 0j, "y": 1j, "g": 1.0 + 0j}
+_COORDINATE = {"phi": cmath.phase, "x": lambda z: z.real, "y": lambda z: z.imag,
+               "g": lambda z: z.real}
 
 
 def gauge_frame(cfg: Configuration) -> List[Tuple[int, complex]]:
     """Coordinate tangent frame of the gauge slice at ``cfg``.
 
     Each frame vector moves exactly one point; entries are
-    ``(vertex index, complex velocity)``.  Ground vertices move with real
-    velocity.  The list order defines the slice coordinates and orientation.
+    ``(vertex index, complex velocity)``, in :func:`slice_columns` order.
+    Ground vertices move with real velocity; ``phi`` moves the pinned point
+    along its circle.
     """
-    n, m = cfg.n, cfg.m
-    gauge_dim(n, m)
-    frame: List[Tuple[int, complex]] = []
-    if m >= 2:
-        aer_start = 0
-    elif m == 1:
-        frame.append((0, 1j * cfg.aerial[0]))
-        aer_start = 1
-    else:
-        aer_start = 1
-    for a in range(aer_start, n):
-        frame.append((a, 1.0 + 0j))
-        frame.append((a, 1j))
-    for k in range(2, m):
-        frame.append((n + k, 1.0 + 0j))
-    return frame
+    return [(v, 1j * cfg.aerial[0] if mode == "phi" else _VELOCITY[mode])
+            for v, mode in slice_columns(cfg.n, cfg.m)]
 
 
 def coords_of_config(cfg: Configuration) -> np.ndarray:
     """Slice coordinate values of an in-gauge configuration."""
-    n, m = cfg.n, cfg.m
-    gauge_dim(n, m)
-    out: List[float] = []
-    if m >= 2:
-        aer_start = 0
-    elif m == 1:
-        out.append(cmath.phase(cfg.aerial[0]))
-        aer_start = 1
-    else:
-        aer_start = 1
-    for a in range(aer_start, n):
-        out.append(cfg.aerial[a].real)
-        out.append(cfg.aerial[a].imag)
-    out.extend(cfg.ground[2:])
-    return np.array(out, dtype=float)
+    return np.array([_COORDINATE[mode](cfg.point(v))
+                     for v, mode in slice_columns(cfg.n, cfg.m)], dtype=float)
 
 
 def config_from_coords(n: int, m: int, q: Sequence[float]) -> Configuration:
     """Inverse of :func:`coords_of_config`."""
-    d = gauge_dim(n, m)
+    cols = slice_columns(n, m)
     q = np.asarray(q, dtype=float)
-    if q.shape != (d,):
-        raise ValueError(f"expected {d} coordinates, got {q.shape}")
-    aerial: List[complex] = []
-    pos = 0
-    if m >= 2:
-        ground = [0.0, 1.0]
-        aer_start = 0
-    elif m == 1:
-        ground = [0.0]
-        aerial.append(cmath.exp(1j * q[0]))
-        pos = 1
-        aer_start = 1
-    else:
-        ground = []
-        aerial.append(1j)
-        aer_start = 1
-    for _ in range(aer_start, n):
-        aerial.append(complex(q[pos], q[pos + 1]))
-        pos += 2
-    for _ in range(2, m):
-        ground.append(q[pos])
-        pos += 1
+    if q.shape != (len(cols),):
+        raise ValueError(f"expected {len(cols)} coordinates, got {q.shape}")
+    aerial, ground = _pinned_points(n, m)
+    for (v, mode), c in zip(cols, q):
+        if mode == "phi":
+            aerial[v] = cmath.exp(1j * c)
+        elif mode == "x":
+            aerial[v] = complex(c, 0.0)
+        elif mode == "y":
+            aerial[v] = complex(aerial[v].real, c)
+        else:
+            ground[v - n] = c
     return make_configuration(aerial, ground)
 
 
@@ -527,24 +516,3 @@ def cluster_coordinates(cfg: Configuration, subset) -> Tuple[complex, float, Tup
     if any(v >= cfg.n for v in B) or len(B) < 2:
         raise ValueError("cluster must contain >= 2 aerial points")
     return normalized_shape([cfg.aerial[v] for v in B])
-
-
-def local_coordinates(cfg: Configuration, chain: Sequence[Sequence[int]]):
-    """Scales and shapes along a chain of nested aerial clusters.
-
-    ``chain`` lists aerial index sets ``B_1 > B_2 > ...``; the k-th entry of
-    the result is ``(r_k, shape_k)`` where the shape at level k is extracted
-    from the level-(k-1) normalized coordinates.
-    """
-    levels = [frozenset(B) for B in chain]
-    for a, b in zip(levels, levels[1:]):
-        if not b < a:
-            raise ValueError("chain must be strictly nested")
-    out = []
-    positions = {v: cfg.aerial[v] for v in levels[0]}
-    for B in levels:
-        pts = [positions[v] for v in sorted(B)]
-        zeta, r, shape = normalized_shape(pts)
-        out.append((r, shape))
-        positions = {v: s for v, s in zip(sorted(B), shape)}
-    return out

@@ -35,7 +35,7 @@ from .graphs import (Contraction, Graph, TYPE_I, TYPE_II, canonical_key,
                      contract)
 from .halfplane import (coords_of_config, config_from_coords,
                         degenerating_family, gauge_dim, regauge,
-                        sample_configuration)
+                        sample_configuration, slice_columns)
 from .weights import cached_weight
 
 TWO_POINT_I = "two-point-I"
@@ -388,6 +388,11 @@ class CountertermReport:
         return abs(self.limit - self.expected)
 
 
+# probe coordinate ranges: angle of the circle-pinned point, then x and y of
+# free aerial points; free ground points step right from 1 by 0.5 to 1.5
+_PROBE_RANGE = {"phi": (0.8, 2.3), "x": (-1.5, 1.5), "y": (0.7, 2.2)}
+
+
 def _probe_family(g: Graph, subset, seed: int):
     """Deterministic outer configuration and cluster shape for a probe.
 
@@ -399,22 +404,16 @@ def _probe_family(g: Graph, subset, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence([seed, g.n, g.m, len(B)]))
     n_out = g.n - len(B) + 1
     m = g.m
+    cols = slice_columns(n_out, m)
     for _ in range(64):
         coords = []
-        if m >= 2:
-            free_aerial = n_out
-        elif m == 1:
-            coords.append(rng.uniform(0.8, 2.3))  # angle of the pinned point
-            free_aerial = n_out - 1
-        else:
-            free_aerial = n_out - 1
-        for _ in range(free_aerial):
-            coords.append(rng.uniform(-1.5, 1.5))
-            coords.append(rng.uniform(0.7, 2.2))
         gval = 1.0
-        for _ in range(max(0, m - 2)):
-            gval += rng.uniform(0.5, 1.5)
-            coords.append(gval)
+        for _, mode in cols:
+            if mode == "g":
+                gval += rng.uniform(0.5, 1.5)
+                coords.append(gval)
+            else:
+                coords.append(rng.uniform(*_PROBE_RANGE[mode]))
         try:
             outer_cfg = config_from_coords(n_out, m, np.array(coords))
         except ValueError:

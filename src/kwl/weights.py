@@ -24,7 +24,7 @@ from scipy.stats import qmc
 
 from .forms import ANGLE, KINDS
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
-from .halfplane import gauge_dim, gauge_supported
+from .halfplane import gauge_dim, gauge_supported, slice_columns, slice_map
 
 BATCHES = 16
 COLLISION_EPS = 1e-12
@@ -61,64 +61,7 @@ def default_threads() -> int:
 
 
 # ---------------------------------------------------------------------------
-# vectorized slice sampling and integrand evaluation
-
-
-def _config_batch(n: int, m: int, U: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hypercube batch -> aerial points, ground points, Jacobians."""
-    B, d = U.shape
-    assert d == gauge_dim(n, m)
-    Z = np.empty((B, n), dtype=complex)
-    G = np.empty((B, m), dtype=float)
-    jac = np.ones(B, dtype=float)
-    pos = 0
-    if m >= 2:
-        G[:, 0] = 0.0
-        G[:, 1] = 1.0
-        aer_start = 0
-    elif m == 1:
-        G[:, 0] = 0.0
-        phi = math.pi * U[:, 0]
-        Z[:, 0] = np.exp(1j * phi)
-        jac *= math.pi
-        pos = 1
-        aer_start = 1
-    else:
-        Z[:, 0] = 1j
-        aer_start = 1
-    for a in range(aer_start, n):
-        x = np.tan(math.pi * (U[:, pos] - 0.5))
-        jac *= math.pi * (1.0 + x * x)
-        v = U[:, pos + 1]
-        s = v / (1.0 - v)
-        y = np.maximum(s * s * np.exp(-1.0 / s), 1e-300)
-        jac *= np.exp(-1.0 / s) * (2.0 * s + 1.0) / (1.0 - v) ** 2
-        Z[:, a] = x + 1j * y
-        pos += 2
-    for k in range(2, m):
-        t = U[:, pos]
-        G[:, k] = G[:, k - 1] + t / (1.0 - t)
-        jac *= 1.0 / (1.0 - t) ** 2
-        pos += 1
-    return Z, G, jac
-
-
-def _frame_columns(n: int, m: int) -> List[Tuple[int, str]]:
-    """Frame column descriptors matching :func:`kwl.halfplane.gauge_frame`."""
-    cols: List[Tuple[int, str]] = []
-    if m >= 2:
-        aer_start = 0
-    elif m == 1:
-        cols.append((0, "phi"))
-        aer_start = 1
-    else:
-        aer_start = 1
-    for a in range(aer_start, n):
-        cols.append((a, "x"))
-        cols.append((a, "y"))
-    for k in range(2, m):
-        cols.append((n + k, "g"))
-    return cols
+# vectorized integrand evaluation
 
 
 def _pairing_chunk(g: Graph, cols: List[Tuple[int, str]], point: List[np.ndarray],
@@ -170,13 +113,13 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
     on the row index.
     """
     n, m = g.n, g.m
-    Z, G, jac = _config_batch(n, m, U)
+    Z, G, jac = slice_map(n, m, U)
     B = U.shape[0]
     E = len(g.edges)
     angle = kind == ANGLE
 
     point = [Z[:, v] if v < n else G[:, v - n] for v in range(n + m)]
-    cols = _frame_columns(n, m)
+    cols = slice_columns(n, m)
     # det(M / c) = det(M) * c^-E for the E x E pairing matrix
     scale = (2.0 * math.pi) ** -E if angle else (2j * math.pi) ** -E
 
@@ -206,15 +149,41 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
     return vals, rejected
 
 
-def _batch_mean(g: Graph, kind: str, d: int, per_batch: int, seed: int,
-                batch: int) -> Tuple[complex, int]:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
-    sob = qmc.Sobol(d, scramble=True, seed=rng)
-    U = sob.random(per_batch)
-    # Sobol points can include exact zeros; nudge off the faces
-    U = np.clip(U, 1e-15, 1.0 - 1e-15)
-    vals, rejected = integrand_batch(g, kind, U)
-    return complex(vals.mean()), rejected
+def _qmc_batches(func, dim: int, samples: int, seed: int,
+                 threads: Optional[int]) -> Tuple[complex, float, int, int]:
+    """Batched scrambled-QMC mean of ``func(U) -> (values, rejected)``.
+
+    The budget is rounded up so the 16 batches are equal powers of two;
+    batch ``b`` uses the Sobol stream seeded by ``(seed, b)``.  Returns
+    (value, stderr, actual sample count, rejected sample count).
+    """
+    if samples <= 0:
+        raise ValueError("sample budget must be positive")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    per_batch = 1 << max(0, math.ceil(math.log2(samples / BATCHES)))
+
+    def one(batch: int) -> Tuple[complex, int]:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
+        sob = qmc.Sobol(dim, scramble=True, seed=rng)
+        # Sobol points can include exact zeros; nudge off the faces
+        U = np.clip(sob.random(per_batch), 1e-15, 1.0 - 1e-15)
+        vals, rejected = func(U)
+        return complex(np.mean(vals)), rejected
+
+    nthreads = threads if threads is not None else default_threads()
+    if nthreads > 1:
+        with ThreadPoolExecutor(max_workers=nthreads) as ex:
+            futs = [ex.submit(one, b) for b in range(BATCHES)]
+            results = [f.result() for f in futs]
+    else:
+        results = [one(b) for b in range(BATCHES)]
+
+    means = np.array([r[0] for r in results], dtype=complex)
+    value = complex(means.mean())
+    var = float(np.sum(np.abs(means - value) ** 2)) / (BATCHES - 1)
+    return (value, math.sqrt(var / BATCHES), per_batch * BATCHES,
+            sum(r[1] for r in results))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +202,7 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
     """
     if kind not in KINDS:
         raise ValueError(f"unknown propagator kind {kind!r}")
+    # the exact cases below never reach the QMC seed check
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     enc = encode_graph(g)
@@ -243,28 +213,10 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
         return WeightEstimate(1.0 + 0j, 0.0, 0, seed, kind, enc, exact=True)
     if not gauge_supported(g.n, g.m):
         raise ValueError(f"no gauge slice for (n, m) = ({g.n}, {g.m})")
-    if samples <= 0:
-        raise ValueError("sample budget must be positive")
 
-    d = gauge_dim(g.n, g.m)
-    per_batch = 1 << max(0, math.ceil(math.log2(max(1, samples) / BATCHES)))
-    nthreads = threads if threads is not None else default_threads()
-
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            futs = [ex.submit(_batch_mean, g, kind, d, per_batch, seed, b)
-                    for b in range(BATCHES)]
-            results = [f.result() for f in futs]
-    else:
-        results = [_batch_mean(g, kind, d, per_batch, seed, b) for b in range(BATCHES)]
-
-    means = np.array([r[0] for r in results], dtype=complex)
-    rejected = sum(r[1] for r in results)
-    value = complex(means.mean())
-    var = float(np.sum(np.abs(means - value) ** 2)) / (BATCHES - 1)
-    stderr = math.sqrt(var / BATCHES)
-    return WeightEstimate(value, stderr, per_batch * BATCHES, seed, kind, enc,
-                          rejected=rejected)
+    value, stderr, total, rejected = _qmc_batches(
+        lambda U: integrand_batch(g, kind, U), gauge_dim(g.n, g.m), samples, seed, threads)
+    return WeightEstimate(value, stderr, total, seed, kind, enc, rejected=rejected)
 
 
 def qmc_mean(func, dim: int, samples: int, seed: int,
@@ -274,26 +226,7 @@ def qmc_mean(func, dim: int, samples: int, seed: int,
     Same batching, seeding and reduction rules as :func:`compute_weight`;
     returns (value, stderr, actual sample count).
     """
-    if samples <= 0:
-        raise ValueError("sample budget must be positive")
-    per_batch = 1 << max(0, math.ceil(math.log2(max(1, samples) / BATCHES)))
-
-    def one(batch: int) -> complex:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
-        sob = qmc.Sobol(dim, scramble=True, seed=rng)
-        U = np.clip(sob.random(per_batch), 1e-15, 1.0 - 1e-15)
-        return complex(np.mean(func(U)))
-
-    nthreads = threads if threads is not None else default_threads()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            means = list(ex.map(one, range(BATCHES)))
-    else:
-        means = [one(b) for b in range(BATCHES)]
-    arr = np.array(means, dtype=complex)
-    value = complex(arr.mean())
-    var = float(np.sum(np.abs(arr - value) ** 2)) / (BATCHES - 1)
-    return value, math.sqrt(var / BATCHES), per_batch * BATCHES
+    return _qmc_batches(lambda U: (func(U), 0), dim, samples, seed, threads)[:3]
 
 
 _cache: Dict[tuple, WeightEstimate] = {}

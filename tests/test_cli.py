@@ -64,6 +64,17 @@ def test_weight_bad_budget_or_seed_exit_2(capsys):
         assert_usage_error(wedge + extra, capsys)
 
 
+def test_star_and_globalization_bad_order_seed_or_budget_exit_2(capsys):
+    pi = json.dumps({"dim": 2, "bivector": [
+        {"i": 0, "j": 1, "monomial": [0, 0], "coeff": 1.0}]})
+    x = json.dumps([{"monomial": [1, 0], "coeff": 1.0}])
+    star = ["star", "--poisson", pi, "--f", x, "--g", x, "--samples", "1000"]
+    for extra in (["--order", "3"], ["--seed", "-1"]):
+        assert_usage_error(star + extra, capsys)
+    for extra in (["--seed", "-1"], ["--samples", "0"]):
+        assert_usage_error(["globalization"] + extra, capsys)
+
+
 def test_empty_graph_weight_exactly_one(capsys):
     code, out = run_cli(["weight", "--graph", "0 2 ;", "--samples", "10000"],
                         capsys)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kwl.forms import (ANGLE, LOG, contracted_integrand, edge_covector,
-                       edge_function, integrand, nested_contracted_integrand,
+                       edge_function, integrand,
                        restricted_contracted_integrand, shape_tangent_basis)
 from kwl.graphs import contract, make_graph, parse_graph
 from kwl.halfplane import (degenerating_family, gauge_dim, gauge_frame,
@@ -193,21 +193,6 @@ def test_contracted_integrand_bounded_angle():
     vals = [abs(contracted_integrand(g, ANGLE, degenerating_family(outer, (s, -s), 0, r), [0, 1]))
             for r in (1e-2, 1e-3, 1e-4, 1e-5)]
     assert max(vals) < 10 * max(vals[0], 1e-6)
-
-
-def test_nested_contraction_bounded():
-    g = parse_graph("4 0 ; a1>a2 a2>a3 a3>a4 a4>a1 a1>a3 a2>a4")
-    outer = probe_family(1, 0, 3)
-    s3 = np.array([1.0, cmath.exp(2j), cmath.exp(4j)])
-    s3 -= s3.mean()
-    s3 = tuple(s3 / math.sqrt(float(np.sum(np.abs(s3) ** 2))))
-    s2 = (cmath.exp(0.9j) / math.sqrt(2), -cmath.exp(0.9j) / math.sqrt(2))
-    vals = []
-    for r in (1e-1, 1e-2, 1e-3):
-        mid = degenerating_family(outer, s3, 0, r)
-        cfg = degenerating_family(mid, s2, 1, r * r)
-        vals.append(abs(nested_contracted_integrand(g, LOG, cfg, [[0, 1, 2, 3], [1, 2]])))
-    assert max(vals) <= max(10 * vals[0], 1e-9)
 
 
 def test_restricted_contraction_hits_outer_integrand():

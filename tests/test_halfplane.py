@@ -9,8 +9,8 @@ from kwl.halfplane import (Configuration, NestedFamily, center_of_mass,
                            chart_membership, cluster_coordinates,
                            config_from_coords, coords_of_config,
                            degenerating_family, gauge_dim, gauge_frame,
-                           gcd_families, local_coordinates, make_configuration,
-                           regauge, sample_configuration, torus_rotate)
+                           gcd_families, make_configuration, regauge,
+                           sample_configuration, slice_map, torus_rotate)
 
 
 def test_sample_zero_dimensional():
@@ -47,16 +47,35 @@ def test_sample_covers_gauges():
             assert cfg.aerial[0] == 1j
 
 
+def test_slice_map_jacobian_matches_finite_differences():
+    # the Jacobian is checked against the map it claims to measure:
+    # |det d coords / d u| by central differences, one gauge case at a time
+    rng = np.random.default_rng(8)
+    h = 1e-6
+    for n, m in [(1, 1), (2, 1), (2, 0), (0, 3), (1, 3), (3, 0), (2, 2)]:
+        d = gauge_dim(n, m)
+        for _ in range(5):
+            u = rng.uniform(0.2, 0.8, d)
+            _, jac = sample_configuration(n, m, u)
+            J = np.empty((d, d))
+            for k in range(d):
+                step = np.zeros(d)
+                step[k] = h
+                hi = coords_of_config(sample_configuration(n, m, u + step)[0])
+                lo = coords_of_config(sample_configuration(n, m, u - step)[0])
+                J[:, k] = (hi - lo) / (2 * h)
+            assert abs(abs(np.linalg.det(J)) - jac) < 1e-6 * jac, (n, m, u)
+
+
 def test_infinite_area_probe_running_mean_grows():
     # integrating the bare Jacobian diverges: the sampler must only be used
     # under an integrable integrand
-    from kwl.weights import _config_batch
     rng = np.random.default_rng(123)
     totals = []
     block = 10_000
     for k in range(3):
         u = rng.uniform(1e-9, 1 - 1e-9, size=(block * 10 ** k, 2))
-        _, _, jac = _config_batch(1, 2, u)
+        _, _, jac = slice_map(1, 2, u)
         totals.append(jac.mean())
     assert totals[0] < totals[1] < totals[2]
 
@@ -239,7 +258,7 @@ def test_rotation_rejects_exit():
 
 
 # ---------------------------------------------------------------------------
-# degenerating families and local coordinates
+# degenerating families
 
 
 def test_degenerating_family_round_trip():
@@ -248,8 +267,6 @@ def test_degenerating_family_round_trip():
     r = 1e-3
     cfg = degenerating_family(outer, shape, 0, r)
     assert cfg.n == 3
-    r_got, shape_got = local_coordinates(cfg, [[0, 1]])[0]
-    assert abs(r_got - r) < 1e-10
     zeta, rr, ss = cluster_coordinates(cfg, [0, 1])
     assert abs(zeta - outer.aerial[0]) < 1e-12
     assert abs(rr - r) < 1e-10
@@ -276,18 +293,6 @@ def test_shape_normalization_enforced():
     outer = make_configuration([2j], [0.0, 1.0])
     with pytest.raises(ValueError, match="shape"):
         degenerating_family(outer, (1.0, -0.5), 0, 0.01)
-
-
-def test_local_coordinates_invariants():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        pts = [complex(rng.uniform(-1, 1), rng.uniform(0.5, 2)) for _ in range(4)]
-        cfg = make_configuration(pts, [])
-        r, shape = local_coordinates(cfg, [[0, 1, 2, 3]])[0]
-        assert abs(sum(shape)) < 1e-12
-        assert abs(sum(abs(s) ** 2 for s in shape) - 1) < 1e-12
-        rebuilt = [center_of_mass(pts) + r * s for s in shape]
-        assert max(abs(a - b) for a, b in zip(rebuilt, pts)) < 1e-12
 
 
 def test_configuration_json_round_trip():

@@ -8,8 +8,8 @@ from kwl import forms, halfplane
 from kwl.forms import ANGLE, LOG
 from kwl.graphs import make_graph, parse_graph
 from kwl.weights import (CHUNK_ROWS, COLLISION_EPS, NO_OUTGOING,
-                         ONE_IN_ONE_OUT, UNIVALENT, WHEEL, _config_batch,
-                         cached_weight, clear_weight_cache, compute_weight,
+                         ONE_IN_ONE_OUT, UNIVALENT, WHEEL, cached_weight,
+                         clear_weight_cache, compute_weight,
                          detect_vanishing_pattern, integrand_batch, qmc_mean,
                          vanishing_check)
 
@@ -153,7 +153,7 @@ def test_kernel_zeroes_near_collision_rows():
     bad = CHUNK_ROWS + 1
     # aerial vertex a2 at x = 0, height ~1e-47: on top of ground vertex g1
     U[bad, 1:3] = [0.5, 0.01]
-    Z, G, _ = _config_batch(3, 1, U[bad:bad + 1])
+    Z, G, _ = halfplane.slice_map(3, 1, U[bad:bad + 1])
     assert abs(Z[0, 1] - G[0, 0]) < COLLISION_EPS
     for kind in (ANGLE, LOG):
         vals, rejected = integrand_batch(G31, kind, U)
@@ -218,6 +218,11 @@ def test_qmc_mean_constant():
     assert val == pytest.approx(2.5, abs=1e-12)
     assert err < 1e-12
     assert ns >= 10 ** 4
+
+
+def test_qmc_mean_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        qmc_mean(lambda U: np.ones(len(U)), 2, 100, -1)
 
 
 def test_weight_json_shape():
