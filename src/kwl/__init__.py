@@ -17,13 +17,13 @@ from .halfplane import (Configuration, make_configuration, center_of_mass,
                         config_from_coords, regauge, NestedFamily,
                         chart_membership, gcd_families, torus_rotate,
                         degenerating_family, cluster_coordinates)
-from .forms import (ANGLE, LOG, edge_function, edge_covector, edge_pairing,
-                    propagator_pairing, integrand, contracted_integrand,
+from .forms import (ANGLE, LOG, edge_function, pairing_matrices, pairing_scale,
+                    integrand, contracted_integrand,
                     restricted_contracted_integrand)
 from .weights import (WeightEstimate, compute_weight, cached_weight, qmc_mean,
                       vanishing_check, detect_vanishing_pattern)
 from .stokes import (BoundaryStratum, IdentityReport, CountertermReport,
-                     boundary_strata, regularized_term, verify_identity,
+                     boundary_strata, verify_identity,
                      counterterm_probe, richardson_limit)
 from .operators import (PolyMultivector, MultiDiffOperator, StarSeries,
                         bivector, vector_field, function_field, d_gamma, u_n,

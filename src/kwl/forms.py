@@ -6,7 +6,9 @@ propagator, its logarithm for the ``log`` propagator, both normalized so a
 source circling a real target picks up one unit.  The integrand of a graph
 whose edge count matches the slice dimension is the determinant of the
 matrix pairing each edge one-form with each slice coordinate direction, in
-the graph's fixed edge order.
+the graph's fixed edge order.  :func:`pairing_matrices` is the one place
+these pairings are built, for one configuration or for a batch of rows;
+the QMC kernel, the collapse probes and the contour integral all call it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ TWO_PI = 2.0 * math.pi
 Velocity = Dict[int, complex]
 
 
-def _check_kind(kind: str) -> None:
+def check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown propagator kind {kind!r}")
 
@@ -42,7 +44,7 @@ def edge_function(kind: str, z: complex, w: complex) -> complex:
     ``angle``: arg((z-w)/(conj(z)-w)) / 2pi with the argument in (-pi, pi].
     ``log``:   principal log of the same ratio, divided by 2*pi*i.
     """
-    _check_kind(kind)
+    check_kind(kind)
     if abs(z - w) < 1e-15:
         raise ValueError("coincident points")
     ratio = (z - w) / (z.conjugate() - w)
@@ -51,68 +53,68 @@ def edge_function(kind: str, z: complex, w: complex) -> complex:
     return cmath.log(ratio) / (2j * math.pi)
 
 
-def propagator_pairing(kind: str, zs: complex, zt: complex,
-                       vs: complex, vt: complex) -> complex:
-    """Derivative of the edge potential for source/target velocities.
+def pairing_matrices(edges: Sequence[Tuple[int, int]], points: Sequence,
+                     frame: Sequence[Velocity], kind: str) -> np.ndarray:
+    """Unscaled pairings of edge one-forms with frame vectors, shape (rows, E, d).
 
-    The conjugate of the source moves with the conjugate velocity; a ground
-    target must carry a real velocity.
+    ``points[v]`` is the position of vertex ``v`` and each frame column a
+    sparse ``{vertex: velocity}`` map; positions and velocities are scalars
+    or row arrays.  Moving the edge ``(s, t)`` with velocities ``vs`` and
+    ``vt`` pairs to ``-vt*(a - b) + vs*a - conj(vs)*b``, where
+    ``a = 1/(zs - zt)`` and ``b = 1/(conj(zs) - zt)``; a ground target must
+    carry a real velocity.  The angle kind keeps only the imaginary parts,
+    as a real matrix.  Multiply determinants by :func:`pairing_scale`.
     """
-    num = zs - zt
-    den = zs.conjugate() - zt
-    if abs(num) < 1e-15 or abs(den) < 1e-15:
-        raise ValueError("coincident points")
-    w = (vs - vt) / num - (vs.conjugate() - vt) / den
-    if kind == ANGLE:
-        return complex(w.imag / TWO_PI, 0.0)
-    return w / (2j * math.pi)
+    check_kind(kind)
+    angle = kind == ANGLE
+    rows = max((len(p) for p in points if isinstance(p, np.ndarray)), default=1)
+    M = np.zeros((rows, len(edges), len(frame)), dtype=float if angle else complex)
+    for ei, (s, t) in enumerate(edges):
+        zs, zt = points[s], points[t]
+        a = 1.0 / (zs - zt)
+        b = 1.0 / (zs.conjugate() - zt)
+        diff = a - b
+        for ci, col in enumerate(frame):
+            vs, vt = col.get(s), col.get(t)
+            if vt is not None:
+                entry = -vt * diff
+                if vs is not None:
+                    entry = entry + vs * a - vs.conjugate() * b
+            elif vs is not None:
+                entry = vs * a - vs.conjugate() * b
+            else:
+                continue
+            M[:, ei, ci] = entry.imag if angle else entry
+    return M
 
 
-def edge_pairing(kind: str, cfg: Configuration, edge: Tuple[int, int],
-                 velocity: Velocity) -> complex:
-    """Derivative of the edge potential along a sparse tangent vector."""
-    s, t = edge
-    return propagator_pairing(kind, cfg.point(s), cfg.point(t),
-                              velocity.get(s, 0.0 + 0j), velocity.get(t, 0.0 + 0j))
+def pairing_scale(kind: str, num_edges: int) -> complex:
+    """Normalization of a pairing determinant: ``(2 pi)^-E`` for the angle
+    propagator, ``(2 pi i)^-E`` for the log propagator."""
+    return TWO_PI ** -num_edges if kind == ANGLE else (2j * math.pi) ** -num_edges
 
 
-def edge_covector(kind: str, cfg: Configuration, edge: Tuple[int, int]) -> np.ndarray:
-    """Coefficients of the edge one-form against the gauge coordinate frame.
-
-    Real-valued for the angle propagator, complex for the log propagator.
-    """
-    _check_kind(kind)
-    frame = gauge_frame(cfg)
-    vals = [edge_pairing(kind, cfg, edge, {p: v}) for p, v in frame]
-    if kind == ANGLE:
-        return np.array([v.real for v in vals], dtype=float)
-    return np.array(vals, dtype=complex)
+def _frame_integrand(g: Graph, kind: str, cfg: Configuration,
+                     frame: Sequence[Velocity]) -> complex:
+    points = [cfg.point(v) for v in range(cfg.n + cfg.m)]
+    det = np.linalg.det(pairing_matrices(g.edges, points, frame, kind))[0]
+    return complex(det * pairing_scale(kind, len(g.edges)))
 
 
-def _det(matrix: List[List[complex]], kind: str) -> complex:
-    if not matrix:
-        return 1.0 + 0j
-    if kind == ANGLE:
-        arr = np.array([[v.real for v in row] for row in matrix], dtype=float)
-        return complex(np.linalg.det(arr))
-    return complex(np.linalg.det(np.array(matrix, dtype=complex)))
-
-
-def _pair_matrix(g: Graph, kind: str, cfg: Configuration,
-                 columns: Sequence[Velocity]) -> List[List[complex]]:
-    return [[edge_pairing(kind, cfg, e, col) for col in columns] for e in g.edges]
+def _check_degree(g: Graph, kind: str, codim: int = 0) -> None:
+    check_kind(kind)
+    d = gauge_dim(g.n, g.m)
+    if len(g.edges) != d - codim:
+        raise ValueError(f"graph has {len(g.edges)} edges but needs {d - codim}"
+                         f" on a slice of dimension {d}")
 
 
 def integrand(g: Graph, kind: str, cfg: Configuration) -> complex:
     """Top-degree integrand: determinant of edge pairings with the slice frame."""
-    _check_kind(kind)
-    d = gauge_dim(g.n, g.m)
-    if len(g.edges) != d:
-        raise ValueError(f"graph has {len(g.edges)} edges but the slice has dimension {d}")
+    _check_degree(g, kind)
     if (cfg.n, cfg.m) != (g.n, g.m):
         raise ValueError("configuration does not match the graph")
-    columns = [{p: v} for p, v in gauge_frame(cfg)]
-    return _det(_pair_matrix(g, kind, cfg, columns), kind)
+    return _frame_integrand(g, kind, cfg, gauge_frame(cfg.n, cfg.m, cfg.point(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +154,10 @@ def shape_tangent_basis(shape: Sequence[complex], drop_rotation: bool = True
             if norm > 1e-9:
                 basis.append(cand / norm)
             if len(basis) == want:
-                return [tuple(v) for v in basis]
+                return [tuple(v.tolist()) for v in basis]
     if len(basis) != want:
         raise ValueError("failed to build a shape tangent basis")
-    return [tuple(v) for v in basis]
+    return [tuple(v.tolist()) for v in basis]
 
 
 def outer_anchor_slot(n: int, subset) -> int:
@@ -204,8 +206,8 @@ def cluster_frames(cfg: Configuration, subset) -> List[Velocity]:
             return [aer]
         return [w - outer_cfg.n + cfg.n]
 
-    for p, vel in gauge_frame(outer_cfg):
-        columns.append({v: vel for v in lift_vertex(p)})
+    for col in gauge_frame(outer_cfg.n, outer_cfg.m, outer_cfg.point(0)):
+        columns += [{v: vel for p, vel in col.items() for v in lift_vertex(p)}]
     return columns
 
 
@@ -218,14 +220,8 @@ def contracted_integrand(g: Graph, kind: str, cfg: Configuration, subset) -> com
     family the log value converges as the scale tends to zero, and its
     magnitude doubles as the chart-coefficient boundedness probe.
     """
-    _check_kind(kind)
-    d = gauge_dim(g.n, g.m)
-    if len(g.edges) != d:
-        raise ValueError(f"graph has {len(g.edges)} edges but the slice has dimension {d}")
-    columns = cluster_frames(cfg, subset)
-    if len(columns) != d:
-        raise ValueError("frame size mismatch; unsupported outer gauge")
-    return _det(_pair_matrix(g, kind, cfg, columns), kind)
+    _check_degree(g, kind)
+    return _frame_integrand(g, kind, cfg, cluster_frames(cfg, subset))
 
 
 def restricted_contracted_integrand(g: Graph, kind: str, cfg: Configuration,
@@ -239,12 +235,7 @@ def restricted_contracted_integrand(g: Graph, kind: str, cfg: Configuration,
     ``1/(2 pi)`` times the contracted graph's integrand at the collapsed
     configuration, up to the edge-reordering sign.
     """
-    _check_kind(kind)
-    d = gauge_dim(g.n, g.m)
-    if len(g.edges) != d - 1:
-        raise ValueError("graph must have one edge less than the slice dimension")
+    _check_degree(g, kind, codim=1)
     columns = cluster_frames(cfg, subset)
     del columns[1]  # drop the radial direction; keep rotation, shape, outer
-    if len(columns) != d - 1:
-        raise ValueError("frame size mismatch")
-    return _det(_pair_matrix(g, kind, cfg, columns), kind)
+    return _frame_integrand(g, kind, cfg, columns)

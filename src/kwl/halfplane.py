@@ -27,7 +27,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,16 +192,16 @@ _COORDINATE = {"phi": cmath.phase, "x": lambda z: z.real, "y": lambda z: z.imag,
                "g": lambda z: z.real}
 
 
-def gauge_frame(cfg: Configuration) -> List[Tuple[int, complex]]:
-    """Coordinate tangent frame of the gauge slice at ``cfg``.
+def gauge_frame(n: int, m: int, z0) -> List[Dict[int, complex]]:
+    """Coordinate tangent frame of the gauge slice, in :func:`slice_columns` order.
 
-    Each frame vector moves exactly one point; entries are
-    ``(vertex index, complex velocity)``, in :func:`slice_columns` order.
-    Ground vertices move with real velocity; ``phi`` moves the pinned point
-    along its circle.
+    Each column is a sparse ``{vertex: velocity}`` map moving exactly one
+    point.  Ground vertices move with real velocity; ``phi`` moves the
+    circle-pinned aerial point 0, at ``z0`` (a scalar or a row array),
+    along its circle with velocity ``1j * z0``.
     """
-    return [(v, 1j * cfg.aerial[0] if mode == "phi" else _VELOCITY[mode])
-            for v, mode in slice_columns(cfg.n, cfg.m)]
+    return [{v: 1j * z0 if mode == "phi" else _VELOCITY[mode]}
+            for v, mode in slice_columns(n, m)]
 
 
 def coords_of_config(cfg: Configuration) -> np.ndarray:

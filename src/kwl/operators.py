@@ -18,8 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .forms import KINDS
+from .forms import LOG, check_kind, pairing_matrices, pairing_scale
 from .graphs import Graph, enumerate_graphs, encode_graph
+from .halfplane import gauge_frame
 from .weights import cached_weight, detect_vanishing_pattern, qmc_mean
 
 Monomial = Tuple[int, ...]
@@ -330,8 +331,7 @@ def u_n(kind: str, multivectors: Sequence[PolyMultivector], samples: int,
     outgoing stars and dividing by the star-ordering count gives the same
     value because weight times operator is invariant under edge reordering.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown propagator kind {kind!r}")
+    check_kind(kind)
     n = len(multivectors)
     if n < 1:
         raise ValueError("need at least one multivector")
@@ -383,8 +383,9 @@ def star_product(pi: PolyMultivector, order: int, kind: str, samples: int,
     """
     if pi.degree != 2:
         raise ValueError("star product needs a bivector")
-    if order < 0 or order > 2:
-        raise ValueError("orders above 2 are not supported at full precision")
+    if not 0 <= order <= 2:
+        raise ValueError(f"order must be 0, 1 or 2, got {order}"
+                         " (orders above 2 are not supported at full precision)")
     ops = [multiplication_operator(pi.dim)]
     errs = [MultiDiffOperator(pi.dim, 2)]
     fact = 1
@@ -478,19 +479,13 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
 
     def func(U: np.ndarray) -> np.ndarray:
         x = np.tan(math.pi * (U[:, 0] - 0.5))
-        jac = math.pi * (1.0 + x * x)
         t = U[:, 1]
-        y = t / (1.0 - t)
-        jac = jac / (1.0 - t) ** 2
-        z = x + 1j * y
-        c = 1.0 / (2j * math.pi)
-        # edge u -> z paired with x- and y-velocities of z
-        w1x = c * (-1.0 / (u - z) + 1.0 / (np.conj(u) - z))
-        w1y = c * (-1j / (u - z) + 1j / (np.conj(u) - z))
-        # edge z -> v paired with the same velocities
-        w2x = c * (1.0 / (z - v) - 1.0 / (np.conj(z) - v))
-        w2y = c * (1j / (z - v) + 1j / (np.conj(z) - v))
-        return (w1x * w2y - w1y * w2x) * jac
+        jac = math.pi * (1.0 + x * x) / (1.0 - t) ** 2
+        z = x + 1j * (t / (1.0 - t))
+        # z is vertex 0 and moves like the free point of a (1, 2) slice;
+        # u (vertex 1) -> z and z -> v (vertex 2)
+        M = pairing_matrices([(1, 0), (0, 2)], [z, u, v], gauge_frame(1, 2, z), LOG)
+        return np.linalg.det(M) * pairing_scale(LOG, 2) * jac
 
     return qmc_mean(func, 2, samples, seed, threads)
 

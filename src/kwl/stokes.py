@@ -22,6 +22,7 @@ sign of a numerical chart-map Jacobian.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ import numpy as np
 from . import forms
 from .forms import contracted_integrand, integrand
 from .graphs import (Contraction, Graph, TYPE_I, TYPE_II, canonical_key,
-                     contract)
+                     contract, encode_graph)
 from .halfplane import (coords_of_config, config_from_coords,
                         degenerating_family, gauge_dim, regauge,
                         sample_configuration, slice_columns)
@@ -79,7 +80,7 @@ def boundary_strata(g: Graph) -> List[BoundaryStratum]:
     # interior collapses: aerial subsets of size >= 2
     aerials = list(range(g.n))
     for size in range(2, g.n + 1):
-        for combo in _combinations(aerials, size):
+        for combo in itertools.combinations(aerials, size):
             B = frozenset(combo)
             con = contract(g, B, TYPE_I)
             if size > 2:
@@ -93,7 +94,7 @@ def boundary_strata(g: Graph) -> List[BoundaryStratum]:
     # collapses onto the real line: aerial subset plus a gap-free ground run
     total = g.num_vertices
     for psize in range(0, g.n + 1):
-        for pcombo in _combinations(aerials, psize):
+        for pcombo in itertools.combinations(aerials, psize):
             P = frozenset(pcombo)
             if psize > 0:
                 remaining_grounds = g.m
@@ -111,11 +112,6 @@ def boundary_strata(g: Graph) -> List[BoundaryStratum]:
                 rule = TYPE_II_PRODUCT if con.outer_ok else ZERO_BY_FLAG
                 out.append(BoundaryStratum(frozenset(S), TYPE_II, None, con, rule))
     return out
-
-
-def _combinations(items, size):
-    import itertools
-    return itertools.combinations(items, size)
 
 
 def shuffle_sign(g: Graph, subset) -> int:
@@ -292,14 +288,6 @@ def _term_full(g: Graph, stratum: BoundaryStratum, kind: str, samples: int,
     return value, stderr, sens
 
 
-def regularized_term(g: Graph, stratum: BoundaryStratum, kind: str,
-                     samples: int, seed: int,
-                     threads: Optional[int] = None) -> Tuple[complex, float]:
-    """Regularized boundary term of a stratum: (value, propagated stderr)."""
-    value, stderr, _ = _term_full(g, stratum, kind, samples, seed, threads)
-    return value, stderr
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     graph: str
@@ -344,7 +332,6 @@ def verify_identity(g: Graph, kind: str, samples: int, seed: int,
     stderr = math.sqrt(sum((coeff_by_key[k] * err_by_key[k]) ** 2
                            for k in coeff_by_key))
     passed = abs(residual) <= 3.0 * stderr + tol
-    from .graphs import encode_graph
     return IdentityReport(encode_graph(g), kind, tuple(terms), residual,
                           stderr, tol, passed)
 
@@ -480,6 +467,5 @@ def counterterm_probe(g: Graph, subset, kind: str,
         if len(con.outer.edges) == outer_d:
             expected = (shuffle_sign(g, B) / (2.0 * math.pi)
                         * integrand(con.outer, kind, outer_cfg))
-    from .graphs import encode_graph
     return CountertermReport(encode_graph(g), kind, tuple(B), tuple(scales),
                              tuple(values), limit, expected, cauchy)

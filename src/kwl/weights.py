@@ -17,14 +17,14 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.stats import qmc
 
-from .forms import ANGLE, KINDS
+from .forms import ANGLE, check_kind, pairing_matrices, pairing_scale
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
-from .halfplane import gauge_dim, gauge_supported, slice_columns, slice_map
+from .halfplane import gauge_dim, gauge_frame, gauge_supported, slice_map
 
 BATCHES = 16
 COLLISION_EPS = 1e-12
@@ -64,45 +64,6 @@ def default_threads() -> int:
 # vectorized integrand evaluation
 
 
-def _pairing_chunk(g: Graph, cols: List[Tuple[int, str]], point: List[np.ndarray],
-                   angle: bool) -> np.ndarray:
-    """Unscaled pairing matrices of one row chunk, shape (rows, E, d).
-
-    Moving the source of the edge ``(s, t)`` with velocity ``v`` pairs to
-    ``v*a - conj(v)*b`` and moving its target to ``-v*(a - b)``, where
-    ``a = 1/(zs - zt)`` and ``b = 1/(conj(zs) - zt)``.  The angle propagator
-    keeps only the imaginary parts.
-    """
-    M = np.zeros((len(point[0]), len(g.edges), len(cols)),
-                 dtype=float if angle else complex)
-    for ei, (s, t) in enumerate(g.edges):
-        zs, zt = point[s], point[t]
-        a = 1.0 / (zs - zt)
-        b = 1.0 / (np.conj(zs) - zt)
-        diff = a - b
-        for ci, (p, mode) in enumerate(cols):
-            # velocities: x and g move by 1, y by i, phi by i*z along the circle
-            if p == s:  # sources are aerial: x, y or phi
-                if mode == "x":
-                    entry = diff
-                elif mode == "y":
-                    entry = 1j * (a + b)
-                else:
-                    v = 1j * zs
-                    entry = v * a - np.conj(v) * b
-            elif p == t:
-                if mode == "x" or mode == "g":
-                    entry = -diff
-                elif mode == "y":
-                    entry = -1j * diff
-                else:
-                    entry = -1j * zt * diff
-            else:
-                continue
-            M[:, ei, ci] = entry.imag if angle else entry
-    return M
-
-
 def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int]:
     """Hypercube integrand values for a batch of sample points.
 
@@ -116,22 +77,19 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
     Z, G, jac = slice_map(n, m, U)
     B = U.shape[0]
     E = len(g.edges)
-    angle = kind == ANGLE
 
     point = [Z[:, v] if v < n else G[:, v - n] for v in range(n + m)]
-    cols = slice_columns(n, m)
-    # det(M / c) = det(M) * c^-E for the E x E pairing matrix
-    scale = (2.0 * math.pi) ** -E if angle else (2j * math.pi) ** -E
 
-    vals = np.ones(B, dtype=float if angle else complex)
+    vals = np.ones(B, dtype=float if kind == ANGLE else complex)
     # near-collision samples may overflow here; they are zeroed by the mask
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if E:
             for lo in range(0, B, CHUNK_ROWS):
                 rows = slice(lo, lo + CHUNK_ROWS)
-                M = _pairing_chunk(g, cols, [p[rows] for p in point], angle)
+                frame = gauge_frame(n, m, Z[rows, 0])
+                M = pairing_matrices(g.edges, [p[rows] for p in point], frame, kind)
                 vals[rows] = np.linalg.det(M)
-        vals *= scale
+        vals *= pairing_scale(kind, E)
         vals *= jac
 
     # guard integrable singularities: zero out samples at near-collisions
@@ -149,6 +107,13 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
     return vals, rejected
 
 
+def _check_budget(samples: int, seed: int) -> None:
+    if samples <= 0:
+        raise ValueError("sample budget must be positive")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 def _qmc_batches(func, dim: int, samples: int, seed: int,
                  threads: Optional[int]) -> Tuple[complex, float, int, int]:
     """Batched scrambled-QMC mean of ``func(U) -> (values, rejected)``.
@@ -157,10 +122,6 @@ def _qmc_batches(func, dim: int, samples: int, seed: int,
     batch ``b`` uses the Sobol stream seeded by ``(seed, b)``.  Returns
     (value, stderr, actual sample count, rejected sample count).
     """
-    if samples <= 0:
-        raise ValueError("sample budget must be positive")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
     per_batch = 1 << max(0, math.ceil(math.log2(samples / BATCHES)))
 
     def one(batch: int) -> Tuple[complex, int]:
@@ -200,11 +161,8 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
     estimate at the requested sample budget, rounded up so the 16 batches
     are balanced powers of two.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown propagator kind {kind!r}")
-    # the exact cases below never reach the QMC seed check
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    check_kind(kind)
+    _check_budget(samples, seed)
     enc = encode_graph(g)
     d_top = 2 * g.n + g.m - 2
     if len(g.edges) != d_top:
@@ -226,6 +184,7 @@ def qmc_mean(func, dim: int, samples: int, seed: int,
     Same batching, seeding and reduction rules as :func:`compute_weight`;
     returns (value, stderr, actual sample count).
     """
+    _check_budget(samples, seed)
     return _qmc_batches(lambda U: (func(U), 0), dim, samples, seed, threads)[:3]
 
 

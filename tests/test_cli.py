@@ -56,12 +56,16 @@ def assert_usage_error(args, capsys):
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    return err
 
 
 def test_weight_bad_budget_or_seed_exit_2(capsys):
     wedge = ["weight", "--graph", "1 2 ; a1>g1 a1>g2"]
     for extra in (["--samples", "0"], ["--samples", "-5"], ["--seed", "-1"]):
         assert_usage_error(wedge + extra, capsys)
+    # exact zero (degree mismatch) and exact one (empty graph) check the budget too
+    assert_usage_error(["weight", "--graph", "1 2 ; a1>g1", "--samples", "0"], capsys)
+    assert_usage_error(["weight", "--graph", "0 2 ;", "--samples", "-4"], capsys)
 
 
 def test_star_and_globalization_bad_order_seed_or_budget_exit_2(capsys):
@@ -71,6 +75,8 @@ def test_star_and_globalization_bad_order_seed_or_budget_exit_2(capsys):
     star = ["star", "--poisson", pi, "--f", x, "--g", x, "--samples", "1000"]
     for extra in (["--order", "3"], ["--seed", "-1"]):
         assert_usage_error(star + extra, capsys)
+    err = assert_usage_error(star + ["--order", "-1"], capsys)
+    assert "order must be 0, 1 or 2" in err
     for extra in (["--seed", "-1"], ["--samples", "0"]):
         assert_usage_error(["globalization"] + extra, capsys)
 

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from kwl.forms import (ANGLE, LOG, contracted_integrand, edge_covector,
-                       edge_function, integrand,
+from kwl.forms import (ANGLE, LOG, contracted_integrand, edge_function,
+                       integrand, pairing_matrices, pairing_scale,
                        restricted_contracted_integrand, shape_tangent_basis)
 from kwl.graphs import contract, make_graph, parse_graph
-from kwl.halfplane import (degenerating_family, gauge_dim, gauge_frame,
+from kwl.halfplane import (degenerating_family, gauge_dim,
                            make_configuration, sample_configuration)
+
+from fd_pairing import fd_pairing, slice_points_and_frame
 
 WEDGE = make_graph(1, 2, [(0, 1), (0, 2)])
 
@@ -36,33 +38,26 @@ def test_edge_function_rejects_coincident():
         edge_function(ANGLE, 1j, 1j)
 
 
+def covector(kind, cfg, edge):
+    """One-edge pairing with the slice frame, normalized like the potential."""
+    points, frame = slice_points_and_frame(cfg)
+    return pairing_matrices([edge], points, frame, kind)[0, 0] * pairing_scale(kind, 1)
+
+
+def fd_covector(kind, cfg, edge):
+    points, frame = slice_points_and_frame(cfg)
+    return fd_pairing(kind, points, [edge], frame)[0]
+
+
 def test_wedge_covector_hand_value():
     cfg = make_configuration([1j], [0.0, 1.0])
-    got = edge_covector(ANGLE, cfg, (0, 1))
+    got = covector(ANGLE, cfg, (0, 1))
     assert np.allclose(got, [-1.0 / math.pi, 0.0], atol=1e-12)
-    got2 = edge_covector(ANGLE, cfg, (0, 2))
+    got2 = covector(ANGLE, cfg, (0, 2))
     assert np.allclose(got2, [-1 / (2 * math.pi), -1 / (2 * math.pi)], atol=1e-12)
-
-
-def fd_covector(cfg, edge, h=1e-6):
-    """Finite-difference oracle for the angle covector, branch-unwrapped."""
-    n = cfg.n
-    out = []
-    s, t = edge
-    for p, vel in gauge_frame(cfg):
-        def shifted(sign):
-            aerial = list(cfg.aerial)
-            ground = list(cfg.ground)
-            if p < n:
-                aerial[p] += sign * h * vel
-            else:
-                ground[p - n] += sign * h * vel.real
-            return make_configuration(aerial, ground)
-        fp = edge_function(ANGLE, shifted(+1).point(s), shifted(+1).point(t))
-        fm = edge_function(ANGLE, shifted(-1).point(s), shifted(-1).point(t))
-        diff = (fp.real - fm.real + 0.5) % 1.0 - 0.5
-        out.append(diff / (2 * h))
-    return np.array(out)
+    for edge in ((0, 1), (0, 2)):
+        assert np.allclose(covector(ANGLE, cfg, edge), fd_covector(ANGLE, cfg, edge),
+                           atol=1e-9)
 
 
 def test_covector_matches_finite_differences():
@@ -74,43 +69,34 @@ def test_covector_matches_finite_differences():
             cfg, _ = sample_configuration(n, m, u)
             pool = [(s, t) for s in range(n) for t in range(n + m) if t != s]
             edge = pool[int(rng.integers(len(pool)))]
-            exact = edge_covector(ANGLE, cfg, edge)
-            approx = fd_covector(cfg, edge)
+            exact = covector(ANGLE, cfg, edge)
+            approx = fd_covector(ANGLE, cfg, edge)
+            assert exact.dtype == float
             scale = max(1.0, np.abs(exact).max())
-            assert np.allclose(exact, approx, atol=2e-6 * scale), (n, m, edge)
+            assert np.allclose(exact, approx, atol=2e-8 * scale), (n, m, edge)
             checked += 1
     assert checked == 100
 
 
 def test_log_covector_fd_components():
-    # check both components of the log pairing by finite differences of the
-    # potential's real and imaginary parts
+    # both components of the log pairing: the real part is the angle, the
+    # imaginary part the log-modulus of the edge ratio
     rng = np.random.default_rng(5)
-    for _ in range(30):
-        cfg, _ = sample_configuration(2, 1, rng.uniform(0.2, 0.8, 3))
-        edge = (0, 1)
-        exact = edge_covector(LOG, cfg, edge)
-        h = 1e-6
-        for k, (p, vel) in enumerate(gauge_frame(cfg)):
-            aerial_p = list(cfg.aerial); aerial_m = list(cfg.aerial)
-            ground = list(cfg.ground)
-            aerial_p[p] += h * vel
-            aerial_m[p] -= h * vel
-            cp = make_configuration(aerial_p, ground)
-            cm = make_configuration(aerial_m, ground)
-            def val(c):
-                return edge_function(LOG, c.point(edge[0]), c.point(edge[1]))
-            vp, vm = val(cp), val(cm)
-            dim = (vp.imag - vm.imag) / (2 * h)
-            dre = ((vp.real - vm.real + 0.5) % 1.0 - 0.5) / (2 * h)
-            assert abs(complex(dre, dim) - exact[k]) < 4e-6 * max(1.0, abs(exact[k]))
+    for n, m in [(2, 1), (3, 0), (2, 2)]:
+        for _ in range(10):
+            cfg, _ = sample_configuration(n, m, rng.uniform(0.2, 0.8, gauge_dim(n, m)))
+            for edge in [(0, 1), (1, 0), (1, n + m - 1)]:
+                exact = covector(LOG, cfg, edge)
+                approx = fd_covector(LOG, cfg, edge)
+                assert exact.dtype == complex
+                assert np.allclose(exact, approx, atol=4e-8 * max(1.0, np.abs(exact).max()))
 
 
 def test_log_covector_equals_angle_for_real_target():
     rng = np.random.default_rng(1)
     cfg, _ = sample_configuration(1, 2, rng.uniform(0.2, 0.8, 2))
-    a = edge_covector(ANGLE, cfg, (0, 1))
-    l = edge_covector(LOG, cfg, (0, 1))
+    a = covector(ANGLE, cfg, (0, 1))
+    l = covector(LOG, cfg, (0, 1))
     assert np.allclose(a, l.real, atol=1e-14)
     assert np.allclose(l.imag, 0, atol=1e-14)
 

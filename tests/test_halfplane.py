@@ -115,7 +115,7 @@ def test_frame_matches_dimension():
     rng = np.random.default_rng(1)
     for n, m in [(1, 2), (2, 1), (2, 0), (1, 1), (0, 4)]:
         cfg, _ = sample_configuration(n, m, rng.uniform(0.2, 0.8, gauge_dim(n, m)))
-        assert len(gauge_frame(cfg)) == gauge_dim(n, m)
+        assert len(gauge_frame(n, m, cfg.point(0))) == gauge_dim(n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from kwl.forms import ANGLE, LOG
 from kwl.graphs import TYPE_I, TYPE_II, enumerate_graphs, make_graph, parse_graph
 from kwl.stokes import (MULTI_POINT_I, TWO_POINT_I,
                         ZERO_BY_FLAG, boundary_strata, counterterm_probe,
-                        regularized_term, richardson_limit, shuffle_sign,
+                        richardson_limit, shuffle_sign,
                         verify_identity)
 from kwl.weights import cached_weight
 
@@ -52,20 +52,22 @@ def test_shuffle_sign():
 
 def test_multi_point_and_flagged_terms_exact_zero():
     g = parse_graph("3 1 ; a1>a2 a1>a3 a2>g1 a3>g1")
-    for st in boundary_strata(g):
-        if st.rule in (MULTI_POINT_I, ZERO_BY_FLAG):
-            value, err = regularized_term(g, st, LOG, 10 ** 4, 1)
-            assert value == 0.0 and err == 0.0
+    terms = verify_identity(g, LOG, 10 ** 4, 1).terms
+    flagged = [t for t in terms if t[0].rule in (MULTI_POINT_I, ZERO_BY_FLAG)]
+    assert {st.rule for st, _, _ in flagged} == {MULTI_POINT_I, ZERO_BY_FLAG}
+    for _, value, err in flagged:
+        assert value == 0.0 and err == 0.0
 
 
 def test_two_point_term_magnitude_matches_outer_weight():
     g = parse_graph("2 1 ; a1>a2 a2>g1")
-    strata = [st for st in boundary_strata(g) if st.rule == TWO_POINT_I]
-    assert len(strata) == 1
-    st = strata[0]
-    value, err = regularized_term(g, st, ANGLE, 10 ** 4, 5)
+    terms = [t for t in verify_identity(g, ANGLE, 10 ** 4, 5).terms
+             if t[0].rule == TWO_POINT_I]
+    assert len(terms) == 1
+    st, value, err = terms[0]
     ref = cached_weight(st.contraction.outer, ANGLE, 10 ** 4, 5)
     assert abs(abs(value) - abs(ref.value)) < 1e-12
+    assert err == ref.stderr
 
 
 @pytest.mark.parametrize("enc,kind", [

@@ -13,6 +13,8 @@ from kwl.weights import (CHUNK_ROWS, COLLISION_EPS, NO_OUTGOING,
                          detect_vanishing_pattern, integrand_batch, qmc_mean,
                          vanishing_check)
 
+from fd_pairing import fd_integrand
+
 WEDGE = make_graph(1, 2, [(0, 1), (0, 2)])
 G40 = parse_graph("4 0 ; a1>a2 a1>a3 a2>a3 a2>a4 a3>a4 a4>a1")
 G31 = parse_graph("3 1 ; a1>a2 a1>a3 a2>a1 a2>g1 a3>a1")
@@ -116,11 +118,13 @@ def test_unknown_kind_rejected():
         compute_weight(WEDGE, "harmonic", 10, 1)
 
 
-def _assert_rows_match_scalar(g, kind, U, vals, rows):
+def _assert_rows_match_fd(g, kind, U, vals, rows):
+    # reference: determinant of central differences of the edge potentials
     for k in rows:
         cfg, jac = halfplane.sample_configuration(g.n, g.m, U[k])
-        want = forms.integrand(g, kind, cfg) * jac
-        assert abs(vals[k] - want) < 1e-10 * max(1.0, abs(want)), (g, kind, k)
+        det, bound = fd_integrand(g, kind, cfg)
+        want = det * jac
+        assert abs(vals[k] - want) < 1e-8 * bound * jac, (g, kind, k)
 
 
 def test_vectorized_kernel_matches_scalar():
@@ -143,7 +147,7 @@ def test_vectorized_kernel_matches_scalar():
         for kind in (ANGLE, LOG):
             vals, rejected = integrand_batch(g, kind, U)
             assert vals.shape == (B,) and rejected == 0
-            _assert_rows_match_scalar(g, kind, U, vals, rows)
+            _assert_rows_match_fd(g, kind, U, vals, rows)
 
 
 def test_kernel_zeroes_near_collision_rows():
@@ -159,7 +163,7 @@ def test_kernel_zeroes_near_collision_rows():
         vals, rejected = integrand_batch(G31, kind, U)
         assert rejected == 1
         assert vals[bad] == 0
-        _assert_rows_match_scalar(G31, kind, U, vals, [bad - 1, bad + 1])
+        _assert_rows_match_fd(G31, kind, U, vals, [bad - 1, bad + 1])
 
 
 def test_cached_weight_consistent_under_relabelling():
