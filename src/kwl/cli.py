@@ -100,7 +100,7 @@ def cmd_star(args) -> int:
         pi = bivector_from_json_dict(_json_arg(args.poisson))
         f = poly_from_json_list(pi.dim, _json_arg(args.f))
         g = poly_from_json_list(pi.dim, _json_arg(args.g))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail_usage(f"bad input: {exc}")
     try:
         series = star_product(pi, args.order, args.kind, args.samples, args.seed,
@@ -122,7 +122,7 @@ def cmd_associativity(args) -> int:
         f = poly_from_json_list(pi.dim, _json_arg(args.f))
         g = poly_from_json_list(pi.dim, _json_arg(args.g))
         h = poly_from_json_list(pi.dim, _json_arg(args.h))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail_usage(f"bad input: {exc}")
     try:
         rep = check_associativity(pi, f, g, h, args.order, args.kind,

@@ -129,35 +129,31 @@ def shape_tangent_basis(shape: Sequence[complex], drop_rotation: bool = True
     ``drop_rotation`` the direction i*shape (rigid rotation) is removed as
     well, leaving 2k - 4 directions for a k-point shape.
     """
-    s = np.array(shape, dtype=complex)
+    s = [complex(z) for z in shape]
     k = len(s)
 
-    def inner(a, b):
-        return float(np.sum(a * b.conjugate()).real)
+    def inner(a, b) -> float:
+        return sum((x * y.conjugate()).real for x, y in zip(a, b))
 
-    constraints = [np.ones(k, dtype=complex) / math.sqrt(k),
-                   1j * np.ones(k, dtype=complex) / math.sqrt(k),
-                   s]
+    unit = 1.0 / math.sqrt(k)
+    constraints = [[complex(unit)] * k, [1j * unit] * k, s]
     if drop_rotation:
-        constraints.append(1j * s)
-    basis: List[np.ndarray] = []
+        constraints.append([1j * z for z in s])
+    basis: List[Tuple[complex, ...]] = []
     want = 2 * k - 3 - (1 if drop_rotation else 0)
     for b in range(k):
-        for unit in (1.0, 1j):
-            cand = np.zeros(k, dtype=complex)
-            cand[b] = unit
-            for con in constraints:
-                cand = cand - inner(cand, con) * con
-            for prev in basis:
-                cand = cand - inner(cand, prev) * prev
+        for direction in (1.0, 1j):
+            cand = [0j] * k
+            cand[b] = complex(direction)
+            for con in constraints + basis:
+                p = inner(cand, con)
+                cand = [x - p * y for x, y in zip(cand, con)]
             norm = math.sqrt(inner(cand, cand))
             if norm > 1e-9:
-                basis.append(cand / norm)
+                basis.append(tuple(x / norm for x in cand))
             if len(basis) == want:
-                return [tuple(v.tolist()) for v in basis]
-    if len(basis) != want:
-        raise ValueError("failed to build a shape tangent basis")
-    return [tuple(v.tolist()) for v in basis]
+                return basis
+    raise ValueError("failed to build a shape tangent basis")
 
 
 def outer_anchor_slot(n: int, subset) -> int:

@@ -34,16 +34,10 @@ Poly = Dict[Monomial, object]  # exponent tuple -> Fraction | float | complex
 def p_acc(target: Poly, mono: Monomial, coeff) -> None:
     cur = target.get(mono)
     new = coeff if cur is None else cur + coeff
-    if _is_zero_coeff(new):
+    if new == 0:
         target.pop(mono, None)
     else:
         target[mono] = new
-
-
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, Fraction):
-        return c == 0
-    return abs(c) == 0.0
 
 
 def p_add(a: Poly, b: Poly) -> Poly:
@@ -54,7 +48,7 @@ def p_add(a: Poly, b: Poly) -> Poly:
 
 
 def p_scale(a: Poly, s) -> Poly:
-    if _is_zero_coeff(s):
+    if s == 0:
         return {}
     return {mono: c * s for mono, c in a.items()}
 
@@ -196,7 +190,7 @@ class MultiDiffOperator:
     def _acc(self, key, coeff) -> None:
         cur = self.terms.get(key)
         new = coeff if cur is None else cur + coeff
-        if _is_zero_coeff(new):
+        if new == 0:
             self.terms.pop(key, None)
         else:
             self.terms[key] = new
@@ -223,11 +217,15 @@ class MultiDiffOperator:
     def apply(self, funcs: Sequence[Poly]) -> Poly:
         if len(funcs) != self.arity:
             raise ValueError(f"operator arity {self.arity}, got {len(funcs)} arguments")
+        # each argument's derivative per slot multi-index, for this call only
+        derivs: List[Dict[Monomial, Poly]] = [{} for _ in funcs]
         out: Poly = {}
         for (slots, mono), c in self.terms.items():
             prod: Poly = {mono: c}
-            for exps, f in zip(slots, funcs):
-                df = p_diff_multi(f, exps)
+            for exps, f, seen in zip(slots, funcs, derivs):
+                df = seen.get(exps)
+                if df is None:
+                    df = seen[exps] = p_diff_multi(f, exps)
                 if not df:
                     prod = {}
                     break
@@ -430,12 +428,30 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
     The bivector must satisfy the Jacobi identity (checked symbolically).
     Each order's residual coefficients are compared against three times the
     uncertainty propagated from the weight errors plus an absolute floor.
+    A precomputed ``star`` must match ``pi``'s dimension and ``kind`` and
+    reach ``order``.
     """
     defect = jacobi_defect(pi)
     if defect > 1e-12:
         raise ValueError(f"bivector is not Poisson (Jacobi defect {defect:.3g})")
+    if star is not None:
+        if star.order < order:
+            raise ValueError(f"star series has order {star.order}, check asks for {order}")
+        if star.dim != pi.dim:
+            raise ValueError(f"star series has dimension {star.dim}, bivector has {pi.dim}")
+        if star.kind != kind:
+            raise ValueError(f"star series is of kind {star.kind!r}, check asks for {kind!r}")
     series = star if star is not None else star_product(pi, order, kind, samples, seed, threads)
+    ops, errs = series.ops[:order + 1], series.errs[:order + 1]
     fa, ga, ha = p_abs(f), p_abs(g), p_abs(h)
+    # inner products and their |.| and error variants depend on one order only
+    abs_ops = [op.abs_coeffs() for op in ops]
+    fg = [op.apply([f, g]) for op in ops]
+    gh = [op.apply([g, h]) for op in ops]
+    abs_fg = [op.apply([fa, ga]) for op in abs_ops]
+    err_fg = [err.apply([fa, ga]) for err in errs]
+    abs_gh = [op.apply([ga, ha]) for op in abs_ops]
+    err_gh = [err.apply([ga, ha]) for err in errs]
     residuals = []
     tolerances = []
     for k in range(order + 1):
@@ -443,18 +459,14 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
         noise = 0.0
         for a in range(k + 1):
             b = k - a
-            left = series.ops[b].apply([series.ops[a].apply([f, g]), h])
-            right = series.ops[b].apply([f, series.ops[a].apply([g, h])])
+            left = ops[b].apply([fg[a], h])
+            right = ops[b].apply([f, gh[a]])
             resid = p_add(resid, p_sub(left, right))
             # propagated uncertainty: err(B(A f g, h)) <= |B| errA + errB |A|
-            absA = series.ops[a].abs_coeffs().apply([fa, ga])
-            errA = series.errs[a].apply([fa, ga])
-            noise += p_max_abs(series.errs[b].apply([absA, ha]))
-            noise += p_max_abs(series.ops[b].abs_coeffs().apply([errA, ha]))
-            absAr = series.ops[a].abs_coeffs().apply([ga, ha])
-            errAr = series.errs[a].apply([ga, ha])
-            noise += p_max_abs(series.errs[b].apply([fa, absAr]))
-            noise += p_max_abs(series.ops[b].abs_coeffs().apply([fa, errAr]))
+            noise += p_max_abs(errs[b].apply([abs_fg[a], ha]))
+            noise += p_max_abs(abs_ops[b].apply([err_fg[a], ha]))
+            noise += p_max_abs(errs[b].apply([fa, abs_gh[a]]))
+            noise += p_max_abs(abs_ops[b].apply([fa, err_gh[a]]))
         residuals.append(p_max_abs(resid))
         tolerances.append(3.0 * noise + tol)
     passed = all(r <= t for r, t in zip(residuals, tolerances))
@@ -564,10 +576,40 @@ def bivector_to_json_dict(pi: PolyMultivector) -> dict:
     return {"dim": pi.dim, "bivector": rows}
 
 
+def _json_int(x, what: str, low: int = 0) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {x!r}")
+    return x
+
+
+def _json_coeff(x):
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or isinstance(x, float) and not math.isfinite(x)):
+        raise ValueError(f"coefficient must be a finite number, got {x!r}")
+    return x
+
+
+def _json_monomial(x) -> Monomial:
+    if not isinstance(x, list):
+        raise ValueError(f"monomial must be a list of exponents, got {x!r}")
+    return tuple(_json_int(e, "exponent") for e in x)
+
+
+def _json_rows(rows, keys: Tuple[str, ...], what: str) -> list:
+    if not isinstance(rows, list) or not all(
+            isinstance(r, dict) and set(keys) <= r.keys() for r in rows):
+        raise ValueError(f"{what} must be a list of objects with keys {', '.join(keys)}")
+    return rows
+
+
 def bivector_from_json_dict(data: dict) -> PolyMultivector:
-    dim = int(data["dim"])
-    rows = [(int(r["i"]), int(r["j"]), tuple(r["monomial"]), r["coeff"])
-            for r in data["bivector"]]
+    if not isinstance(data, dict) or not {"dim", "bivector"} <= data.keys():
+        raise ValueError("bivector must be an object with keys dim, bivector")
+    dim = _json_int(data["dim"], "dim", low=1)
+    rows = [(_json_int(r["i"], "index"), _json_int(r["j"], "index"),
+             _json_monomial(r["monomial"]), _json_coeff(r["coeff"]))
+            for r in _json_rows(data["bivector"], ("i", "j", "monomial", "coeff"),
+                                "bivector rows")]
     return bivector(dim, rows)
 
 
@@ -576,4 +618,6 @@ def poly_to_json_list(p: Poly) -> list:
 
 
 def poly_from_json_list(dim: int, rows: list) -> Poly:
-    return poly_from_terms(dim, [(r["monomial"], r["coeff"]) for r in rows])
+    rows = _json_rows(rows, ("monomial", "coeff"), "polynomial")
+    return poly_from_terms(dim, [(_json_monomial(r["monomial"]), _json_coeff(r["coeff"]))
+                                 for r in rows])

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from kwl.cli import main
 
 
@@ -79,6 +81,43 @@ def test_star_and_globalization_bad_order_seed_or_budget_exit_2(capsys):
     assert "order must be 0, 1 or 2" in err
     for extra in (["--seed", "-1"], ["--samples", "0"]):
         assert_usage_error(["globalization"] + extra, capsys)
+
+
+def _bivector_json(monomial=(0, 0), coeff=1.0):
+    return json.dumps({"dim": 2, "bivector": [
+        {"i": 0, "j": 1, "monomial": list(monomial), "coeff": coeff}]})
+
+
+def _poly_json(monomial=(1, 0), coeff=1.0):
+    return json.dumps([{"monomial": list(monomial), "coeff": coeff}])
+
+
+@pytest.mark.parametrize("command", ["star", "associativity"])
+@pytest.mark.parametrize("flag, value", [
+    ("--poisson", "[]"),
+    ("--poisson", "@missing.json"),
+    ("--poisson", _bivector_json(coeff="abc")),
+    ("--f", _poly_json(coeff="abc")),
+    ("--poisson", _bivector_json(monomial=(-1, 0))),
+    ("--f", _poly_json(monomial=(-1, 0))),
+    ("--f", _poly_json(monomial=(1.5, 0))),
+    ("--poisson", '{"dim": 2, "bivector": [{"i": 0, "j": 1, "monomial": [0, 0], "coeff": NaN}]}'),
+    ("--f", '[{"monomial": [1, 0], "coeff": Infinity}]'),
+    ("--f", "{}"),
+], ids=["list-bivector", "missing-file", "string-coeff-bivector", "string-coeff-poly",
+        "negative-exponent-bivector", "negative-exponent-poly", "fractional-exponent",
+        "nan-coeff", "infinite-coeff", "object-poly"])
+def test_bad_json_input_exit_2(command, flag, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = {"--poisson": _bivector_json(), "--f": _poly_json(), "--g": _poly_json((0, 1))}
+    if command == "associativity":
+        args["--h"] = _poly_json()
+    args[flag] = value
+    argv = [command, "--samples", "1000"]
+    for key, text in args.items():
+        argv += [key, text]
+    err = assert_usage_error(argv, capsys)
+    assert "bad input" in err
 
 
 def test_empty_graph_weight_exactly_one(capsys):

@@ -151,6 +151,10 @@ def test_shape_tangent_basis_properties():
             assert abs(sum((a * b.conjugate()).real for a, b in zip(u, shape))) < 1e-9
             rot = [1j * s for s in shape]
             assert abs(sum((a * b.conjugate()).real for a, b in zip(u, rot))) < 1e-9
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis):
+                assert abs(sum((a * b.conjugate()).real for a, b in zip(u, v))
+                           - (i == j)) < 1e-12
 
 
 def probe_family(n, m, seed):

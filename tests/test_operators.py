@@ -1,16 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from kwl.forms import ANGLE, LOG
 from kwl.graphs import make_graph, parse_graph
-from kwl.operators import (PolyMultivector, bivector, bivector_from_json_dict,
-                           bivector_to_json_dict, check_associativity,
-                           check_globalization, d_gamma, function_field,
-                           jacobi_defect, multiplication_operator,
-                           one_in_one_out_integral, operator_arity, p_add,
-                           p_diff, p_max_abs, p_mul, p_sub, poly_from_json_list,
-                           poly_to_json_list, star_product, u_n, vector_field)
+from kwl.operators import (MultiDiffOperator, PolyMultivector, bivector,
+                           bivector_from_json_dict, bivector_to_json_dict,
+                           check_associativity, check_globalization, d_gamma,
+                           function_field, jacobi_defect, multiplication_operator,
+                           one_in_one_out_integral, operator_arity, p_abs, p_acc,
+                           p_add, p_diff, p_diff_multi, p_max_abs, p_mul, p_sub,
+                           poly_from_json_list, poly_to_json_list, star_product,
+                           u_n, vector_field)
 
 WEDGE = make_graph(1, 2, [(0, 1), (0, 2)])
 PI_CONST = bivector(2, [(0, 1, (0, 0), 1)])
@@ -162,6 +164,122 @@ def test_associativity_linear_poisson():
     rep = check_associativity(PI_LINEAR, X, Y, {(1, 1): Fraction(1)}, 2,
                               ANGLE, 2 * 10 ** 5, seed=2, star=star)
     assert rep.passed
+
+
+# the brackets of the star_assoc benchmark workload and their test monomials
+BRACKETS = (
+    bivector(2, [(0, 1, (1, 0), 1)]),
+    bivector(2, [(0, 1, (1, 1), 1)]),
+    # so(3): {x, y} = z, {y, z} = x, {z, x} = y
+    bivector(3, [(0, 1, (0, 0, 1), 1), (1, 2, (1, 0, 0), 1), (0, 2, (0, 1, 0), -1)]),
+)
+
+
+def monomials(dim):
+    """All monomials of degree 1 and 2 in ``dim`` variables."""
+    out = []
+    for degree in (1, 2):
+        for combo in itertools.combinations_with_replacement(range(dim), degree):
+            exps = [0] * dim
+            for v in combo:
+                exps[v] += 1
+            out.append({tuple(exps): Fraction(1)})
+    return out
+
+
+def reference_apply(op, funcs):
+    """Per-term application: every term differentiates its arguments anew."""
+    out = {}
+    for (slots, mono), c in op.terms.items():
+        prod = {mono: c}
+        for exps, f in zip(slots, funcs):
+            df = p_diff_multi(f, exps)
+            if not df:
+                prod = {}
+                break
+            prod = p_mul(prod, df)
+        for mm, cc in prod.items():
+            p_acc(out, mm, cc)
+    return out
+
+
+def reference_associativity(series, f, g, h, order, tol=1e-3):
+    """Residuals and tolerances rebuilding every inner product per (k, a) pair."""
+    ops, errs = series.ops, series.errs
+    fa, ga, ha = p_abs(f), p_abs(g), p_abs(h)
+    residuals, tolerances = [], []
+    for k in range(order + 1):
+        resid = {}
+        noise = 0.0
+        for a in range(k + 1):
+            b = k - a
+            left = reference_apply(ops[b], [reference_apply(ops[a], [f, g]), h])
+            right = reference_apply(ops[b], [f, reference_apply(ops[a], [g, h])])
+            resid = p_add(resid, p_sub(left, right))
+            absA = reference_apply(ops[a].abs_coeffs(), [fa, ga])
+            errA = reference_apply(errs[a], [fa, ga])
+            noise += p_max_abs(reference_apply(errs[b], [absA, ha]))
+            noise += p_max_abs(reference_apply(ops[b].abs_coeffs(), [errA, ha]))
+            absAr = reference_apply(ops[a].abs_coeffs(), [ga, ha])
+            errAr = reference_apply(errs[a], [ga, ha])
+            noise += p_max_abs(reference_apply(errs[b], [fa, absAr]))
+            noise += p_max_abs(reference_apply(ops[b].abs_coeffs(), [fa, errAr]))
+        residuals.append(p_max_abs(resid))
+        tolerances.append(3.0 * noise + tol)
+    return tuple(residuals), tuple(tolerances)
+
+
+@pytest.mark.parametrize("kind", [ANGLE, LOG])
+@pytest.mark.parametrize("pi", BRACKETS, ids=["x", "xy", "so3"])
+def test_associativity_matches_per_pair_reference(pi, kind):
+    star = star_product(pi, 2, kind, 2 ** 10, seed=3)
+    triples = list(itertools.product(monomials(pi.dim), repeat=3))
+    for f, g, h in triples[::7]:
+        rep = check_associativity(pi, f, g, h, 2, kind, 2 ** 10, seed=3, star=star)
+        assert (rep.residuals, rep.tolerances) == reference_associativity(star, f, g, h, 2)
+        for op in star.ops + star.errs:
+            assert op.apply([f, g]) == reference_apply(op, [f, g])
+
+
+def test_associativity_apply_and_abs_counts(monkeypatch):
+    pi = BRACKETS[2]
+    star = star_product(pi, 2, ANGLE, 2 ** 10, seed=3)
+    calls = {"apply": 0, "abs_coeffs": 0}
+    for name in calls:
+        method = getattr(MultiDiffOperator, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(MultiDiffOperator, name, counted)
+    f, g, h = monomials(3)[3:6]
+    check_associativity(pi, f, g, h, 2, ANGLE, 2 ** 10, seed=3, star=star)
+    assert calls == {"apply": 54, "abs_coeffs": 3}
+
+
+@pytest.mark.parametrize("pi, order, kind, match", [
+    (PI_LINEAR, 1, ANGLE, "order"),
+    (bivector(3, []), 2, ANGLE, "dimension"),
+    (PI_LINEAR, 2, LOG, "kind"),
+], ids=["lower-order", "other-dimension", "other-kind"])
+def test_associativity_rejects_mismatched_star(pi, order, kind, match):
+    star = star_product(pi, order, kind, 2 ** 10, seed=1)
+    with pytest.raises(ValueError, match=match):
+        check_associativity(PI_LINEAR, X, Y, X, 2, ANGLE, 2 ** 10, seed=1, star=star)
+
+
+def test_zero_coefficients_dropped_like_before():
+    # p_acc drops a coefficient exactly when the former test, Fraction == 0
+    # or abs(c) == 0.0, said it was zero
+    nan, inf = float("nan"), float("inf")
+    values = [Fraction(0), Fraction(1, 3), 0, 0.0, -0.0, 5e-324, nan, inf, -inf,
+              0j, complex(-0.0, -0.0), complex(0.0, 5e-324), complex(nan, 0.0),
+              complex(0.0, nan), complex(inf, 0.0), 1j]
+    for c in values:
+        was_zero = c == 0 if isinstance(c, Fraction) else abs(c) == 0.0
+        out = {}
+        p_acc(out, (0, 0), c)
+        assert (out == {}) == was_zero, c
 
 
 def test_non_poisson_rejected():
