@@ -2,8 +2,9 @@
 
 Subcommands: enumerate, weight, vanish, verify-identity, star,
 associativity, globalization, counterterm, suite.  Exit codes: 0 success,
-1 check failure, 2 usage or parse error.  KWL_THREADS overrides the worker
-count.
+1 check failure, 2 usage or parse error: :func:`main` turns every
+ValueError or OSError a command raises into one ``error:`` line and exit 2.
+KWL_THREADS overrides the worker count.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ def _fail_usage(msg: str) -> int:
     return USAGE_ERROR
 
 
-def _graph_arg(text: str):
-    return parse_graph(text)
-
-
 def _json_arg(text: str) -> dict:
     if text.startswith("@"):
         with open(text[1:]) as fh:
@@ -40,24 +37,25 @@ def _json_arg(text: str) -> dict:
     return json.loads(text)
 
 
-def cmd_enumerate(args) -> int:
+def _poisson_inputs(args, *names):
+    """The bivector ``--poisson`` and the polynomials named by ``names``, each
+    inline JSON or ``@file``; any fault in them is reported as bad input."""
     try:
-        for g in enumerate_graphs(args.n, args.m, args.e):
-            print(encode_graph(g))
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+        pi = bivector_from_json_dict(_json_arg(args.poisson))
+        return pi, [poly_from_json_list(pi.dim, _json_arg(getattr(args, k))) for k in names]
+    except (ValueError, OSError, RecursionError) as exc:  # deep nesting
+        raise ValueError(f"bad input: {exc}") from exc
+
+
+def cmd_enumerate(args) -> int:
+    for g in enumerate_graphs(args.n, args.m, args.e):
+        print(encode_graph(g))
     return 0
 
 
 def cmd_weight(args) -> int:
-    try:
-        g = _graph_arg(args.graph)
-    except ValueError as exc:
-        return _fail_usage(f"bad graph encoding: {exc}")
-    try:
-        est = compute_weight(g, args.kind, args.samples, args.seed, args.threads)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    g = parse_graph(args.graph)
+    est = compute_weight(g, args.kind, args.samples, args.seed, args.threads)
     out = est.to_json_dict()
     if est.exact and len(g.edges) != 2 * g.n + g.m - 2:
         out["note"] = "edge count does not match the slice dimension; weight is exactly zero"
@@ -66,15 +64,8 @@ def cmd_weight(args) -> int:
 
 
 def cmd_vanish(args) -> int:
-    try:
-        g = _graph_arg(args.graph)
-    except ValueError as exc:
-        return _fail_usage(f"bad graph encoding: {exc}")
-    try:
-        ok, est, pattern = vanishing_check(g, args.kind, args.samples, args.seed,
-                                           tol=args.tol, threads=args.threads)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    ok, est, pattern = vanishing_check(parse_graph(args.graph), args.kind, args.samples,
+                                       args.seed, tol=args.tol, threads=args.threads)
     print(json.dumps({"graph": est.graph, "pattern": pattern,
                       "value": [est.value.real, est.value.imag],
                       "stderr": est.stderr, "passed": ok}, sort_keys=True))
@@ -82,31 +73,16 @@ def cmd_vanish(args) -> int:
 
 
 def cmd_verify_identity(args) -> int:
-    try:
-        g = _graph_arg(args.graph)
-    except ValueError as exc:
-        return _fail_usage(f"bad graph encoding: {exc}")
-    try:
-        rep = verify_identity(g, args.kind, args.samples, args.seed,
-                              tol=args.tol, threads=args.threads)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    rep = verify_identity(parse_graph(args.graph), args.kind, args.samples, args.seed,
+                          tol=args.tol, threads=args.threads)
     print(json.dumps(rep.to_json_dict(), sort_keys=True))
     return 0 if rep.passed else CHECK_FAILURE
 
 
 def cmd_star(args) -> int:
-    try:
-        pi = bivector_from_json_dict(_json_arg(args.poisson))
-        f = poly_from_json_list(pi.dim, _json_arg(args.f))
-        g = poly_from_json_list(pi.dim, _json_arg(args.g))
-    except (ValueError, OSError) as exc:
-        return _fail_usage(f"bad input: {exc}")
-    try:
-        series = star_product(pi, args.order, args.kind, args.samples, args.seed,
-                              args.threads)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    pi, (f, g) = _poisson_inputs(args, "f", "g")
+    series = star_product(pi, args.order, args.kind, args.samples, args.seed,
+                          args.threads)
     orders = []
     for p in series.multiply(f, g):
         orders.append([{"monomial": list(mono),
@@ -117,18 +93,9 @@ def cmd_star(args) -> int:
 
 
 def cmd_associativity(args) -> int:
-    try:
-        pi = bivector_from_json_dict(_json_arg(args.poisson))
-        f = poly_from_json_list(pi.dim, _json_arg(args.f))
-        g = poly_from_json_list(pi.dim, _json_arg(args.g))
-        h = poly_from_json_list(pi.dim, _json_arg(args.h))
-    except (ValueError, OSError) as exc:
-        return _fail_usage(f"bad input: {exc}")
-    try:
-        rep = check_associativity(pi, f, g, h, args.order, args.kind,
-                                  args.samples, args.seed, threads=args.threads)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    pi, (f, g, h) = _poisson_inputs(args, "f", "g", "h")
+    rep = check_associativity(pi, f, g, h, args.order, args.kind,
+                              args.samples, args.seed, threads=args.threads)
     print(json.dumps({"orders": list(rep.orders), "residuals": list(rep.residuals),
                       "tolerances": list(rep.tolerances), "passed": rep.passed},
                      sort_keys=True))
@@ -136,11 +103,7 @@ def cmd_associativity(args) -> int:
 
 
 def cmd_globalization(args) -> int:
-    try:
-        rep = check_globalization(args.kind, args.samples, args.seed,
-                                  threads=args.threads)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    rep = check_globalization(args.kind, args.samples, args.seed, threads=args.threads)
     out = {
         "kind": rep.kind,
         "vector_pair": [{"graph": g, "pattern": p,
@@ -158,16 +121,9 @@ def cmd_globalization(args) -> int:
 
 
 def cmd_counterterm(args) -> int:
-    try:
-        g = _graph_arg(args.graph)
-        subset = [int(tok) for tok in args.subset.split(",")]
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    try:
-        rep = counterterm_probe(g, subset, args.kind,
-                                scales=tuple(args.scales), seed=args.seed)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    subset = [int(tok) for tok in args.subset.split(",")]
+    rep = counterterm_probe(parse_graph(args.graph), subset, args.kind,
+                            scales=tuple(args.scales), seed=args.seed)
     print(json.dumps({
         "graph": rep.graph, "kind": rep.kind, "subset": list(rep.subset),
         "scales": list(rep.scales),
@@ -180,10 +136,7 @@ def cmd_counterterm(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    try:
-        cfg = suite_mod.load_config(args.config) if args.config else suite_mod.SuiteConfig()
-    except (OSError, ValueError) as exc:
-        return _fail_usage(f"bad config: {exc}")
+    cfg = suite_mod.load_config(args.config) if args.config else suite_mod.SuiteConfig()
     if args.out:
         cfg = suite_mod.SuiteConfig(**{**cfg.__dict__, "out_dir": args.out})
     results = suite_mod.run_suite(cfg)
@@ -267,7 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

@@ -121,13 +121,12 @@ def integrand(g: Graph, kind: str, cfg: Configuration) -> complex:
 # boundary-adapted frames
 
 
-def shape_tangent_basis(shape: Sequence[complex], drop_rotation: bool = True
-                        ) -> List[Tuple[complex, ...]]:
-    """Orthonormal tangent basis of the normalized-shape manifold at ``shape``.
+def shape_tangent_basis(shape: Sequence[complex]) -> List[Tuple[complex, ...]]:
+    """Orthonormal non-rotation tangent basis of the normalized-shape manifold.
 
-    Tangent vectors u satisfy sum(u) = 0 and Re<u, shape> = 0; when
-    ``drop_rotation`` the direction i*shape (rigid rotation) is removed as
-    well, leaving 2k - 4 directions for a k-point shape.
+    Tangent vectors u satisfy sum(u) = 0 and Re<u, shape> = 0, and the
+    direction i*shape (rigid rotation) is removed as well, leaving 2k - 4
+    directions for a k-point shape.
     """
     s = [complex(z) for z in shape]
     k = len(s)
@@ -136,11 +135,9 @@ def shape_tangent_basis(shape: Sequence[complex], drop_rotation: bool = True
         return sum((x * y.conjugate()).real for x, y in zip(a, b))
 
     unit = 1.0 / math.sqrt(k)
-    constraints = [[complex(unit)] * k, [1j * unit] * k, s]
-    if drop_rotation:
-        constraints.append([1j * z for z in s])
+    constraints = [[complex(unit)] * k, [1j * unit] * k, s, [1j * z for z in s]]
     basis: List[Tuple[complex, ...]] = []
-    want = 2 * k - 3 - (1 if drop_rotation else 0)
+    want = 2 * k - 4
     for b in range(k):
         for direction in (1.0, 1j):
             cand = [0j] * k

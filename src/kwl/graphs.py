@@ -10,13 +10,14 @@ is part of the value because it fixes the sign of every derived quantity.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
-#: refuse enumeration above this many vertices unless told otherwise
-DEFAULT_VERTEX_BOUND = 8
+#: enumeration refuses graphs on more vertices than this
+MAX_VERTICES = 8
 
 TYPE_I = "I"
 TYPE_II = "II"
@@ -33,9 +34,6 @@ class Graph:
     @property
     def num_vertices(self) -> int:
         return self.n + self.m
-
-    def is_ground(self, v: int) -> bool:
-        return v >= self.n
 
     def out_degree(self, v: int) -> int:
         return sum(1 for s, _ in self.edges if s == v)
@@ -55,8 +53,9 @@ class Contraction:
     """Split of a graph along a collapsing vertex subset.
 
     ``inner`` lives on the collapsed subset, ``outer`` on the remaining
-    vertices plus one fresh vertex.  ``outer_ok`` is False when the outer
-    edge list is inadmissible (a stratum contributing a zero operator).
+    vertices plus one fresh vertex.  ``fault`` is the first reason the
+    outer edge list is inadmissible (a stratum contributing a zero
+    operator), or None.
     """
 
     inner: Graph
@@ -66,26 +65,37 @@ class Contraction:
     new_vertex: int  # index of the collapsed vertex inside ``outer``
     vertex_map: Tuple[int, ...]  # original vertex -> outer vertex (new_vertex for members of subset)
     inner_index: Tuple[int, ...] = field(default=())  # original vertex -> inner vertex, -1 outside
-    outer_ok: bool = True
-    flags: Tuple[str, ...] = ()
+    fault: Optional[str] = None
+
+    @property
+    def outer_ok(self) -> bool:
+        return self.fault is None
+
+
+def edge_fault(n: int, m: int, edges: Sequence[Edge]) -> Optional[str]:
+    """First reason an edge list on ``n`` aerial and ``m`` ground vertices is
+    inadmissible, or None when it is admissible."""
+    seen = set()
+    for s, t in edges:
+        if not (0 <= s < n + m and 0 <= t < n + m):
+            return f"edge ({s},{t}) out of range for {n}+{m} vertices"
+        if s == t:
+            return f"loop edge at vertex {s}"
+        if s >= n:
+            return f"edge sourced at ground vertex {s}"
+        if (s, t) in seen:
+            return f"duplicate oriented edge ({s},{t})"
+        seen.add((s, t))
+    return None
 
 
 def make_graph(n: int, m: int, edges: Sequence[Edge]) -> Graph:
     """Validate and build a graph; raises ValueError on any inadmissibility."""
     if n < 0 or m < 0:
         raise ValueError("vertex counts must be nonnegative")
-    nv = n + m
-    seen = set()
-    for s, t in edges:
-        if not (0 <= s < nv and 0 <= t < nv):
-            raise ValueError(f"edge ({s},{t}) out of range for {n}+{m} vertices")
-        if s == t:
-            raise ValueError(f"loop edge at vertex {s}")
-        if s >= n:
-            raise ValueError(f"edge sourced at ground vertex {s}")
-        if (s, t) in seen:
-            raise ValueError(f"duplicate oriented edge ({s},{t})")
-        seen.add((s, t))
+    fault = edge_fault(n, m, edges)
+    if fault:
+        raise ValueError(fault)
     return Graph(n, m, tuple((int(s), int(t)) for s, t in edges))
 
 
@@ -94,8 +104,7 @@ def possible_edges(n: int, m: int) -> list[Edge]:
     return [(s, t) for s in range(n) for t in range(n + m) if t != s]
 
 
-def enumerate_graphs(n: int, m: int, e: int,
-                     max_vertices: int = DEFAULT_VERTEX_BOUND) -> Iterator[Graph]:
+def enumerate_graphs(n: int, m: int, e: int) -> Iterator[Graph]:
     """Yield every admissible graph with exactly ``e`` edges, once per edge set.
 
     Edge sets are emitted in lexicographic order of their sorted edge tuple,
@@ -103,19 +112,43 @@ def enumerate_graphs(n: int, m: int, e: int,
     """
     if n < 0 or m < 0 or e < 0:
         raise ValueError("arguments must be nonnegative")
-    if n + m > max_vertices:
-        raise ValueError(f"refusing to enumerate graphs on {n + m} > {max_vertices} vertices")
+    if n + m > MAX_VERTICES:
+        raise ValueError(f"refusing to enumerate graphs on {n + m} > {MAX_VERTICES} vertices")
     pool = possible_edges(n, m)
     for combo in itertools.combinations(pool, e):
         yield Graph(n, m, combo)
 
 
-def _ground_run_ok(g: Graph, grounds: Sequence[int]) -> bool:
-    """Ground members must be consecutive in the real-line order."""
-    if not grounds:
-        return True
-    ordered = sorted(grounds)
-    return ordered[-1] - ordered[0] == len(ordered) - 1
+def check_collapse(n: int, m: int, subset, kind: str) -> Tuple[list, list]:
+    """Sorted aerial and ground members of ``subset``; raises ValueError
+    unless the subset bounds a codimension-one stratum.
+
+    Type I: two or more aerial vertices and nothing else, collapsing into
+    the interior.  Type II: aerial vertices plus a gap-free run of ground
+    vertices, at least two points once each aerial vertex is counted with
+    its mirror image, and not the full vertex set, collapsing onto the line.
+    """
+    B = frozenset(subset)
+    aer = sorted(v for v in B if 0 <= v < n)
+    grd = sorted(v for v in B if n <= v < n + m)
+    if len(aer) + len(grd) != len(B):
+        raise ValueError("subset out of range")
+    if kind == TYPE_I:
+        if grd:
+            raise ValueError("type I subset must be purely aerial")
+        if len(aer) < 2:
+            raise ValueError("type I subset needs at least 2 aerial vertices")
+    elif kind == TYPE_II:
+        if 2 * len(aer) + len(grd) < 2:
+            raise ValueError("type II subset too small to bound a stratum")
+        if grd and grd[-1] - grd[0] != len(grd) - 1:
+            raise ValueError("ground members of a type II subset must be consecutive"
+                             " (a gap-free run)")
+        if len(B) == n + m:
+            raise ValueError("cannot collapse the full vertex set")
+    else:
+        raise ValueError(f"unknown contraction kind {kind!r}")
+    return aer, grd
 
 
 def contract(g: Graph, subset, kind: str = TYPE_I,
@@ -129,29 +162,11 @@ def contract(g: Graph, subset, kind: str = TYPE_I,
     the fresh vertex lands.
 
     Edges inside the subset go to ``inner`` (original relative order), the
-    rest to ``outer`` with endpoints redirected.  Inadmissible outer edge
-    lists (ground-sourced or duplicated) are flagged, not rejected.
+    rest to ``outer`` with endpoints redirected.  An inadmissible outer edge
+    list is recorded in ``fault``, not rejected.
     """
     B = frozenset(subset)
-    if not B or not B <= set(range(g.num_vertices)):
-        raise ValueError("subset out of range")
-    aer = sorted(v for v in B if v < g.n)
-    grd = sorted(v for v in B if v >= g.n)
-
-    if kind == TYPE_I:
-        if grd:
-            raise ValueError("type I subset must be purely aerial")
-        if len(aer) < 2:
-            raise ValueError("type I subset needs at least 2 aerial vertices")
-    elif kind == TYPE_II:
-        if 2 * len(aer) + len(grd) < 2:
-            raise ValueError("type II subset too small to bound a stratum")
-        if not _ground_run_ok(g, grd):
-            raise ValueError("ground members of a type II subset must be consecutive")
-        if len(B) == g.num_vertices:
-            raise ValueError("cannot collapse the full vertex set")
-    else:
-        raise ValueError(f"unknown contraction kind {kind!r}")
+    aer, grd = check_collapse(g.n, g.m, B, kind)
 
     # inner graph: relabel members of B, aerial first (in index order) then ground
     inner_order = aer + grd
@@ -199,42 +214,17 @@ def contract(g: Graph, subset, kind: str = TYPE_I,
 
     outer_edges = tuple((vmap[s], vmap[t]) for s, t in g.edges
                         if not (s in B and t in B))
-    flags = []
-    ground_start = outer_n
-    seen = set()
-    for s, t in outer_edges:
-        if s == t:
-            flags.append("loop")
-        if s >= ground_start:
-            flags.append("ground-sourced")
-        if (s, t) in seen:
-            flags.append("duplicate")
-        seen.add((s, t))
-    outer = Graph(outer_n, outer_m, outer_edges)
-
-    return Contraction(inner=inner, outer=outer, subset=B, kind=kind,
-                       new_vertex=new_vertex, vertex_map=tuple(vmap),
-                       inner_index=tuple(inner_index_full),
-                       outer_ok=not flags, flags=tuple(sorted(set(flags))))
+    return Contraction(inner=inner, outer=Graph(outer_n, outer_m, outer_edges),
+                       subset=B, kind=kind, new_vertex=new_vertex,
+                       vertex_map=tuple(vmap), inner_index=tuple(inner_index_full),
+                       fault=edge_fault(outer_n, outer_m, outer_edges))
 
 
-def edge_sort_parity(edges: Sequence[Edge]) -> int:
-    """Sign of the permutation sorting ``edges`` lexicographically."""
-    indexed = sorted(range(len(edges)), key=lambda i: edges[i])
-    sign = 1
-    visited = [False] * len(edges)
-    for start in range(len(edges)):
-        if visited[start]:
-            continue
-        length = 0
-        j = start
-        while not visited[j]:
-            visited[j] = True
-            j = indexed[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def edge_sort_parity(seq: Sequence) -> int:
+    """Sign of the permutation that stably sorts ``seq``: -1 to the number of
+    strictly out-of-order pairs (equal items keep their relative order)."""
+    inversions = sum(itertools.starmap(operator.gt, itertools.combinations(seq, 2)))
+    return -1 if inversions % 2 else 1
 
 
 def canonical_key(g: Graph):
@@ -258,8 +248,7 @@ def canonical_key(g: Graph):
         if best is None or edges < best:
             best = edges
             best_seq = seq
-    parity = edge_sort_parity(best_seq) if best_seq is not None else 1
-    return (g.n, g.m, best), parity
+    return (g.n, g.m, best), edge_sort_parity(best_seq)
 
 
 def canonical_graph(key) -> Graph:

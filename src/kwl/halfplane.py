@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import TYPE_I, TYPE_II
+from .graphs import TYPE_I, TYPE_II, check_collapse
 
 ROOT = "root"
 LEAF = "leaf"
@@ -100,17 +100,10 @@ def center_of_mass(points: Sequence[complex]) -> complex:
 # gauge slices
 
 
-def gauge_supported(n: int, m: int) -> bool:
-    if m >= 2:
-        return True
-    if m == 1:
-        return n >= 1
-    return n >= 1  # (1, 0) is a zero-dimensional slice
-
-
 def gauge_dim(n: int, m: int) -> int:
-    """Number of free coordinates on the gauge slice."""
-    if not gauge_supported(n, m):
+    """Number of free coordinates on the gauge slice; fewer than two ground
+    points need an aerial point to pin ((1, 0) is a zero-dimensional slice)."""
+    if m < 2 and n < 1:
         raise ValueError(f"no gauge slice for (n, m) = ({n}, {m})")
     return 2 * n + m - 2
 
@@ -311,31 +304,13 @@ class NestedFamily:
         return NestedFamily(n, m, [])
 
     def _validate(self) -> None:
-        n, m = self.n, self.m
-        full = frozenset(range(n + m))
+        n = self.n
         seen = set()
         for s, k in self.internal:
-            if not s <= full:
-                raise ValueError("subset out of range")
+            check_collapse(n, self.m, s, k)
             if (s, k) in seen:
                 raise ValueError("duplicate family node")
             seen.add((s, k))
-            aer = {v for v in s if v < n}
-            grd = sorted(v for v in s if v >= n)
-            if k == TYPE_I:
-                if grd:
-                    raise ValueError("type I subsets are purely aerial")
-                if len(aer) < 2:
-                    raise ValueError("type I subsets need >= 2 points")
-            elif k == TYPE_II:
-                if 2 * len(aer) + len(grd) < 2:
-                    raise ValueError("type II subset too small")
-                if grd and grd[-1] - grd[0] != len(grd) - 1:
-                    raise ValueError("ground members must form a gap-free run")
-                if s == full:
-                    raise ValueError("the full set is the root, not an internal node")
-            else:
-                raise ValueError(f"unknown node kind {k!r}")
         # pairwise nested-or-disjoint upstairs (type I nodes come with mirrors)
         sets = []
         for s, k in self.internal:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .forms import LOG, check_kind, pairing_matrices, pairing_scale
-from .graphs import Graph, enumerate_graphs, encode_graph
+from .graphs import Graph, edge_sort_parity, enumerate_graphs, encode_graph
 from .halfplane import gauge_frame
 from .weights import cached_weight, detect_vanishing_pattern, qmc_mean
 
@@ -94,6 +94,12 @@ def p_abs(a: Poly) -> Poly:
     return {mono: abs(complex(c)) for mono, c in a.items()}
 
 
+def _check_poly_dim(dim: int, *polys: Poly) -> None:
+    """Raise ValueError unless every monomial has ``dim`` exponents."""
+    if any(len(mono) != dim for p in polys for mono in p):
+        raise ValueError(f"polynomial monomials must have {dim} exponents")
+
+
 def poly_from_terms(dim: int, terms: Sequence[Tuple[Sequence[int], object]]) -> Poly:
     out: Poly = {}
     for mono, c in terms:
@@ -141,19 +147,7 @@ class PolyMultivector:
         """Coefficient polynomial of an arbitrary index tuple (with sign)."""
         if len(set(idx)) != len(idx):
             return {}
-        order = sorted(range(len(idx)), key=lambda k: idx[k])
-        sign = 1
-        seen = [False] * len(idx)
-        for start in range(len(idx)):
-            if seen[start]:
-                continue
-            j, length = start, 0
-            while not seen[j]:
-                seen[j] = True
-                j = order[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
+        sign = edge_sort_parity(idx)
         key = tuple(sorted(idx))
         out: Poly = {}
         for kidx, mono, c in self.coeffs:
@@ -185,25 +179,17 @@ class MultiDiffOperator:
         self.terms: Dict[Tuple[Tuple[Monomial, ...], Monomial], object] = {}
         if terms:
             for key, c in terms.items():
-                self._acc(key, c)
-
-    def _acc(self, key, coeff) -> None:
-        cur = self.terms.get(key)
-        new = coeff if cur is None else cur + coeff
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+                p_acc(self.terms, key, c)
 
     def add_term(self, slots: Tuple[Monomial, ...], mono: Monomial, coeff) -> None:
-        self._acc((slots, mono), coeff)
+        p_acc(self.terms, (slots, mono), coeff)
 
     def plus(self, other: "MultiDiffOperator", scale=1) -> "MultiDiffOperator":
         if (self.dim, self.arity) != (other.dim, other.arity):
             raise ValueError("operator shapes differ")
         out = MultiDiffOperator(self.dim, self.arity, dict(self.terms))
         for key, c in other.terms.items():
-            out._acc(key, c * scale)
+            p_acc(out.terms, key, c * scale)
         return out
 
     def scaled(self, s) -> "MultiDiffOperator":
@@ -322,8 +308,12 @@ def operator_arity(multivectors: Sequence[PolyMultivector]) -> int:
 
 
 def u_n(kind: str, multivectors: Sequence[PolyMultivector], samples: int,
-        seed: int, threads: Optional[int] = None, with_error: bool = False):
+        seed: int, threads: Optional[int] = None
+        ) -> Tuple["MultiDiffOperator", "MultiDiffOperator"]:
     """Weighted sum of graph operators over all admissible graphs.
+
+    Returns ``(value, error)``: the weighted sum and the operator of the
+    weights' standard errors times the absolute graph-operator coefficients.
 
     The sum runs over edge sets; summing instead over graphs with ordered
     outgoing stars and dividing by the star-ordering count gives the same
@@ -352,9 +342,7 @@ def u_n(kind: str, multivectors: Sequence[PolyMultivector], samples: int,
             value = value.plus(dop.scaled(complex(w.value)))
         if w.stderr:
             error = error.plus(dop.abs_coeffs().scaled(w.stderr))
-    if with_error:
-        return value, error
-    return value
+    return value, error
 
 
 @dataclass
@@ -369,6 +357,7 @@ class StarSeries:
 
     def multiply(self, f: Poly, g: Poly) -> List[Poly]:
         """Coefficients of f*g per order of the formal parameter."""
+        _check_poly_dim(self.dim, f, g)
         return [op.apply([f, g]) for op in self.ops]
 
 
@@ -389,7 +378,7 @@ def star_product(pi: PolyMultivector, order: int, kind: str, samples: int,
     fact = 1
     for k in range(1, order + 1):
         fact *= k
-        val, err = u_n(kind, [pi] * k, samples, seed, threads, with_error=True)
+        val, err = u_n(kind, [pi] * k, samples, seed, threads)
         ops.append(val.scaled(1.0 / fact))
         errs.append(err.scaled(1.0 / fact))
     return StarSeries(pi.dim, order, ops, errs, kind)
@@ -431,6 +420,7 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
     A precomputed ``star`` must match ``pi``'s dimension and ``kind`` and
     reach ``order``.
     """
+    _check_poly_dim(pi.dim, f, g, h)
     defect = jacobi_defect(pi)
     if defect > 1e-12:
         raise ValueError(f"bivector is not Poisson (Jacobi defect {defect:.3g})")
@@ -502,6 +492,11 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
     return qmc_mean(func, 2, samples, seed, threads)
 
 
+#: absolute floors of the globalization bounds: measured weights, contour integrals
+GLOBALIZATION_TOL = 5e-3
+CONTOUR_TOL = 1e-2
+
+
 @dataclass(frozen=True)
 class GlobalizationReport:
     kind: str
@@ -511,10 +506,9 @@ class GlobalizationReport:
     passed: bool
 
 
-def check_globalization(kind: str, samples: int, seed: int, tol: float = 5e-3,
+def check_globalization(kind: str, samples: int, seed: int,
                         threads: Optional[int] = None,
-                        contour_pairs: int = 5,
-                        contour_tol: float = 1e-2) -> GlobalizationReport:
+                        contour_pairs: int = 5) -> GlobalizationReport:
     """Checks that make the weighted components transferable off flat space.
 
     Every graph feeding two vector fields at the second component, or a
@@ -529,7 +523,7 @@ def check_globalization(kind: str, samples: int, seed: int, tol: float = 5e-3,
             continue
         pattern = detect_vanishing_pattern(g)
         est = cached_weight(g, kind, samples, seed, threads)
-        ok = pattern is not None and abs(est.value) < max(tol, 3.0 * est.stderr)
+        ok = pattern is not None and abs(est.value) < max(GLOBALIZATION_TOL, 3.0 * est.stderr)
         rows_pair.append((encode_graph(g), pattern, est.value, est.stderr, ok))
 
     dim = 2
@@ -553,7 +547,7 @@ def check_globalization(kind: str, samples: int, seed: int, tol: float = 5e-3,
         u = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 1.8))
         v = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 1.8))
         val, err, _ = one_in_one_out_integral(u, v, samples, seed + k, threads)
-        ok = abs(val) < max(contour_tol, 3.0 * err)
+        ok = abs(val) < max(CONTOUR_TOL, 3.0 * err)
         rows_contour.append((u, v, val, err, ok))
 
     passed = (all(r[-1] for r in rows_pair) and all(r[-1] for r in rows_lin)

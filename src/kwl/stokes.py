@@ -33,16 +33,19 @@ import numpy as np
 from . import forms
 from .forms import contracted_integrand, integrand
 from .graphs import (Contraction, Graph, TYPE_I, TYPE_II, canonical_key,
-                     contract, encode_graph)
+                     contract, edge_sort_parity, encode_graph)
 from .halfplane import (coords_of_config, config_from_coords,
                         degenerating_family, gauge_dim, regauge,
                         sample_configuration, slice_columns)
-from .weights import cached_weight
+from .weights import cached_weight, check_tol
 
 TWO_POINT_I = "two-point-I"
 MULTI_POINT_I = "multi-point-I-zero"
 TYPE_II_PRODUCT = "type-II-product"
 ZERO_BY_FLAG = "zero-by-flag"
+
+#: points on the collapse circle averaged by :func:`counterterm_probe`
+FIBER_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -96,11 +99,8 @@ def boundary_strata(g: Graph) -> List[BoundaryStratum]:
     for psize in range(0, g.n + 1):
         for pcombo in itertools.combinations(aerials, psize):
             P = frozenset(pcombo)
-            if psize > 0:
-                remaining_grounds = g.m
-                for pos in range(remaining_grounds + 1):
-                    if len(P) == total:
-                        continue
+            if 0 < psize < total:
+                for pos in range(g.m + 1):
                     con = contract(g, P, TYPE_II, position=pos)
                     rule = TYPE_II_PRODUCT if con.outer_ok else ZERO_BY_FLAG
                     out.append(BoundaryStratum(P, TYPE_II, pos, con, rule))
@@ -117,15 +117,7 @@ def boundary_strata(g: Graph) -> List[BoundaryStratum]:
 def shuffle_sign(g: Graph, subset) -> int:
     """Parity of sorting the edge list into inner-edges-then-outer-edges."""
     B = set(subset)
-    mask = [1 if (s in B and t in B) else 0 for s, t in g.edges]
-    inversions = 0
-    inner_seen_right = 0
-    for flag in reversed(mask):
-        if flag == 1:
-            inner_seen_right += 1
-        else:
-            inversions += inner_seen_right
-    return -1 if inversions % 2 else 1
+    return edge_sort_parity([0 if s in B and t in B else 1 for s, t in g.edges])
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +311,7 @@ def verify_identity(g: Graph, kind: str, samples: int, seed: int,
     sensitivities are summed before the independent pieces are combined in
     quadrature.
     """
+    check_tol(tol)
     terms = []
     coeff_by_key: Dict[tuple, float] = {}
     err_by_key: Dict[tuple, float] = {}
@@ -421,7 +414,7 @@ def _probe_family(g: Graph, subset, seed: int):
 
 def counterterm_probe(g: Graph, subset, kind: str,
                       scales: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5),
-                      seed: int = 0, fiber_points: int = 16) -> CountertermReport:
+                      seed: int = 0) -> CountertermReport:
     """Convergence of the rotation-contracted integrand along a collapse.
 
     For the top degree the probe value is the collapse-circle average of
@@ -439,6 +432,7 @@ def counterterm_probe(g: Graph, subset, kind: str,
             or not all(math.isfinite(r) and r > 0 for r in scales)):
         raise ValueError("scales must be at least two distinct positive finite numbers")
     B = sorted(set(subset))
+    con = contract(g, B, TYPE_I)
     d = gauge_dim(g.n, g.m)
     top = len(g.edges) == d
     if not top and len(g.edges) != d - 1:
@@ -450,17 +444,16 @@ def counterterm_probe(g: Graph, subset, kind: str,
     values = []
     for r in scales:
         acc = 0.0 + 0j
-        for k in range(fiber_points):
-            rot = cmath.exp(2j * math.pi * k / fiber_points)
+        for k in range(FIBER_POINTS):
+            rot = cmath.exp(2j * math.pi * k / FIBER_POINTS)
             cfg = degenerating_family(outer_cfg, [rot * s for s in shape], anchor, r)
             acc += evaluate(g, kind, cfg, range(anchor, anchor + len(B)))
-        values.append(acc / fiber_points)
+        values.append(acc / FIBER_POINTS)
 
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     cauchy = all(d2 <= d1 * 1.2 + 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
     limit = richardson_limit(values, ratio=scales[0] / scales[1])
 
-    con = contract(g, B, TYPE_I)
     expected = 0.0 + 0j
     if len(B) == 2 and len(con.inner.edges) == 1 and con.outer_ok:
         outer_d = gauge_dim(con.outer.n, con.outer.m)

@@ -24,7 +24,7 @@ from scipy.stats import qmc
 
 from .forms import ANGLE, check_kind, pairing_matrices, pairing_scale
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
-from .halfplane import gauge_dim, gauge_frame, gauge_supported, slice_map
+from .halfplane import gauge_dim, gauge_frame, slice_map
 
 BATCHES = 16
 COLLISION_EPS = 1e-12
@@ -107,6 +107,11 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
     return vals, rejected
 
 
+def check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 def _check_budget(samples: int, seed: int) -> None:
     if samples <= 0:
         raise ValueError("sample budget must be positive")
@@ -169,9 +174,6 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
         return WeightEstimate(0.0 + 0j, 0.0, 0, seed, kind, enc, exact=True)
     if d_top == 0:
         return WeightEstimate(1.0 + 0j, 0.0, 0, seed, kind, enc, exact=True)
-    if not gauge_supported(g.n, g.m):
-        raise ValueError(f"no gauge slice for (n, m) = ({g.n}, {g.m})")
-
     value, stderr, total, rejected = _qmc_batches(
         lambda U: integrand_batch(g, kind, U), gauge_dim(g.n, g.m), samples, seed, threads)
     return WeightEstimate(value, stderr, total, seed, kind, enc, rejected=rejected)
@@ -204,10 +206,10 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
         hit = compute_weight(canonical_graph(key), kind, samples, seed, threads)
         with _cache_lock:
             _cache[cache_key] = hit
-    if parity == 1:
+    if g.edges == key[2]:  # the canonical graph itself
         return hit
-    return WeightEstimate(-hit.value, hit.stderr, hit.samples, hit.seed, kind,
-                          encode_graph(g), rejected=hit.rejected, exact=hit.exact)
+    return WeightEstimate(hit.value if parity == 1 else -hit.value, hit.stderr, hit.samples,
+                          hit.seed, kind, encode_graph(g), rejected=hit.rejected, exact=hit.exact)
 
 
 def clear_weight_cache() -> None:
@@ -276,6 +278,7 @@ def vanishing_check(g: Graph, kind: str, samples: int, seed: int,
     Returns (passed, estimate, pattern).  Raises when no structural pattern
     is present.
     """
+    check_tol(tol)
     pattern = detect_vanishing_pattern(g)
     if pattern is None:
         raise ValueError("graph exhibits none of the structural vanishing patterns")

@@ -70,6 +70,21 @@ def test_weight_bad_budget_or_seed_exit_2(capsys):
     assert_usage_error(["weight", "--graph", "0 2 ;", "--samples", "-4"], capsys)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("command, graph", [
+    ("verify-identity", "2 1 ; a1>a2 a2>g1"), ("vanish", "2 1 ; a1>a2 a2>a1 a1>g1")])
+def test_bad_tol_exit_2(command, graph, tol, capsys):
+    err = assert_usage_error([command, "--graph", graph, "--samples", "1000",
+                              f"--tol={tol}"], capsys)
+    assert "tolerance" in err
+
+
+def test_suite_unwritable_out_dir_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert_usage_error(["suite", "--out", str(blocker / "x")], capsys)
+
+
 def test_star_and_globalization_bad_order_seed_or_budget_exit_2(capsys):
     pi = json.dumps({"dim": 2, "bivector": [
         {"i": 0, "j": 1, "monomial": [0, 0], "coeff": 1.0}]})
@@ -104,9 +119,10 @@ def _poly_json(monomial=(1, 0), coeff=1.0):
     ("--poisson", '{"dim": 2, "bivector": [{"i": 0, "j": 1, "monomial": [0, 0], "coeff": NaN}]}'),
     ("--f", '[{"monomial": [1, 0], "coeff": Infinity}]'),
     ("--f", "{}"),
+    ("--poisson", "[" * 100_000 + "]" * 100_000),
 ], ids=["list-bivector", "missing-file", "string-coeff-bivector", "string-coeff-poly",
         "negative-exponent-bivector", "negative-exponent-poly", "fractional-exponent",
-        "nan-coeff", "infinite-coeff", "object-poly"])
+        "nan-coeff", "infinite-coeff", "object-poly", "deeply-nested"])
 def test_bad_json_input_exit_2(command, flag, value, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = {"--poisson": _bivector_json(), "--f": _poly_json(), "--g": _poly_json((0, 1))}

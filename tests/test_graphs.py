@@ -7,6 +7,7 @@ from kwl.graphs import (TYPE_I, TYPE_II, canonical_graph, canonical_key,
                         contract, encode_graph, enumerate_graphs,
                         edge_sort_parity, make_graph, parse_graph,
                         possible_edges)
+from kwl.halfplane import NestedFamily
 
 
 def brute_force_count(n, m, e):
@@ -72,7 +73,7 @@ def test_contract_wedge_type_ii_flags_ground_source():
     con = contract(wedge, {0, 1}, TYPE_II)
     assert con.inner.n == 1 and con.inner.m == 1 and len(con.inner.edges) == 1
     assert con.outer.n == 0 and con.outer.m == 2
-    assert not con.outer_ok and "ground-sourced" in con.flags
+    assert not con.outer_ok and "sourced at ground vertex" in con.fault
 
 
 def test_contract_type_i_example():
@@ -183,6 +184,44 @@ def test_edge_sort_parity_simple():
     assert edge_sort_parity([(0, 1), (0, 2)]) == 1
     assert edge_sort_parity([(0, 2), (0, 1)]) == -1
     assert edge_sort_parity([(0, 2), (0, 1), (0, 3)]) == -1
+
+
+def _brute_force_sign(seq):
+    """Determinant of the permutation matrix of the stable sort of ``seq``."""
+    order = sorted(range(len(seq)), key=lambda i: seq[i])
+    P = np.zeros((len(seq), len(seq)))
+    P[range(len(seq)), order] = 1.0
+    return int(round(np.linalg.det(P))) if seq else 1
+
+
+def test_edge_sort_parity_matches_permutation_sign_with_ties():
+    for length in range(7):
+        for seq in itertools.product(range(3), repeat=length):
+            assert edge_sort_parity(seq) == _brute_force_sign(seq), seq
+    for perm in itertools.permutations(range(6)):
+        assert edge_sort_parity(perm) == _brute_force_sign(perm)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 1), (1, 3)])
+def test_contract_and_nested_family_share_the_collapse_rule(n, m):
+    empty = make_graph(n, m, [])
+    accepted = 0
+    for size in range(n + m + 1):
+        for subset in itertools.combinations(range(n + m), size):
+            for kind in (TYPE_I, TYPE_II):
+                try:
+                    contract(empty, subset, kind, position=0)
+                    by_contract = True
+                except ValueError:
+                    by_contract = False
+                try:
+                    NestedFamily(n, m, [(frozenset(subset), kind)])
+                    by_family = True
+                except ValueError:
+                    by_family = False
+                assert by_contract == by_family, (subset, kind)
+                accepted += by_family
+    assert 0 < accepted < 2 ** (n + m + 1)
 
 
 def test_possible_edges_pool():

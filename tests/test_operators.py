@@ -82,7 +82,7 @@ def test_operator_arity_formula():
 
 
 def test_u1_is_half_contraction():
-    U1 = u_n(ANGLE, [PI_CONST], 10 ** 5, seed=2)
+    U1, _ = u_n(ANGLE, [PI_CONST], 10 ** 5, seed=2)
     val = U1.apply([X, Y])
     assert abs(complex(val[(0, 0)]) - 0.5) < 0.01
     val2 = U1.apply([Y, X])
@@ -100,7 +100,7 @@ def test_u1_exact_weight_isolates_combinatorics():
 
 def test_u1_on_function_is_multiplication():
     f = function_field(2, {(2, 0): Fraction(3)})
-    U1 = u_n(ANGLE, [f], 10 ** 4, seed=2)
+    U1, _ = u_n(ANGLE, [f], 10 ** 4, seed=2)
     assert U1.arity == 0
     assert U1.apply([]) == {(2, 0): complex(3)}
 
@@ -108,7 +108,7 @@ def test_u1_on_function_is_multiplication():
 def test_u2_vanishes_on_vector_fields():
     xi1 = vector_field(2, [(0, (0, 0), 1)])
     xi2 = vector_field(2, [(1, (0, 0), 1)])
-    U2 = u_n(LOG, [xi1, xi2], 10 ** 5, seed=2)
+    U2, _ = u_n(LOG, [xi1, xi2], 10 ** 5, seed=2)
     assert U2.max_abs() < 5e-3
 
 
@@ -266,6 +266,16 @@ def test_associativity_rejects_mismatched_star(pi, order, kind, match):
     star = star_product(pi, order, kind, 2 ** 10, seed=1)
     with pytest.raises(ValueError, match=match):
         check_associativity(PI_LINEAR, X, Y, X, 2, ANGLE, 2 ** 10, seed=1, star=star)
+
+
+def test_wrong_monomial_dimension_rejected():
+    so3 = bivector(3, [(0, 1, (0, 0, 1), 1), (1, 2, (1, 0, 0), 1), (0, 2, (0, 1, 0), -1)])
+    for order in (0, 1):
+        with pytest.raises(ValueError, match="3 exponents"):
+            check_associativity(so3, X, Y, X, order, ANGLE, 2 ** 10, seed=1)
+    star = star_product(so3, 1, ANGLE, 2 ** 10, seed=1)
+    with pytest.raises(ValueError, match="3 exponents"):
+        star.multiply(X, Y)
 
 
 def test_zero_coefficients_dropped_like_before():

@@ -188,6 +188,18 @@ def test_edge_swap_flips_cached_weight():
     assert a.value == -b.value
 
 
+@pytest.mark.parametrize("text, parity", [
+    ("2 1 ; a2>a1 a2>g1 a1>a2", 1),
+    ("2 1 ; a2>g1 a2>a1 a1>a2", -1),
+], ids=["even", "odd"])
+def test_cached_weight_reports_the_input_graph(text, parity):
+    g = parse_graph(text)
+    canon = parse_graph("2 1 ; a1>a2 a1>g1 a2>a1")
+    est = cached_weight(g, ANGLE, 2 ** 10, 5)
+    assert est.graph == text
+    assert est.value == parity * cached_weight(canon, ANGLE, 2 ** 10, 5).value
+
+
 def test_pattern_detection():
     assert detect_vanishing_pattern(parse_graph("2 1 ; a1>a2 a2>a1 a1>g1")) == ONE_IN_ONE_OUT
     assert detect_vanishing_pattern(parse_graph("2 2 ; a1>a2 a1>g1 a1>g2")) == UNIVALENT
