@@ -20,7 +20,7 @@ outer = make_configuration([cmath.exp(0.9j)], [0.0])
 shape = (cmath.exp(0.4j) / math.sqrt(2), -cmath.exp(0.4j) / math.sqrt(2))
 print("contracted integrand along a degenerating family:")
 for r in (1e-2, 1e-3, 1e-4, 1e-5):
-    cfg = degenerating_family(outer, shape, 0, r)
+    cfg = degenerating_family(outer, [0, 1], shape, r)
     val = contracted_integrand(g, "log", cfg, [0, 1])
     print(f"  r = {r:.0e}: {val:.8f}")
 

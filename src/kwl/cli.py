@@ -153,10 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="kwl", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, samples=200_000):
+    def kind_seed(sp):
         sp.add_argument("--kind", choices=list(KINDS), default=LOG)
-        sp.add_argument("--samples", type=int, default=samples)
         sp.add_argument("--seed", type=int, default=0)
+
+    def common(sp):
+        kind_seed(sp)
+        sp.add_argument("--samples", type=int, default=200_000)
         sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("enumerate", help="list admissible graphs")
@@ -208,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--subset", required=True, help="comma-separated aerial indices")
     sp.add_argument("--scales", type=float, nargs="+",
                     default=[1e-2, 1e-3, 1e-4, 1e-5])
-    common(sp)
+    kind_seed(sp)
     sp.set_defaults(fn=cmd_counterterm)
 
     sp = sub.add_parser("suite", help="run every acceptance check")

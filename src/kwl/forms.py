@@ -19,9 +19,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import Graph
-from .halfplane import (Configuration, cluster_coordinates, gauge_dim,
-                        gauge_frame, make_configuration)
+from .graphs import TYPE_I, Graph, collapse_layout
+from .halfplane import (Configuration, cluster_coordinates, collapse_cluster,
+                        gauge_dim, gauge_frame)
 
 ANGLE = "angle"
 LOG = "log"
@@ -153,33 +153,17 @@ def shape_tangent_basis(shape: Sequence[complex]) -> List[Tuple[complex, ...]]:
     raise ValueError("failed to build a shape tangent basis")
 
 
-def outer_anchor_slot(n: int, subset) -> int:
-    """Aerial slot of the collapsed vertex in the contracted configuration."""
-    B = set(subset)
-    return sum(1 for v in range(min(B)) if v not in B)
-
-
-def collapse_cluster(cfg: Configuration, subset) -> Tuple[Configuration, int]:
-    """Configuration with the aerial cluster replaced by its center of mass."""
-    B = sorted(set(subset))
-    zeta, _, _ = cluster_coordinates(cfg, B)
-    slot = outer_anchor_slot(cfg.n, B)
-    aerial = [z for v, z in enumerate(cfg.aerial) if v not in set(B)]
-    aerial.insert(slot, zeta)
-    return make_configuration(aerial, cfg.ground), slot
-
-
 def cluster_frames(cfg: Configuration, subset) -> List[Velocity]:
     """Boundary-adapted tangent frame for an aerial cluster.
 
     Columns, in order: the cluster rotation generator (period 2pi), the
     radial direction of the cluster scale, the non-rotation shape
     directions at chart scale, and the slice frame of the collapsed
-    configuration transported to the full one (cluster points inherit the
-    anchor velocity).
+    configuration transported to the full one through the collapse's
+    ``vertex_map`` (cluster points inherit the velocity of the collapsed
+    vertex).
     """
     B = sorted(set(subset))
-    Bset = set(B)
     zeta, r, shape = cluster_coordinates(cfg, B)
     columns: List[Velocity] = []
     columns.append({v: 1j * (cfg.aerial[v] - zeta) for v in B})
@@ -187,20 +171,10 @@ def cluster_frames(cfg: Configuration, subset) -> List[Velocity]:
     if len(B) > 2:
         for u in shape_tangent_basis(shape):
             columns.append({v: r * u[i] for i, v in enumerate(B)})
-    outer_cfg, slot = collapse_cluster(cfg, B)
-
-    def lift_vertex(w: int) -> List[int]:
-        # outer vertex index -> vertices of the full configuration it moves
-        if w == slot:
-            return list(B)
-        if w < outer_cfg.n:
-            kept = [v for v in range(cfg.n) if v not in Bset]
-            aer = kept[w] if w < slot else kept[w - 1]
-            return [aer]
-        return [w - outer_cfg.n + cfg.n]
-
+    layout = collapse_layout(cfg.n, cfg.m, B, TYPE_I)
+    outer_cfg = collapse_cluster(cfg, layout, zeta)
     for col in gauge_frame(outer_cfg.n, outer_cfg.m, outer_cfg.point(0)):
-        columns += [{v: vel for p, vel in col.items() for v in lift_vertex(p)}]
+        columns.append({v: col[w] for v, w in enumerate(layout.vertex_map) if w in col})
     return columns
 
 

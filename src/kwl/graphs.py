@@ -9,10 +9,11 @@ is part of the value because it fixes the sign of every derived quantity.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -119,105 +120,122 @@ def enumerate_graphs(n: int, m: int, e: int) -> Iterator[Graph]:
         yield Graph(n, m, combo)
 
 
-def check_collapse(n: int, m: int, subset, kind: str) -> Tuple[list, list]:
-    """Sorted aerial and ground members of ``subset``; raises ValueError
-    unless the subset bounds a codimension-one stratum.
+def collapse_fault(n: int, m: int, subset, kind: str) -> Optional[str]:
+    """First reason ``subset`` does not bound a codimension-one stratum of
+    the given kind, or None when it does.
 
     Type I: two or more aerial vertices and nothing else, collapsing into
     the interior.  Type II: aerial vertices plus a gap-free run of ground
     vertices, at least two points once each aerial vertex is counted with
     its mirror image, and not the full vertex set, collapsing onto the line.
     """
-    B = frozenset(subset)
-    aer = sorted(v for v in B if 0 <= v < n)
-    grd = sorted(v for v in B if n <= v < n + m)
-    if len(aer) + len(grd) != len(B):
-        raise ValueError("subset out of range")
+    members = sorted(set(subset))
+    if members and (members[0] < 0 or members[-1] >= n + m):
+        return "subset out of range"
+    num_aer = bisect.bisect_left(members, n)
+    num_grd = len(members) - num_aer
     if kind == TYPE_I:
-        if grd:
-            raise ValueError("type I subset must be purely aerial")
-        if len(aer) < 2:
-            raise ValueError("type I subset needs at least 2 aerial vertices")
+        if num_grd:
+            return "type I subset must be purely aerial"
+        if num_aer < 2:
+            return "type I subset needs at least 2 aerial vertices"
     elif kind == TYPE_II:
-        if 2 * len(aer) + len(grd) < 2:
-            raise ValueError("type II subset too small to bound a stratum")
-        if grd and grd[-1] - grd[0] != len(grd) - 1:
-            raise ValueError("ground members of a type II subset must be consecutive"
-                             " (a gap-free run)")
-        if len(B) == n + m:
-            raise ValueError("cannot collapse the full vertex set")
+        if 2 * num_aer + num_grd < 2:
+            return "type II subset too small to bound a stratum"
+        if num_grd and members[-1] - members[num_aer] != num_grd - 1:
+            return ("ground members of a type II subset must be consecutive"
+                    " (a gap-free run)")
+        if len(members) == n + m:
+            return "cannot collapse the full vertex set"
     else:
-        raise ValueError(f"unknown contraction kind {kind!r}")
-    return aer, grd
+        return f"unknown contraction kind {kind!r}"
+    return None
+
+
+def check_collapse(n: int, m: int, subset, kind: str) -> None:
+    """Raise ValueError with the :func:`collapse_fault` reason, if any."""
+    fault = collapse_fault(n, m, subset, kind)
+    if fault:
+        raise ValueError(fault)
+
+
+class CollapseLayout(NamedTuple):
+    """Vertex labelling of a collapse on ``n`` aerial and some ground vertices.
+
+    ``vertex_map`` sends each original vertex to its outer vertex
+    (``new_vertex`` for members of the subset), ``inner_index`` each member
+    to its inner vertex (members in index order; -1 for non-members).  The
+    outer factor has ``outer_n`` aerial and ``outer_m`` ground vertices.
+    """
+
+    n: int
+    new_vertex: int
+    vertex_map: Tuple[int, ...]
+    inner_index: Tuple[int, ...]
+    outer_n: int
+    outer_m: int
+
+
+def collapse_layout(n: int, m: int, subset, kind: str,
+                    position: Optional[int] = None) -> CollapseLayout:
+    """Where a collapsing subset and every other vertex land, for both factors.
+
+    The remaining vertices keep their order.  Type I: the fresh aerial
+    vertex takes the slot of the smallest member.  Type II: the fresh ground
+    vertex takes the slot of the first ground member; with no ground
+    member, ``position`` picks the gap (0..m) among the ground vertices.
+    Raises ValueError on a subset :func:`collapse_fault` rejects.
+    """
+    check_collapse(n, m, subset, kind)
+    members = sorted(set(subset))  # aerial members precede ground ones
+    num_aer = bisect.bisect_left(members, n)
+    if kind == TYPE_I:
+        new_vertex = members[0]
+    elif num_aer < len(members):
+        new_vertex = members[num_aer] - num_aer
+    else:
+        if position is None:
+            raise ValueError("type II subset without ground members needs a position")
+        if not 0 <= position <= m:
+            raise ValueError("position out of range")
+        new_vertex = n - num_aer + position
+    inner_index = [-1] * (n + m)
+    for i, v in enumerate(members):
+        inner_index[v] = i
+    vertex_map = [new_vertex] * (n + m)
+    for i, v in enumerate([v for v in range(n + m) if inner_index[v] < 0]):
+        vertex_map[v] = i + (i >= new_vertex)
+    fresh_aerial = kind == TYPE_I
+    return CollapseLayout(n, new_vertex, tuple(vertex_map), tuple(inner_index),
+                          n - num_aer + fresh_aerial,
+                          m - len(members) + num_aer + (not fresh_aerial))
 
 
 def contract(g: Graph, subset, kind: str = TYPE_I,
              position: Optional[int] = None) -> Contraction:
-    """Collapse ``subset`` to a single vertex.
+    """Collapse ``subset`` to a single vertex placed by :func:`collapse_layout`.
 
     Type I collapses a set of >= 2 aerial vertices to a fresh aerial vertex.
     Type II collapses aerial vertices plus a gap-free run of ground vertices
     onto a fresh ground vertex; when the subset has no ground member,
-    ``position`` picks the gap (0..m') in the remaining ground order where
-    the fresh vertex lands.
+    ``position`` picks the gap where the fresh vertex lands.
 
     Edges inside the subset go to ``inner`` (original relative order), the
     rest to ``outer`` with endpoints redirected.  An inadmissible outer edge
     list is recorded in ``fault``, not rejected.
     """
     B = frozenset(subset)
-    aer, grd = check_collapse(g.n, g.m, B, kind)
-
-    # inner graph: relabel members of B, aerial first (in index order) then ground
-    inner_order = aer + grd
-    inner_index_full = [-1] * g.num_vertices
-    for i, v in enumerate(inner_order):
-        inner_index_full[v] = i
-    inner_n = len(aer)
-    inner_m = len(grd) if kind == TYPE_II else 0
-    inner_edges = tuple((inner_index_full[s], inner_index_full[t])
-                        for s, t in g.edges if s in B and t in B)
-    inner = Graph(inner_n, inner_m, inner_edges)
-
-    # outer graph: remaining vertices plus the fresh vertex
-    keep_aer = [v for v in range(g.n) if v not in B]
-    keep_grd = [v for v in range(g.n, g.num_vertices) if v not in B]
-    if kind == TYPE_I:
-        outer_n = len(keep_aer) + 1
-        outer_m = g.m
-        # fresh aerial vertex takes the slot of min(B) among remaining aerials
-        slot = sum(1 for v in keep_aer if v < min(aer))
-        new_aer = keep_aer[:slot] + [-1] + keep_aer[slot:]
-        new_grd = keep_grd
-    else:
-        outer_n = len(keep_aer)
-        outer_m = len(keep_grd) + 1
-        if grd:
-            slot = sum(1 for v in keep_grd if v < grd[0])
-        else:
-            if position is None:
-                raise ValueError("type II subset without ground members needs a position")
-            if not (0 <= position <= len(keep_grd)):
-                raise ValueError("position out of range")
-            slot = position
-        new_aer = keep_aer
-        new_grd = keep_grd[:slot] + [-1] + keep_grd[slot:]
-
-    order = new_aer + new_grd
-    vmap = [-1] * g.num_vertices
-    new_vertex = order.index(-1)
-    for i, v in enumerate(order):
-        if v >= 0:
-            vmap[v] = i
-    for v in B:
-        vmap[v] = new_vertex
-
+    lay = collapse_layout(g.n, g.m, B, kind, position)
+    idx, vmap = lay.inner_index, lay.vertex_map
+    inner_n = sum(1 for v in B if v < g.n)
+    inner_edges = tuple((idx[s], idx[t]) for s, t in g.edges if s in B and t in B)
     outer_edges = tuple((vmap[s], vmap[t]) for s, t in g.edges
                         if not (s in B and t in B))
-    return Contraction(inner=inner, outer=Graph(outer_n, outer_m, outer_edges),
-                       subset=B, kind=kind, new_vertex=new_vertex,
-                       vertex_map=tuple(vmap), inner_index=tuple(inner_index_full),
-                       fault=edge_fault(outer_n, outer_m, outer_edges))
+    return Contraction(inner=Graph(inner_n, len(B) - inner_n, inner_edges),
+                       outer=Graph(lay.outer_n, lay.outer_m, outer_edges),
+                       subset=B, kind=kind, new_vertex=lay.new_vertex,
+                       vertex_map=vmap, inner_index=idx,
+                       fault=edge_fault(lay.outer_n, lay.outer_m, outer_edges))
 
 
 def edge_sort_parity(seq: Sequence) -> int:

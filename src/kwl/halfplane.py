@@ -19,6 +19,10 @@ and ``y = s^2 exp(-1/s)`` with ``s = v/(1-v)``.  The exponential factor
 makes the sampling density vanish fast enough at the real line that edge
 integrands stay square-integrable against the map, which keeps the
 batch-based error estimates calibrated near point collisions.
+
+Cluster placement is owned here: :func:`expand_cluster` lays a collapsed
+subset out around its outer point by the vertex labelling of
+:func:`kwl.graphs.collapse_layout`, and :func:`collapse_cluster` inverts it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import TYPE_I, TYPE_II, check_collapse
+from .graphs import TYPE_I, TYPE_II, CollapseLayout, check_collapse, collapse_layout
 
 ROOT = "root"
 LEAF = "leaf"
@@ -466,23 +470,46 @@ def check_shape(shape: Sequence[complex]) -> Tuple[complex, ...]:
     return shape
 
 
-def degenerating_family(outer_cfg: Configuration, inner_shape: Sequence[complex],
-                        anchor: int, r: float) -> Configuration:
-    """Replace outer aerial point ``anchor`` by a cluster at scale ``r``.
+def expand_cluster(outer_cfg: Configuration, layout: CollapseLayout,
+                   inner_points: Sequence[complex], r: float
+                   ) -> Tuple[List[complex], List[float]]:
+    """Aerial and ground points of the full configuration at collapse scale ``r``.
 
-    The cluster points ``center + r * shape`` are spliced into the aerial
-    sequence at the anchor position, so vertex indices of the other points
-    shift by ``len(shape) - 1`` past the anchor.
+    Each vertex outside the subset sits at its outer point
+    ``vertex_map[v]``; each member ``v`` sits at
+    ``beta + r * inner_points[inner_index[v]]``, where ``beta`` is the outer
+    point at ``new_vertex``, and a ground member takes the real part.
     """
+    beta = outer_cfg.point(layout.new_vertex)
+    pts = [outer_cfg.point(w) if i < 0 else beta + r * inner_points[i]
+           for w, i in zip(layout.vertex_map, layout.inner_index)]
+    return pts[:layout.n], [p.real for p in pts[layout.n:]]
+
+
+def collapse_cluster(cfg: Configuration, layout: CollapseLayout,
+                     center: complex) -> Configuration:
+    """Inverse of :func:`expand_cluster`: every vertex outside the subset
+    moves to its outer vertex and the subset to ``center``."""
+    pts = [0j] * (layout.outer_n + layout.outer_m)
+    for v, w in enumerate(layout.vertex_map):
+        pts[w] = cfg.point(v)
+    pts[layout.new_vertex] = center
+    return make_configuration(pts[:layout.outer_n], [p.real for p in pts[layout.outer_n:]])
+
+
+def degenerating_family(outer_cfg: Configuration, subset, inner_shape: Sequence[complex],
+                        r: float) -> Configuration:
+    """Expand the outer point of the collapsed aerial ``subset`` into a
+    cluster at scale ``r``: :func:`expand_cluster` with the ``i``-th
+    smallest member of ``subset`` at ``beta + r * inner_shape[i]``."""
     shape = check_shape(inner_shape)
-    if not 0 <= anchor < outer_cfg.n:
-        raise ValueError("anchor must be an aerial point of the outer configuration")
+    B = set(subset)
+    if len(shape) != len(B):
+        raise ValueError("shape needs one point per cluster member")
     if not r > 0:
         raise ValueError("scale must be positive on the open stratum")
-    zeta = outer_cfg.aerial[anchor]
-    cluster = [zeta + r * s for s in shape]
-    aerial = list(outer_cfg.aerial[:anchor]) + cluster + list(outer_cfg.aerial[anchor + 1:])
-    return make_configuration(aerial, outer_cfg.ground)
+    layout = collapse_layout(outer_cfg.n + len(B) - 1, outer_cfg.m, B, TYPE_I)
+    return make_configuration(*expand_cluster(outer_cfg, layout, shape, r))
 
 
 def cluster_coordinates(cfg: Configuration, subset) -> Tuple[complex, float, Tuple[complex, ...]]:

@@ -33,10 +33,11 @@ import numpy as np
 from . import forms
 from .forms import contracted_integrand, integrand
 from .graphs import (Contraction, Graph, TYPE_I, TYPE_II, canonical_key,
-                     contract, edge_sort_parity, encode_graph)
+                     collapse_fault, collapse_layout, contract,
+                     edge_sort_parity, encode_graph)
 from .halfplane import (coords_of_config, config_from_coords,
-                        degenerating_family, gauge_dim, regauge,
-                        sample_configuration, slice_columns)
+                        degenerating_family, expand_cluster, gauge_dim,
+                        regauge, sample_configuration, slice_columns)
 from .weights import cached_weight, check_tol
 
 TWO_POINT_I = "two-point-I"
@@ -95,18 +96,17 @@ def boundary_strata(g: Graph) -> List[BoundaryStratum]:
             out.append(BoundaryStratum(B, TYPE_I, None, con, rule))
 
     # collapses onto the real line: aerial subset plus a gap-free ground run
-    total = g.num_vertices
     for psize in range(0, g.n + 1):
         for pcombo in itertools.combinations(aerials, psize):
             P = frozenset(pcombo)
-            if 0 < psize < total:
+            if collapse_fault(g.n, g.m, P, TYPE_II) is None:
                 for pos in range(g.m + 1):
                     con = contract(g, P, TYPE_II, position=pos)
                     rule = TYPE_II_PRODUCT if con.outer_ok else ZERO_BY_FLAG
                     out.append(BoundaryStratum(P, TYPE_II, pos, con, rule))
             for run in _ground_runs(g.n, g.m):
                 S = P | set(run)
-                if 2 * psize + len(run) < 2 or len(S) == total:
+                if collapse_fault(g.n, g.m, S, TYPE_II):
                     continue
                 con = contract(g, S, TYPE_II)
                 rule = TYPE_II_PRODUCT if con.outer_ok else ZERO_BY_FLAG
@@ -131,8 +131,7 @@ def _chart_map(n: int, m: int, stratum: BoundaryStratum):
     the factor configuration spaces; for an interior two-point collapse the
     inner coordinate is the rotation angle of the pair.
     """
-    con = stratum.contraction
-    inner, outer = con.inner, con.outer
+    inner, outer = stratum.contraction.inner, stratum.contraction.outer
     d_out = gauge_dim(outer.n, outer.m)
     if stratum.kind == TYPE_I:
         if len(stratum.subset) != 2:
@@ -141,40 +140,19 @@ def _chart_map(n: int, m: int, stratum: BoundaryStratum):
     else:
         d_in = gauge_dim(inner.n, inner.m)
 
-    members = sorted(stratum.subset)
+    layout = collapse_layout(n, m, stratum.subset, stratum.kind, stratum.position)
 
     def phi(x: np.ndarray) -> np.ndarray:
         r = x[0]
         q_in = x[1:1 + d_in]
-        q_out = x[1 + d_in:]
-        cfg_out = config_from_coords(outer.n, outer.m, q_out)
-        beta = cfg_out.point(con.new_vertex)
-        aerial = [0j] * n
-        ground = [0.0] * m
-        for v in range(n + m):
-            if v in stratum.subset:
-                continue
-            p = cfg_out.point(con.vertex_map[v])
-            if v < n:
-                aerial[v] = p
-            else:
-                ground[v - n] = p.real
+        cfg_out = config_from_coords(outer.n, outer.m, x[1 + d_in:])
         if stratum.kind == TYPE_I:
-            psi = q_in[0]
-            b1, b2 = members
-            offs = cmath.exp(1j * psi) / math.sqrt(2.0)
-            aerial[b1] = beta + r * offs
-            aerial[b2] = beta - r * offs
+            offs = cmath.exp(1j * q_in[0]) / math.sqrt(2.0)
+            w = (offs, -offs)
         else:
             cfg_in = config_from_coords(inner.n, inner.m, q_in)
-            for v in members:
-                w = cfg_in.point(con.inner_index[v])
-                if v < n:
-                    aerial[v] = beta + r * w
-                else:
-                    ground[v - n] = beta.real + r * w.real
-        cfg = regauge(aerial, ground)
-        return coords_of_config(cfg)
+            w = [cfg_in.point(v) for v in range(inner.n + inner.m)]
+        return coords_of_config(regauge(*expand_cluster(cfg_out, layout, w, r)))
 
     return phi, d_in, d_out
 
@@ -407,9 +385,7 @@ def _probe_family(g: Graph, subset, seed: int):
         raise RuntimeError("could not draw a well-separated probe configuration")
     raw = rng.normal(size=len(B)) + 1j * rng.normal(size=len(B))
     raw -= raw.mean()
-    shape = tuple(raw / math.sqrt(float(np.sum(np.abs(raw) ** 2))))
-    anchor = forms.outer_anchor_slot(g.n, B)
-    return outer_cfg, anchor, shape
+    return outer_cfg, tuple(raw / math.sqrt(float(np.sum(np.abs(raw) ** 2))))
 
 
 def counterterm_probe(g: Graph, subset, kind: str,
@@ -437,7 +413,7 @@ def counterterm_probe(g: Graph, subset, kind: str,
     top = len(g.edges) == d
     if not top and len(g.edges) != d - 1:
         raise ValueError("graph degree must be the slice dimension or one less")
-    outer_cfg, anchor, shape = _probe_family(g, B, seed)
+    outer_cfg, shape = _probe_family(g, B, seed)
 
     evaluate = contracted_integrand if top else forms.restricted_contracted_integrand
 
@@ -446,8 +422,8 @@ def counterterm_probe(g: Graph, subset, kind: str,
         acc = 0.0 + 0j
         for k in range(FIBER_POINTS):
             rot = cmath.exp(2j * math.pi * k / FIBER_POINTS)
-            cfg = degenerating_family(outer_cfg, [rot * s for s in shape], anchor, r)
-            acc += evaluate(g, kind, cfg, range(anchor, anchor + len(B)))
+            cfg = degenerating_family(outer_cfg, B, [rot * s for s in shape], r)
+            acc += evaluate(g, kind, cfg, B)
         values.append(acc / FIBER_POINTS)
 
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]

@@ -197,6 +197,13 @@ def test_counterterm_command(capsys):
     assert abs(complex(*data["limit"])) < 1e-3
 
 
+def test_counterterm_takes_no_sample_budget():
+    with pytest.raises(SystemExit) as exc:
+        main(["counterterm", "--graph", "2 1 ; a1>a2 a1>g1 a2>g1", "--subset", "0,1",
+              "--samples", "5"])
+    assert exc.value.code == 2
+
+
 def test_counterterm_bad_scales_exit_2(capsys):
     probe = ["counterterm", "--graph", "2 1 ; a1>a2 a1>g1 a2>g1", "--subset", "0,1"]
     for scales in (["1e-2"], ["1e-2", "1e-2"], ["1e-2", "0"]):

@@ -121,7 +121,7 @@ def test_fuzz_counterterm(graph, subset, scales, kind, seed):
     argv = ["counterterm", f"--graph={graph}", f"--subset={subset}"]
     if scales:
         argv += ["--scales", *map(str, scales)]
-    run(argv + common(kind, 1000, seed))
+    run(argv + [f"--kind={kind}", f"--seed={seed}"])
 
 
 @FUZZ

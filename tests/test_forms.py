@@ -169,7 +169,7 @@ def test_contracted_integrand_converges_log():
     s = cmath.exp(0.4j) / math.sqrt(2)
     vals = []
     for r in (1e-2, 1e-3, 1e-4):
-        cfg = degenerating_family(outer, (s, -s), 0, r)
+        cfg = degenerating_family(outer, [0, 1], (s, -s), r)
         vals.append(contracted_integrand(g, LOG, cfg, [0, 1]))
     d1 = abs(vals[1] - vals[0])
     d2 = abs(vals[2] - vals[1])
@@ -180,7 +180,7 @@ def test_contracted_integrand_bounded_angle():
     g = parse_graph("2 1 ; a1>a2 a1>g1 a2>g1")
     outer = probe_family(1, 1, 7)
     s = cmath.exp(0.4j) / math.sqrt(2)
-    vals = [abs(contracted_integrand(g, ANGLE, degenerating_family(outer, (s, -s), 0, r), [0, 1]))
+    vals = [abs(contracted_integrand(g, ANGLE, degenerating_family(outer, [0, 1], (s, -s), r), [0, 1]))
             for r in (1e-2, 1e-3, 1e-4, 1e-5)]
     assert max(vals) < 10 * max(vals[0], 1e-6)
 
@@ -192,7 +192,7 @@ def test_restricted_contraction_hits_outer_integrand():
     outer = probe_family(1, 2, 9)
     con = contract(g, {0, 1}, "I")
     s = cmath.exp(1.1j) / math.sqrt(2)
-    cfg = degenerating_family(outer, (s, -s), 0, 1e-5)
+    cfg = degenerating_family(outer, [0, 1], (s, -s), 1e-5)
     got = restricted_contracted_integrand(g, LOG, cfg, [0, 1])
     want = integrand(con.outer, LOG, outer) / (2 * math.pi)
     assert abs(got - want) < 1e-4 * max(1.0, abs(want))

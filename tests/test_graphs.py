@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kwl.graphs import (TYPE_I, TYPE_II, canonical_graph, canonical_key,
-                        contract, encode_graph, enumerate_graphs,
+                        collapse_fault, contract, encode_graph, enumerate_graphs,
                         edge_sort_parity, make_graph, parse_graph,
                         possible_edges)
 from kwl.halfplane import NestedFamily
@@ -114,6 +114,16 @@ def test_contract_rejects_ground_gap():
     g = make_graph(1, 3, [(0, 1), (0, 3)])
     with pytest.raises(ValueError, match="consecutive"):
         contract(g, {1, 3}, TYPE_II)
+
+
+def test_collapse_fault_names_the_reason_without_raising():
+    assert collapse_fault(2, 2, {0, 1}, TYPE_I) is None
+    assert collapse_fault(2, 2, {0, 2, 3}, TYPE_II) is None
+    assert "purely aerial" in collapse_fault(2, 2, {0, 2}, TYPE_I)
+    assert "consecutive" in collapse_fault(1, 3, {1, 3}, TYPE_II)
+    assert "too small" in collapse_fault(1, 2, {1}, TYPE_II)
+    assert "full vertex set" in collapse_fault(1, 1, {0, 1}, TYPE_II)
+    assert "out of range" in collapse_fault(1, 1, {5}, TYPE_II)
 
 
 def test_canonical_key_edge_swap_parity():

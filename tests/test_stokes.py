@@ -144,6 +144,14 @@ def test_counterterm_probe_identity_degree_nonzero_expected():
         assert rep.deviation <= 1e-3 * abs(rep.expected)
 
 
+def test_counterterm_probe_collapses_a_non_contiguous_pair():
+    g = parse_graph("3 1 ; a1>a3 a1>g1 a2>g1 a2>a3")
+    for kind in (LOG, ANGLE):
+        rep = counterterm_probe(g, [0, 2], kind)
+        assert abs(rep.expected) > 1e-6
+        assert rep.deviation <= 1e-3 * abs(rep.expected)
+
+
 def test_counterterm_probe_rejects_other_degrees():
     with pytest.raises(ValueError, match="degree"):
         counterterm_probe(parse_graph("2 1 ; a1>a2"), [0, 1], LOG)
