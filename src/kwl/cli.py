@@ -2,9 +2,9 @@
 
 Subcommands: enumerate, weight, vanish, verify-identity, star,
 associativity, globalization, counterterm, suite.  Exit codes: 0 success,
-1 check failure, 2 usage or parse error: :func:`main` turns every
-ValueError or OSError a command raises into one ``error:`` line and exit 2.
-KWL_THREADS overrides the worker count.
+1 check failure, 2 usage or parse error: argparse's usage errors and every
+ValueError or OSError a command raises become one ``error:`` line and
+exit 2.  KWL_THREADS overrides the worker count.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .forms import KINDS, LOG
 from .graphs import enumerate_graphs, encode_graph, parse_graph
 from .operators import (bivector_from_json_dict, check_associativity,
                         check_globalization, poly_from_json_list, star_product)
-from .stokes import counterterm_probe, verify_identity
-from .weights import compute_weight, vanishing_check
+from .stokes import IDENTITY_TOL, counterterm_probe, verify_identity
+from .weights import VANISHING_TOL, compute_weight, vanishing_check
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -64,8 +64,8 @@ def cmd_weight(args) -> int:
 
 
 def cmd_vanish(args) -> int:
-    ok, est, pattern = vanishing_check(parse_graph(args.graph), args.kind, args.samples,
-                                       args.seed, tol=args.tol, threads=args.threads)
+    ok, est, pattern, _ = vanishing_check(parse_graph(args.graph), args.kind, args.samples,
+                                          args.seed, tol=args.tol, threads=args.threads)
     print(json.dumps({"graph": est.graph, "pattern": pattern,
                       "value": [est.value.real, est.value.imag],
                       "stderr": est.stderr, "passed": ok}, sort_keys=True))
@@ -149,8 +149,16 @@ def cmd_suite(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line instead of the usage
+    block; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        sys.exit(_fail_usage(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="kwl", description=__doc__)
+    p = _Parser(prog="kwl", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def kind_seed(sp):
@@ -175,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("vanish", help="measure a structurally vanishing weight")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--tol", type=float, default=5e-3)
+    sp.add_argument("--tol", type=float, default=VANISHING_TOL)
     common(sp)
     sp.set_defaults(fn=cmd_vanish)
 
     sp = sub.add_parser("verify-identity", help="sum the regularized boundary terms")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--tol", type=float, default=IDENTITY_TOL)
     common(sp)
     sp.set_defaults(fn=cmd_verify_identity)
 

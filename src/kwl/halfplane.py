@@ -28,7 +28,6 @@ subset out around its outer point by the vertex labelling of
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -63,16 +62,6 @@ class Configuration:
         if v < self.n:
             return self.aerial[v]
         return complex(self.ground[v - self.n])
-
-    def to_json(self) -> str:
-        return json.dumps({"aerial": [[z.real, z.imag] for z in self.aerial],
-                           "ground": list(self.ground)})
-
-    @staticmethod
-    def from_json(text: str) -> "Configuration":
-        data = json.loads(text)
-        return make_configuration([complex(x, y) for x, y in data["aerial"]],
-                                  data["ground"])
 
 
 def make_configuration(aerial: Iterable[complex], ground: Iterable[float]) -> Configuration:

@@ -10,6 +10,7 @@ star products for polynomial bivector fields.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,10 +22,16 @@ import numpy as np
 from .forms import LOG, check_kind, pairing_matrices, pairing_scale
 from .graphs import Graph, edge_sort_parity, enumerate_graphs, encode_graph
 from .halfplane import gauge_frame
-from .weights import cached_weight, detect_vanishing_pattern, qmc_mean
+from .weights import (cached_weight, check_tol, detect_vanishing_pattern, qmc_mean,
+                      vanishing_check)
 
 Monomial = Tuple[int, ...]
 Poly = Dict[Monomial, object]  # exponent tuple -> Fraction | float | complex
+
+#: absolute floors of the bounds on star-product coefficient residuals and
+#: on one-in-one-out contour integrals
+STAR_TOL = 1e-3
+CONTOUR_TOL = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +417,7 @@ class AssociativityReport:
 
 def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
                         order: int, kind: str, samples: int, seed: int,
-                        tol: float = 1e-3, threads: Optional[int] = None,
+                        tol: float = STAR_TOL, threads: Optional[int] = None,
                         star: Optional[StarSeries] = None) -> AssociativityReport:
     """Associativity defect of the truncated star product on three polynomials.
 
@@ -468,6 +475,8 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
 # globalization checks
 
 
+# memoized: the angle and log globalization checks measure the same integrals
+@functools.lru_cache(maxsize=64)
 def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
                             threads: Optional[int] = None) -> Tuple[complex, float, int]:
     """Two-dimensional integral of the log form chain through a middle point.
@@ -492,38 +501,44 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
     return qmc_mean(func, 2, samples, seed, threads)
 
 
-#: absolute floors of the globalization bounds: measured weights, contour integrals
-GLOBALIZATION_TOL = 5e-3
-CONTOUR_TOL = 1e-2
+def contour_check(u: complex, v: complex, samples: int, seed: int,
+                  tol: float = CONTOUR_TOL, threads: Optional[int] = None
+                  ) -> Tuple[bool, complex, float, int]:
+    """Test :func:`one_in_one_out_integral` at (u, v) against zero.
+
+    Returns (passed, value, stderr, samples); it passes when
+    |value| < max(tol, 3 stderr).
+    """
+    check_tol(tol)
+    val, err, ns = one_in_one_out_integral(u, v, samples, seed, threads)
+    return abs(val) < max(tol, 3.0 * err), val, err, ns
 
 
 @dataclass(frozen=True)
 class GlobalizationReport:
     kind: str
-    vector_pair: Tuple[Tuple[str, Optional[str], complex, float, bool], ...]
+    vector_pair: Tuple[Tuple[str, str, complex, float, bool], ...]
     linear_slot: Tuple[Tuple[str, str, bool], ...]
     contour: Tuple[Tuple[complex, complex, complex, float, bool], ...]
     passed: bool
 
 
 def check_globalization(kind: str, samples: int, seed: int,
-                        threads: Optional[int] = None,
-                        contour_pairs: int = 5) -> GlobalizationReport:
+                        threads: Optional[int] = None) -> GlobalizationReport:
     """Checks that make the weighted components transferable off flat space.
 
-    Every graph feeding two vector fields at the second component, or a
-    linear vector field plus bivectors at the third, must be structurally
-    vanishing, annihilated by the linearity of the coefficient, or carry a
-    measured weight compatible with zero.  The middle-point contour
-    integral is measured directly at random endpoint pairs.
+    Every graph feeding two vector fields at the second component (each
+    one-in-one-out) must pass :func:`kwl.weights.vanishing_check`; every
+    graph feeding a linear vector field plus bivectors at the third must be
+    structurally vanishing or annihilated by the linearity of the
+    coefficient.  The middle-point contour integral is measured directly at
+    five random endpoint pairs by :func:`contour_check`.
     """
     rows_pair = []
     for g in enumerate_graphs(2, 0, 2):
         if g.out_degree(0) != 1 or g.out_degree(1) != 1:
             continue
-        pattern = detect_vanishing_pattern(g)
-        est = cached_weight(g, kind, samples, seed, threads)
-        ok = pattern is not None and abs(est.value) < max(GLOBALIZATION_TOL, 3.0 * est.stderr)
+        ok, est, pattern, _ = vanishing_check(g, kind, samples, seed, threads=threads)
         rows_pair.append((encode_graph(g), pattern, est.value, est.stderr, ok))
 
     dim = 2
@@ -543,11 +558,10 @@ def check_globalization(kind: str, samples: int, seed: int,
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 777]))
     rows_contour = []
-    for k in range(contour_pairs):
+    for k in range(5):
         u = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 1.8))
         v = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 1.8))
-        val, err, _ = one_in_one_out_integral(u, v, samples, seed + k, threads)
-        ok = abs(val) < max(CONTOUR_TOL, 3.0 * err)
+        ok, val, err, _ = contour_check(u, v, samples, seed + k, threads=threads)
         rows_contour.append((u, v, val, err, ok))
 
     passed = (all(r[-1] for r in rows_pair) and all(r[-1] for r in rows_lin)
@@ -557,17 +571,7 @@ def check_globalization(kind: str, samples: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# JSON encodings for bivectors and polynomials
-
-
-def bivector_to_json_dict(pi: PolyMultivector) -> dict:
-    if pi.degree != 2:
-        raise ValueError("need a bivector")
-    rows = []
-    for (i, j), mono, c in pi.coeffs:
-        rows.append({"i": int(i), "j": int(j), "monomial": list(mono),
-                     "coeff": float(c)})
-    return {"dim": pi.dim, "bivector": rows}
+# JSON decoding of bivectors and polynomials
 
 
 def _json_int(x, what: str, low: int = 0) -> int:
@@ -605,10 +609,6 @@ def bivector_from_json_dict(data: dict) -> PolyMultivector:
             for r in _json_rows(data["bivector"], ("i", "j", "monomial", "coeff"),
                                 "bivector rows")]
     return bivector(dim, rows)
-
-
-def poly_to_json_list(p: Poly) -> list:
-    return [{"monomial": list(mono), "coeff": float(c)} for mono, c in sorted(p.items())]
 
 
 def poly_from_json_list(dim: int, rows: list) -> Poly:

@@ -47,6 +47,9 @@ ZERO_BY_FLAG = "zero-by-flag"
 
 #: points on the collapse circle averaged by :func:`counterterm_probe`
 FIBER_POINTS = 16
+#: absolute floor of the bound on an identity residual; bound on a
+#: probe's relative deviation from its expected limit
+IDENTITY_TOL = PROBE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -281,7 +284,7 @@ class IdentityReport:
 
 
 def verify_identity(g: Graph, kind: str, samples: int, seed: int,
-                    tol: float = 1e-3, threads: Optional[int] = None) -> IdentityReport:
+                    tol: float = IDENTITY_TOL, threads: Optional[int] = None) -> IdentityReport:
     """Sum the regularized boundary terms; the residual must vanish.
 
     Passes when |residual| <= 3 * combined stderr + tol.  Terms sharing a

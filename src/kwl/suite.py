@@ -18,38 +18,40 @@ import numpy as np
 
 from . import forms, operators, stokes
 from .forms import ANGLE, LOG
-from .graphs import canonical_key, encode_graph, enumerate_graphs, make_graph, parse_graph
+from .graphs import (TYPE_I, canonical_key, encode_graph, enumerate_graphs, make_graph,
+                     parse_graph)
 from .halfplane import (NestedFamily, chart_membership, degenerating_family,
                         gcd_families, make_configuration, torus_rotate)
-from .graphs import TYPE_I
-from .operators import bivector, check_associativity, check_globalization, star_product
-from .stokes import counterterm_probe, verify_identity
-from .weights import cached_weight, compute_weight, detect_vanishing_pattern
+from .operators import (CONTOUR_TOL, STAR_TOL, bivector, check_associativity,
+                        check_globalization, contour_check, star_product)
+from .stokes import IDENTITY_TOL, PROBE_TOL, counterterm_probe, verify_identity
+from .weights import (VANISHING_TOL, check_tol, compute_weight, detect_vanishing_pattern,
+                      vanishing_check)
+
+#: the smallest budget; the property and determinism checks always draw it
+MIN_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """``samples`` is the budget of the wedge, vanishing, contour and star
+    checks; the identity check takes a tenth of it and globalization a
+    fifth, neither below ``MIN_SAMPLES``."""
+
     seed: int = 2024
     threads: Optional[int] = None
     out_dir: str = "suite-out"
     tolerance: Optional[float] = None  # overrides residual thresholds when set
-    wedge_samples: int = 1_000_000
-    vanishing_samples: int = 1_000_000
-    contour_samples: int = 1_000_000
-    identity_samples: int = 100_000
-    star_samples: int = 1_000_000
-    globalization_samples: int = 200_000
-    property_draws: int = 10_000
-    determinism_samples: int = 10_000
+    samples: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("wedge_samples", "vanishing_samples", "contour_samples",
-                     "identity_samples", "star_samples", "globalization_samples",
-                     "property_draws", "determinism_samples"):
-            if getattr(self, name) < 10_000:
-                raise ValueError(f"{name} must be at least 10^4")
-        if self.tolerance is not None and self.tolerance < 0:
-            raise ValueError("tolerance override must be nonnegative")
+        if self.samples < MIN_SAMPLES:
+            raise ValueError("samples must be at least 10^4")
+        if self.tolerance is not None:
+            check_tol(self.tolerance)
+
+
+_KEYS = {"seed": int, "threads": int, "out_dir": str, "tolerance": float, "samples": int}
 
 
 def load_config(path: str) -> SuiteConfig:
@@ -64,16 +66,9 @@ def load_config(path: str) -> SuiteConfig:
                 raise ValueError(f"line {lineno}: expected 'key = value'")
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key == "out_dir":
-                values[key] = raw
-            elif key == "tolerance":
-                values[key] = float(raw)
-            elif key == "threads":
-                values[key] = int(raw)
-            elif key in SuiteConfig.__dataclass_fields__:
-                values[key] = int(raw)
-            else:
+            if key not in _KEYS:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
+            values[key] = _KEYS[key](raw)
     return SuiteConfig(**values)
 
 
@@ -92,7 +87,7 @@ def _c(z: complex) -> List[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _residual_tol(cfg: SuiteConfig, default: float) -> float:
+def _tol(cfg: SuiteConfig, default: float) -> float:
     return default if cfg.tolerance is None else cfg.tolerance
 
 
@@ -102,9 +97,9 @@ def _residual_tol(cfg: SuiteConfig, default: float) -> float:
 
 def check_wedge_weight(cfg: SuiteConfig) -> CheckResult:
     wedge = make_graph(1, 2, [(0, 1), (0, 2)])
-    ang = compute_weight(wedge, ANGLE, cfg.wedge_samples, cfg.seed, cfg.threads)
-    log = compute_weight(wedge, LOG, cfg.wedge_samples, cfg.seed, cfg.threads)
-    tol = max(0.005, 3.0 * ang.stderr)
+    ang = compute_weight(wedge, ANGLE, cfg.samples, cfg.seed, cfg.threads)
+    log = compute_weight(wedge, LOG, cfg.samples, cfg.seed, cfg.threads)
+    tol = max(VANISHING_TOL, 3.0 * ang.stderr)
     ok_angle = abs(ang.value - 0.5) <= tol
     ok_log = abs(log.value - ang.value) <= 3.0 * (ang.stderr + log.stderr) + 1e-12
     return CheckResult("wedge_weight", ok_angle and ok_log, {
@@ -137,12 +132,10 @@ def check_structural_vanishing(cfg: SuiteConfig) -> CheckResult:
     rows = []
     ok = True
     for g in _canonical_top_graphs():
-        pattern = detect_vanishing_pattern(g)
-        if pattern is None:
+        if detect_vanishing_pattern(g) is None:
             continue
-        est = cached_weight(g, LOG, cfg.vanishing_samples, cfg.seed, cfg.threads)
-        bound = max(_residual_tol(cfg, 5e-3), 3.0 * est.stderr)
-        good = abs(est.value) < bound
+        good, est, pattern, bound = vanishing_check(
+            g, LOG, cfg.samples, cfg.seed, tol=_tol(cfg, VANISHING_TOL), threads=cfg.threads)
         ok = ok and good
         rows.append({"graph": encode_graph(g), "pattern": pattern,
                      "value": _c(est.value), "stderr": est.stderr,
@@ -162,9 +155,8 @@ def check_contour_identity(cfg: SuiteConfig) -> CheckResult:
     for _ in range(5):
         u = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
         v = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
-        val, err, ns = operators.one_in_one_out_integral(
-            u, v, cfg.contour_samples, cfg.seed, cfg.threads)
-        good = abs(val) < max(_residual_tol(cfg, 1e-2), 3.0 * err)
+        good, val, err, ns = contour_check(u, v, cfg.samples, cfg.seed,
+                                           tol=_tol(cfg, CONTOUR_TOL), threads=cfg.threads)
         ok = ok and good
         rows.append({"u": _c(u), "v": _c(v), "value": _c(val),
                      "stderr": err, "passed": good, "samples": ns})
@@ -187,13 +179,13 @@ def _identity_graphs(max_vertices: int = 4):
 
 
 def check_stokes_identities(cfg: SuiteConfig) -> CheckResult:
-    tol = _residual_tol(cfg, 1e-3)
+    tol = _tol(cfg, IDENTITY_TOL)
     counts = {ANGLE: 0, LOG: 0}
     failures = []
     worst = {"residual": 0.0}
     for kind in (ANGLE, LOG):
         for g in _identity_graphs():
-            rep = verify_identity(g, kind, cfg.identity_samples, cfg.seed,
+            rep = verify_identity(g, kind, max(cfg.samples // 10, MIN_SAMPLES), cfg.seed,
                                   tol=tol, threads=cfg.threads)
             counts[kind] += 1
             if abs(rep.residual) > worst["residual"]:
@@ -217,7 +209,7 @@ def check_stokes_identities(cfg: SuiteConfig) -> CheckResult:
 
 
 def check_counterterm(cfg: SuiteConfig) -> CheckResult:
-    tol = _residual_tol(cfg, 1e-3)
+    tol = _tol(cfg, PROBE_TOL)
     rows = []
     ok = True
 
@@ -318,7 +310,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
     ok = True
 
     pi = bivector(2, [(0, 1, (0, 0), 1)])
-    star = star_product(pi, 2, ANGLE, cfg.star_samples, cfg.seed, cfg.threads)
+    star = star_product(pi, 2, ANGLE, cfg.samples, cfg.seed, cfg.threads)
     x = {(1, 0): Fraction(1)}
     y = {(0, 1): Fraction(1)}
 
@@ -327,7 +319,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
     yx = star.multiply(y, x)
     comm1 = p_sub(xy[1], yx[1])
     sigma1 = star.errs[1].apply([{(1, 0): 1.0}, {(0, 1): 1.0}])
-    tol1 = 3.0 * 2.0 * p_max_abs(sigma1) + _residual_tol(cfg, 1e-3)
+    tol1 = 3.0 * 2.0 * p_max_abs(sigma1) + _tol(cfg, STAR_TOL)
     dev1 = p_max_abs(p_sub(comm1, {(0, 0): 1.0}))
     comm_ok = dev1 <= tol1 and p_max_abs(xy[2]) <= tol1
     ok = ok and comm_ok
@@ -345,7 +337,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
             dev = p_max_abs(p_sub(got, want))
             fa = operators.p_abs(f); ga = operators.p_abs(g)
             noise = p_max_abs(star.errs[2].apply([fa, ga]))
-            tol = 3.0 * noise + _residual_tol(cfg, 1e-3)
+            tol = 3.0 * noise + _tol(cfg, STAR_TOL)
             if dev > worst:
                 worst, worst_tol = dev, tol
             if dev > tol:
@@ -354,7 +346,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
 
     # associativity for the linear bivector x dx^dy on low-degree monomials
     pil = bivector(2, [(0, 1, (1, 0), 1)])
-    starl = star_product(pil, 2, ANGLE, cfg.star_samples, cfg.seed, cfg.threads)
+    starl = star_product(pil, 2, ANGLE, cfg.samples, cfg.seed, cfg.threads)
     monos = [{(1, 0): Fraction(1)}, {(0, 1): Fraction(1)},
              {(2, 0): Fraction(1)}, {(1, 1): Fraction(1)}, {(0, 2): Fraction(1)}]
     worst_assoc = 0.0
@@ -363,8 +355,8 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
         for g in monos:
             for h in monos:
                 rep = check_associativity(pil, f, g, h, 2, ANGLE,
-                                          cfg.star_samples, cfg.seed,
-                                          tol=_residual_tol(cfg, 1e-3),
+                                          cfg.samples, cfg.seed,
+                                          tol=_tol(cfg, STAR_TOL),
                                           threads=cfg.threads, star=starl)
                 worst_assoc = max(worst_assoc, max(rep.residuals))
                 assoc_ok = assoc_ok and rep.passed
@@ -379,10 +371,9 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
 
 
 def check_globalization_suite(cfg: SuiteConfig) -> CheckResult:
-    rep = check_globalization(LOG, cfg.globalization_samples, cfg.seed,
-                              threads=cfg.threads)
-    rep_angle = check_globalization(ANGLE, cfg.globalization_samples, cfg.seed,
-                                    threads=cfg.threads, contour_pairs=2)
+    samples = max(cfg.samples // 5, MIN_SAMPLES)
+    rep = check_globalization(LOG, samples, cfg.seed, threads=cfg.threads)
+    rep_angle = check_globalization(ANGLE, samples, cfg.seed, threads=cfg.threads)
     det = {
         "log": {
             "vector_pair": [{"graph": g, "pattern": p, "value": _c(v),
@@ -425,7 +416,6 @@ def _random_family_draw(rng) -> Tuple:
 
 def check_config_properties(cfg: SuiteConfig) -> CheckResult:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 9]))
-    draws = cfg.property_draws
     details: dict = {}
     ok = True
 
@@ -441,7 +431,7 @@ def check_config_properties(cfg: SuiteConfig) -> CheckResult:
     cont_viol = 0
     cont_hits = 0
     empty_viol = 0
-    for _ in range(draws):
+    for _ in range(MIN_SAMPLES):
         c = _random_family_draw(rng)
         in_i = chart_membership(c, fam_i, 0.01)
         in_j = chart_membership(c, fam_j, 0.01)
@@ -482,14 +472,14 @@ def check_config_properties(cfg: SuiteConfig) -> CheckResult:
 
 def check_determinism(cfg: SuiteConfig) -> CheckResult:
     wedge = make_graph(1, 2, [(0, 1), (0, 2)])
-    a = compute_weight(wedge, ANGLE, cfg.determinism_samples, cfg.seed, threads=4)
-    b = compute_weight(wedge, ANGLE, cfg.determinism_samples, cfg.seed, threads=1)
+    a = compute_weight(wedge, ANGLE, MIN_SAMPLES, cfg.seed, threads=4)
+    b = compute_weight(wedge, ANGLE, MIN_SAMPLES, cfg.seed, threads=1)
     same = (json.dumps(a.to_json_dict(), sort_keys=True)
             == json.dumps(b.to_json_dict(), sort_keys=True))
 
-    coarse = compute_weight(wedge, ANGLE, max(cfg.wedge_samples // 4, 10_000),
+    coarse = compute_weight(wedge, ANGLE, max(cfg.samples // 4, MIN_SAMPLES),
                             cfg.seed, cfg.threads)
-    fine = compute_weight(wedge, ANGLE, cfg.wedge_samples, cfg.seed, cfg.threads)
+    fine = compute_weight(wedge, ANGLE, cfg.samples, cfg.seed, cfg.threads)
     scaling_ok = fine.stderr <= 0.6 * coarse.stderr
     return CheckResult("determinism", same and scaling_ok, {
         "bit_identical": same,

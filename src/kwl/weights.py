@@ -32,6 +32,9 @@ COLLISION_EPS = 1e-12
 # depend on it.  A chunk of 6 x 6 complex matrices is 2.4 MB; chunks of
 # 1k-16k rows ran at about the same speed, whole 65,536-row batches slower
 CHUNK_ROWS = 4096
+#: absolute floor of the bound on a measured weight's distance from its
+#: exact value (zero for the vanishing patterns)
+VANISHING_TOL = 5e-3
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class WeightEstimate:
 def default_threads() -> int:
     env = os.environ.get("KWL_THREADS")
     if env:
-        return max(1, int(env))
+        return int(env)
     return min(4, os.cpu_count() or 1)
 
 
@@ -138,6 +141,8 @@ def _qmc_batches(func, dim: int, samples: int, seed: int,
         return complex(np.mean(vals)), rejected
 
     nthreads = threads if threads is not None else default_threads()
+    if nthreads < 1:
+        raise ValueError(f"thread count must be at least 1, got {nthreads}")
     if nthreads > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as ex:
             futs = [ex.submit(one, b) for b in range(BATCHES)]
@@ -272,16 +277,17 @@ def detect_vanishing_pattern(g: Graph) -> Optional[str]:
 
 
 def vanishing_check(g: Graph, kind: str, samples: int, seed: int,
-                    tol: float = 5e-3, threads: Optional[int] = None):
+                    tol: float = VANISHING_TOL, threads: Optional[int] = None):
     """Measure the weight of a pattern-bearing graph and test it against 0.
 
-    Returns (passed, estimate, pattern).  Raises when no structural pattern
-    is present.
+    Returns (passed, estimate, pattern, bound); it passes when |value| <
+    bound = max(tol, 3 stderr).  Raises when no structural pattern is
+    present.
     """
     check_tol(tol)
     pattern = detect_vanishing_pattern(g)
     if pattern is None:
         raise ValueError("graph exhibits none of the structural vanishing patterns")
     est = cached_weight(g, kind, samples, seed, threads)
-    ok = abs(est.value) < max(tol, 3.0 * est.stderr)
-    return ok, est, pattern
+    bound = max(tol, 3.0 * est.stderr)
+    return abs(est.value) < bound, est, pattern, bound

@@ -1,10 +1,15 @@
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from kwl.cli import main
+from kwl import suite
+from kwl.cli import build_parser, main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, capsys):
@@ -53,7 +58,10 @@ def test_weight_parse_failure_exit_2(capsys):
 
 
 def assert_usage_error(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
@@ -61,9 +69,23 @@ def assert_usage_error(args, capsys):
     return err
 
 
+def test_argparse_usage_errors_one_line(capsys):
+    wedge = ["weight", "--graph", "1 2 ; a1>g1 a1>g2"]
+    assert "--bogus" in assert_usage_error(wedge + ["--bogus"], capsys)
+    assert "--kind" in assert_usage_error(wedge + ["--kind", "angel"], capsys)
+    assert "--seed" in assert_usage_error(wedge + ["--seed", "1.5"], capsys)
+    assert_usage_error(["weight"], capsys)
+    assert_usage_error([], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["weight", "--help"])
+    assert exc.value.code == 0
+    assert "--samples" in capsys.readouterr().out
+
+
 def test_weight_bad_budget_or_seed_exit_2(capsys):
     wedge = ["weight", "--graph", "1 2 ; a1>g1 a1>g2"]
-    for extra in (["--samples", "0"], ["--samples", "-5"], ["--seed", "-1"]):
+    for extra in (["--samples", "0"], ["--samples", "-5"], ["--seed", "-1"],
+                  ["--threads", "0"], ["--threads", "-3"]):
         assert_usage_error(wedge + extra, capsys)
     # exact zero (degree mismatch) and exact one (empty graph) check the budget too
     assert_usage_error(["weight", "--graph", "1 2 ; a1>g1", "--samples", "0"], capsys)
@@ -214,14 +236,7 @@ def test_suite_reduced_config_runs_and_is_deterministic(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text(
         "seed = 11\n"
-        "wedge_samples = 40000\n"
-        "vanishing_samples = 10000\n"
-        "contour_samples = 10000\n"
-        "identity_samples = 10000\n"
-        "star_samples = 20000\n"
-        "globalization_samples = 10000\n"
-        "property_draws = 10000\n"
-        "determinism_samples = 10000\n"
+        "samples = 10000\n"
         f"out_dir = {tmp_path}/out1\n"
     )
     code1, _ = run_cli(["suite", "--config", str(cfg)], capsys)
@@ -242,12 +257,7 @@ def test_suite_zero_tolerance_fails_identity_checks(tmp_path, capsys):
     cfg = tmp_path / "strict.cfg"
     cfg.write_text(
         "tolerance = 0\n"
-        "wedge_samples = 10000\n"
-        "vanishing_samples = 10000\n"
-        "contour_samples = 10000\n"
-        "identity_samples = 10000\n"
-        "star_samples = 10000\n"
-        "globalization_samples = 10000\n"
+        "samples = 10000\n"
         f"out_dir = {tmp_path}/out\n"
     )
     code, out = run_cli(["suite", "--config", str(cfg)], capsys)
@@ -257,9 +267,46 @@ def test_suite_zero_tolerance_fails_identity_checks(tmp_path, capsys):
 
 def test_suite_rejects_small_budgets(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("wedge_samples = 10\n")
+    cfg.write_text("samples = 10\n")
     code, _ = run_cli(["suite", "--config", str(cfg)], capsys)
     assert code == 2
+
+
+def test_suite_rejects_removed_budget_keys(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("seed = 3\nwedge_samples = 40000\n")
+    err = assert_usage_error(["suite", "--config", str(cfg)], capsys)
+    assert "wedge_samples" in err
+
+
+@pytest.mark.parametrize("line, word", [
+    ("tolerance = nan", "tolerance"), ("tolerance = inf", "tolerance"),
+    ("tolerance = -1", "tolerance"), ("threads = 0", "thread count")])
+def test_suite_rejects_bad_tolerance_or_threads_before_any_report(line, word, tmp_path,
+                                                                  capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\nout_dir = {tmp_path}/out\n")
+    err = assert_usage_error(["suite", "--config", str(cfg)], capsys)
+    assert word in err
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
+def _readme_block(heading):
+    text = README.read_text()
+    return text.split(heading, 1)[1].split("```", 2)[1]
+
+
+def test_readme_commands_and_suite_config_parse(tmp_path):
+    commands = _readme_block("## Command line").replace("\\\n", " ").strip().splitlines()
+    parser = build_parser()
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "kwl"
+        parser.parse_args(argv[1:])
+    assert len(commands) == 9
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(_readme_block("## The verification suite"))
+    assert suite.load_config(str(cfg)) == suite.SuiteConfig()
 
 
 def test_console_entry_point():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kwl.graphs import TYPE_I, TYPE_II, collapse_layout
-from kwl.halfplane import (Configuration, NestedFamily, center_of_mass,
+from kwl.halfplane import (NestedFamily, center_of_mass,
                            chart_membership, cluster_coordinates, collapse_cluster,
                            config_from_coords, coords_of_config,
                            degenerating_family, gauge_dim, gauge_frame,
@@ -309,12 +309,6 @@ def test_shape_normalization_enforced():
     outer = make_configuration([2j], [0.0, 1.0])
     with pytest.raises(ValueError, match="shape"):
         degenerating_family(outer, [0, 1], (1.0, -0.5), 0.01)
-
-
-def test_configuration_json_round_trip():
-    cfg = make_configuration([0.25 + 1.5j], [0.0, 1.0, 2.5])
-    back = Configuration.from_json(cfg.to_json())
-    assert back == cfg
 
 
 def test_make_configuration_validation():

@@ -113,6 +113,17 @@ def test_negative_seed_rejected():
         compute_weight(WEDGE, ANGLE, 10, -1)
 
 
+def test_thread_count_below_one_rejected(monkeypatch):
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="thread count"):
+            compute_weight(WEDGE, ANGLE, 10, 1, threads=threads)
+        with pytest.raises(ValueError, match="thread count"):
+            qmc_mean(lambda U: np.ones(len(U)), 2, 100, 1, threads=threads)
+    monkeypatch.setenv("KWL_THREADS", "0")
+    with pytest.raises(ValueError, match="thread count"):
+        compute_weight(WEDGE, ANGLE, 10, 1)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         compute_weight(WEDGE, "harmonic", 10, 1)
@@ -213,15 +224,16 @@ def test_pattern_detection():
 
 
 def test_vanishing_check_examples():
-    ok, est, pattern = vanishing_check(
+    ok, est, pattern, bound = vanishing_check(
         parse_graph("2 1 ; a1>a2 a2>a1 a1>g1"), LOG, 10 ** 5, 3)
     assert ok and pattern == ONE_IN_ONE_OUT
+    assert bound == max(5e-3, 3.0 * est.stderr) and abs(est.value) < bound
 
-    ok, est, pattern = vanishing_check(
+    ok, est, pattern, bound = vanishing_check(
         parse_graph("2 2 ; a1>a2 a1>g1 a1>g2"), LOG, 10 ** 5, 3)
     assert ok and pattern == UNIVALENT
 
-    ok, est, pattern = vanishing_check(
+    ok, est, pattern, bound = vanishing_check(
         parse_graph("2 2 ; a1>a2 a1>g1 a1>g2"), ANGLE, 10 ** 5, 3)
     assert ok  # degree-based vanishing holds for the angle propagator too
 
