@@ -18,8 +18,7 @@ from .halfplane import (Configuration, make_configuration, center_of_mass,
                         chart_membership, gcd_families, torus_rotate,
                         degenerating_family, cluster_coordinates)
 from .forms import (ANGLE, LOG, edge_function, pairing_matrices, pairing_scale,
-                    integrand, contracted_integrand,
-                    restricted_contracted_integrand)
+                    integrand, contracted_integrand)
 from .weights import (WeightEstimate, compute_weight, cached_weight, qmc_mean,
                       vanishing_check, detect_vanishing_pattern)
 from .stokes import (BoundaryStratum, IdentityReport, CountertermReport,

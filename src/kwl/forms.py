@@ -101,11 +101,11 @@ def _frame_integrand(g: Graph, kind: str, cfg: Configuration,
     return complex(det * pairing_scale(kind, len(g.edges)))
 
 
-def _check_degree(g: Graph, kind: str, codim: int = 0) -> None:
+def _check_degree(g: Graph, kind: str) -> None:
     check_kind(kind)
     d = gauge_dim(g.n, g.m)
-    if len(g.edges) != d - codim:
-        raise ValueError(f"graph has {len(g.edges)} edges but needs {d - codim}"
+    if len(g.edges) != d:
+        raise ValueError(f"graph has {len(g.edges)} edges but needs {d}"
                          f" on a slice of dimension {d}")
 
 
@@ -181,28 +181,22 @@ def cluster_frames(cfg: Configuration, subset) -> List[Velocity]:
 def contracted_integrand(g: Graph, kind: str, cfg: Configuration, subset) -> complex:
     """Rotation-contracted integrand near a cluster collapse.
 
-    Evaluates the top-degree form on the boundary-adapted frame whose first
-    vector is the cluster rotation generator; the remaining vectors are the
-    chart directions (radial, shape, outer slice).  Along a degenerating
-    family the log value converges as the scale tends to zero, and its
-    magnitude doubles as the chart-coefficient boundedness probe.
+    At top degree the form is evaluated on the boundary-adapted frame:
+    cluster rotation, radial, shape and outer slice directions.  Along a
+    degenerating family the log value converges as the scale tends to
+    zero, and its magnitude doubles as the chart-coefficient boundedness
+    probe.  One degree lower the radial direction is dropped, so the edges
+    pair with stratum-tangent directions only; with a single-edge cluster
+    the values converge to ``1/(2 pi)`` times the contracted graph's
+    integrand at the collapsed configuration, up to the edge-reordering
+    sign.
     """
-    _check_degree(g, kind)
-    return _frame_integrand(g, kind, cfg, cluster_frames(cfg, subset))
-
-
-def restricted_contracted_integrand(g: Graph, kind: str, cfg: Configuration,
-                                    subset) -> complex:
-    """Rotation-contracted form evaluated on stratum-tangent directions only.
-
-    For a graph with one edge less than the slice dimension this pairs the
-    edges with the cluster rotation, the non-rotation shape directions and
-    the transported outer slice frame (no radial direction).  Along a
-    degenerating family with a single-edge cluster the values converge to
-    ``1/(2 pi)`` times the contracted graph's integrand at the collapsed
-    configuration, up to the edge-reordering sign.
-    """
-    _check_degree(g, kind, codim=1)
+    check_kind(kind)
+    d = gauge_dim(g.n, g.m)
+    if len(g.edges) not in (d, d - 1):
+        raise ValueError(f"graph degree {len(g.edges)} must be the slice dimension"
+                         f" {d} or one less")
     columns = cluster_frames(cfg, subset)
-    del columns[1]  # drop the radial direction; keep rotation, shape, outer
+    if len(g.edges) < d:
+        del columns[1]  # the radial direction
     return _frame_integrand(g, kind, cfg, columns)

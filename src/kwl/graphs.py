@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
@@ -47,30 +47,6 @@ class Graph:
 
     def __str__(self) -> str:
         return encode_graph(self)
-
-
-@dataclass(frozen=True)
-class Contraction:
-    """Split of a graph along a collapsing vertex subset.
-
-    ``inner`` lives on the collapsed subset, ``outer`` on the remaining
-    vertices plus one fresh vertex.  ``fault`` is the first reason the
-    outer edge list is inadmissible (a stratum contributing a zero
-    operator), or None.
-    """
-
-    inner: Graph
-    outer: Graph
-    subset: frozenset
-    kind: str  # TYPE_I or TYPE_II
-    new_vertex: int  # index of the collapsed vertex inside ``outer``
-    vertex_map: Tuple[int, ...]  # original vertex -> outer vertex (new_vertex for members of subset)
-    inner_index: Tuple[int, ...] = field(default=())  # original vertex -> inner vertex, -1 outside
-    fault: Optional[str] = None
-
-    @property
-    def outer_ok(self) -> bool:
-        return self.fault is None
 
 
 def edge_fault(n: int, m: int, edges: Sequence[Edge]) -> Optional[str]:
@@ -165,13 +141,16 @@ class CollapseLayout(NamedTuple):
     ``vertex_map`` sends each original vertex to its outer vertex
     (``new_vertex`` for members of the subset), ``inner_index`` each member
     to its inner vertex (members in index order; -1 for non-members).  The
-    outer factor has ``outer_n`` aerial and ``outer_m`` ground vertices.
+    inner factor has ``inner_n`` aerial and ``inner_m`` ground vertices, the
+    outer factor ``outer_n`` and ``outer_m``.
     """
 
     n: int
     new_vertex: int
     vertex_map: Tuple[int, ...]
     inner_index: Tuple[int, ...]
+    inner_n: int
+    inner_m: int
     outer_n: int
     outer_m: int
 
@@ -207,35 +186,51 @@ def collapse_layout(n: int, m: int, subset, kind: str,
         vertex_map[v] = i + (i >= new_vertex)
     fresh_aerial = kind == TYPE_I
     return CollapseLayout(n, new_vertex, tuple(vertex_map), tuple(inner_index),
-                          n - num_aer + fresh_aerial,
+                          num_aer, len(members) - num_aer, n - num_aer + fresh_aerial,
                           m - len(members) + num_aer + (not fresh_aerial))
 
 
-def contract(g: Graph, subset, kind: str = TYPE_I,
-             position: Optional[int] = None) -> Contraction:
-    """Collapse ``subset`` to a single vertex placed by :func:`collapse_layout`.
+@dataclass(frozen=True)
+class Contraction:
+    """Split of a graph's edges along a :class:`CollapseLayout`.
 
-    Type I collapses a set of >= 2 aerial vertices to a fresh aerial vertex.
-    Type II collapses aerial vertices plus a gap-free run of ground vertices
-    onto a fresh ground vertex; when the subset has no ground member,
-    ``position`` picks the gap where the fresh vertex lands.
-
-    Edges inside the subset go to ``inner`` (original relative order), the
-    rest to ``outer`` with endpoints redirected.  An inadmissible outer edge
-    list is recorded in ``fault``, not rejected.
+    ``inner`` lives on the collapsed subset, ``outer`` on the remaining
+    vertices plus one fresh vertex.  ``fault`` is the first reason the
+    outer edge list is inadmissible (a stratum contributing a zero
+    operator), or None.
     """
-    B = frozenset(subset)
-    lay = collapse_layout(g.n, g.m, B, kind, position)
-    idx, vmap = lay.inner_index, lay.vertex_map
-    inner_n = sum(1 for v in B if v < g.n)
-    inner_edges = tuple((idx[s], idx[t]) for s, t in g.edges if s in B and t in B)
-    outer_edges = tuple((vmap[s], vmap[t]) for s, t in g.edges
-                        if not (s in B and t in B))
-    return Contraction(inner=Graph(inner_n, len(B) - inner_n, inner_edges),
-                       outer=Graph(lay.outer_n, lay.outer_m, outer_edges),
-                       subset=B, kind=kind, new_vertex=lay.new_vertex,
-                       vertex_map=vmap, inner_index=idx,
-                       fault=edge_fault(lay.outer_n, lay.outer_m, outer_edges))
+
+    inner: Graph
+    outer: Graph
+    fault: Optional[str]
+    layout: CollapseLayout
+
+    @property
+    def outer_ok(self) -> bool:
+        return self.fault is None
+
+
+def contract(g: Graph, layout: CollapseLayout) -> Contraction:
+    """Split ``g``'s edges along a collapse placed by :func:`collapse_layout`.
+
+    Edges inside the collapsing subset go to ``inner`` (original relative
+    order, endpoints through ``inner_index``), the rest to ``outer`` with
+    endpoints through ``vertex_map``.  An inadmissible outer edge list is
+    recorded in ``fault``, not rejected.
+    """
+    idx, vmap = layout.inner_index, layout.vertex_map
+    if (g.n, g.num_vertices) != (layout.n, len(idx)):
+        raise ValueError(f"layout does not fit a graph on {g.n}+{g.m} vertices")
+    inner_edges, outer_edges = [], []
+    for s, t in g.edges:
+        if idx[s] >= 0 and idx[t] >= 0:
+            inner_edges.append((idx[s], idx[t]))
+        else:
+            outer_edges.append((vmap[s], vmap[t]))
+    outer_edges = tuple(outer_edges)
+    return Contraction(Graph(layout.inner_n, layout.inner_m, tuple(inner_edges)),
+                       Graph(layout.outer_n, layout.outer_m, outer_edges),
+                       edge_fault(layout.outer_n, layout.outer_m, outer_edges), layout)
 
 
 def edge_sort_parity(seq: Sequence) -> int:

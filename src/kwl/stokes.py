@@ -30,11 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import forms
 from .forms import contracted_integrand, integrand
 from .graphs import (Contraction, Graph, TYPE_I, TYPE_II, canonical_key,
-                     collapse_fault, collapse_layout, contract,
-                     edge_sort_parity, encode_graph)
+                     collapse_layout, contract, edge_sort_parity, encode_graph)
 from .halfplane import (coords_of_config, config_from_coords,
                         degenerating_family, expand_cluster, gauge_dim,
                         regauge, sample_configuration, slice_columns)
@@ -66,54 +64,62 @@ class BoundaryStratum:
         return f"{self.kind}{{{names}}}{pos}:{self.rule}"
 
 
-def _ground_runs(n: int, m: int) -> List[Tuple[int, ...]]:
-    runs = []
-    for a in range(m):
-        for b in range(a, m):
-            runs.append(tuple(range(n + a, n + b + 1)))
-    return runs
+#: each slice's stratum table under (n, m), each stratum's orientation sign
+#: under (n, m, kind, subset, position)
+_orient_cache: Dict[tuple, object] = {}
+_orient_lock = threading.Lock()
+
+
+def _strata_table(n: int, m: int) -> List[tuple]:
+    """Every codimension-one stratum of the (n, m) slice, in report order,
+    as ``(subset, kind, position, layout)``.
+
+    Candidates are the aerial subsets of size >= 2 (type I), then for each
+    aerial subset ``P``: ``P`` at every ground gap and ``P`` plus every
+    gap-free ground run (type II).  :func:`collapse_layout` applies the
+    collapse rule once per candidate and places the survivors.
+    """
+    runs = [tuple(range(n + a, n + b + 1)) for a in range(m) for b in range(a, m)]
+    cands = [(B, TYPE_I, None) for size in range(2, n + 1)
+             for B in itertools.combinations(range(n), size)]
+    for psize in range(n + 1):
+        for P in itertools.combinations(range(n), psize):
+            cands.extend((P, TYPE_II, pos) for pos in range(m + 1))
+            cands.extend((P + run, TYPE_II, None) for run in runs)
+    table = []
+    for S, kind, pos in cands:
+        try:
+            layout = collapse_layout(n, m, S, kind, pos)
+        except ValueError:  # the collapse rule rejects the candidate
+            continue
+        table.append((frozenset(S), kind, pos, layout))
+    return table
 
 
 def boundary_strata(g: Graph) -> List[BoundaryStratum]:
     """All codimension-one strata of the configuration space of ``g``.
 
     Requires the identity degree (one edge less than the slice dimension).
+    The strata come from the (n, m) slice's table, built once per slice
+    and kept in ``_orient_cache``; the graph only splits its edges.
     """
     d = 2 * g.n + g.m - 2
     if len(g.edges) != d - 1:
         raise ValueError("boundary analysis needs edge count = slice dimension - 1")
+    with _orient_lock:
+        if (g.n, g.m) not in _orient_cache:
+            _orient_cache[g.n, g.m] = _strata_table(g.n, g.m)
+        table = _orient_cache[g.n, g.m]
     out: List[BoundaryStratum] = []
-
-    # interior collapses: aerial subsets of size >= 2
-    aerials = list(range(g.n))
-    for size in range(2, g.n + 1):
-        for combo in itertools.combinations(aerials, size):
-            B = frozenset(combo)
-            con = contract(g, B, TYPE_I)
-            if size > 2:
-                rule = MULTI_POINT_I
-            elif not con.outer_ok:
-                rule = ZERO_BY_FLAG
-            else:
-                rule = TWO_POINT_I
-            out.append(BoundaryStratum(B, TYPE_I, None, con, rule))
-
-    # collapses onto the real line: aerial subset plus a gap-free ground run
-    for psize in range(0, g.n + 1):
-        for pcombo in itertools.combinations(aerials, psize):
-            P = frozenset(pcombo)
-            if collapse_fault(g.n, g.m, P, TYPE_II) is None:
-                for pos in range(g.m + 1):
-                    con = contract(g, P, TYPE_II, position=pos)
-                    rule = TYPE_II_PRODUCT if con.outer_ok else ZERO_BY_FLAG
-                    out.append(BoundaryStratum(P, TYPE_II, pos, con, rule))
-            for run in _ground_runs(g.n, g.m):
-                S = P | set(run)
-                if collapse_fault(g.n, g.m, S, TYPE_II):
-                    continue
-                con = contract(g, S, TYPE_II)
-                rule = TYPE_II_PRODUCT if con.outer_ok else ZERO_BY_FLAG
-                out.append(BoundaryStratum(frozenset(S), TYPE_II, None, con, rule))
+    for S, kind, pos, layout in table:
+        con = contract(g, layout)
+        if kind == TYPE_I and len(S) > 2:
+            rule = MULTI_POINT_I
+        elif not con.outer_ok:
+            rule = ZERO_BY_FLAG
+        else:
+            rule = TWO_POINT_I if kind == TYPE_I else TYPE_II_PRODUCT
+        out.append(BoundaryStratum(S, kind, pos, con, rule))
     return out
 
 
@@ -127,41 +133,34 @@ def shuffle_sign(g: Graph, subset) -> int:
 # stratum chart maps and orientation signs
 
 
-def _chart_map(n: int, m: int, stratum: BoundaryStratum):
+def _chart_map(stratum: BoundaryStratum):
     """Map (r, inner coords, outer coords) -> full slice coordinates.
 
     The inner and outer coordinates are the standard slice coordinates of
     the factor configuration spaces; for an interior two-point collapse the
     inner coordinate is the rotation angle of the pair.
     """
-    inner, outer = stratum.contraction.inner, stratum.contraction.outer
-    d_out = gauge_dim(outer.n, outer.m)
+    layout = stratum.contraction.layout
     if stratum.kind == TYPE_I:
         if len(stratum.subset) != 2:
             raise ValueError("chart map only needed for two-point interior collapses")
         d_in = 1
     else:
-        d_in = gauge_dim(inner.n, inner.m)
-
-    layout = collapse_layout(n, m, stratum.subset, stratum.kind, stratum.position)
+        d_in = gauge_dim(layout.inner_n, layout.inner_m)
 
     def phi(x: np.ndarray) -> np.ndarray:
         r = x[0]
         q_in = x[1:1 + d_in]
-        cfg_out = config_from_coords(outer.n, outer.m, x[1 + d_in:])
+        cfg_out = config_from_coords(layout.outer_n, layout.outer_m, x[1 + d_in:])
         if stratum.kind == TYPE_I:
             offs = cmath.exp(1j * q_in[0]) / math.sqrt(2.0)
             w = (offs, -offs)
         else:
-            cfg_in = config_from_coords(inner.n, inner.m, q_in)
-            w = [cfg_in.point(v) for v in range(inner.n + inner.m)]
+            cfg_in = config_from_coords(layout.inner_n, layout.inner_m, q_in)
+            w = [cfg_in.point(v) for v in range(layout.inner_n + layout.inner_m)]
         return coords_of_config(regauge(*expand_cluster(cfg_out, layout, w, r)))
 
-    return phi, d_in, d_out
-
-
-_orient_cache: Dict[tuple, int] = {}
-_orient_lock = threading.Lock()
+    return phi
 
 
 def orientation_sign(n: int, m: int, stratum: BoundaryStratum) -> int:
@@ -176,23 +175,22 @@ def orientation_sign(n: int, m: int, stratum: BoundaryStratum) -> int:
         hit = _orient_cache.get(key)
     if hit is not None:
         return hit
-    phi, d_in, d_out = _chart_map(n, m, stratum)
-    d = 1 + d_in + d_out
+    phi = _chart_map(stratum)
+    layout = stratum.contraction.layout
     signs = []
     stable = [n, m, 1 if stratum.kind == TYPE_II else 0,
               0 if stratum.position is None else stratum.position + 1,
               len(stratum.subset), min(stratum.subset)]
     for attempt in range(6):
         rng = np.random.default_rng(np.random.SeedSequence([101 + attempt] + stable))
-        con = stratum.contraction
-        u_out = rng.uniform(0.3, 0.7, gauge_dim(con.outer.n, con.outer.m))
-        cfg_out, _ = sample_configuration(con.outer.n, con.outer.m, u_out)
+        u_out = rng.uniform(0.3, 0.7, gauge_dim(layout.outer_n, layout.outer_m))
+        cfg_out, _ = sample_configuration(layout.outer_n, layout.outer_m, u_out)
         q_out = coords_of_config(cfg_out)
         if stratum.kind == TYPE_I:
             q_in = np.array([rng.uniform(0.5, 5.5)])
         else:
-            u_in = rng.uniform(0.3, 0.7, gauge_dim(con.inner.n, con.inner.m))
-            cfg_in, _ = sample_configuration(con.inner.n, con.inner.m, u_in)
+            u_in = rng.uniform(0.3, 0.7, gauge_dim(layout.inner_n, layout.inner_m))
+            cfg_in, _ = sample_configuration(layout.inner_n, layout.inner_m, u_in)
             q_in = coords_of_config(cfg_in)
         x0 = np.concatenate([[0.01], q_in, q_out])
         try:
@@ -200,7 +198,9 @@ def orientation_sign(n: int, m: int, stratum: BoundaryStratum) -> int:
         except ValueError:
             continue
         det = float(np.linalg.det(J))
-        if abs(det) > 1e-10:
+        # relative to the column norms: the collapse scale shrinks the inner
+        # columns, so |det| scales like r^d_in
+        if abs(det) > 1e-10 * float(np.prod(np.linalg.norm(J, axis=0))):
             signs.append(1 if det > 0 else -1)
         if len(signs) >= 3:
             break
@@ -396,29 +396,24 @@ def counterterm_probe(g: Graph, subset, kind: str,
                       seed: int = 0) -> CountertermReport:
     """Convergence of the rotation-contracted integrand along a collapse.
 
-    For the top degree the probe value is the collapse-circle average of
-    :func:`kwl.forms.contracted_integrand`; the extrapolated limit is
-    compared against ``1/(2 pi)`` times the outer-graph integrand at the
-    collapsed configuration when the cluster carries a single edge (zero
-    whenever the outer graph is not of top degree on its own slice, which
-    includes every such probe at full degree).  One degree lower the same
-    comparison uses the stratum-restricted evaluation and the outer factor
-    is an honest top-degree integrand.
-
-    For clusters of three or more points the expected limit is zero.
+    The probe value is the collapse-circle average of
+    :func:`kwl.forms.contracted_integrand` at each scale; the scales must
+    decrease by one common ratio, which Richardson extrapolation assumes.
+    The limit is compared against ``1/(2 pi)`` times the outer-graph
+    integrand at the collapsed configuration when the cluster carries a
+    single edge and the outer graph has top degree on its own slice (one
+    degree below the top for ``g``), and against zero otherwise, which
+    includes every cluster of three or more points.
     """
-    if (len(scales) < 2 or len(set(scales)) != len(scales)
-            or not all(math.isfinite(r) and r > 0 for r in scales)):
-        raise ValueError("scales must be at least two distinct positive finite numbers")
+    if len(scales) < 2 or not all(math.isfinite(r) and r > 0 for r in scales):
+        raise ValueError("scales must be at least two positive finite numbers")
+    ratio = scales[0] / scales[1]
+    if not 1.0 < ratio < math.inf or any(abs(a / b - ratio) > 1e-9 * ratio
+                                         for a, b in zip(scales, scales[1:])):
+        raise ValueError("scales must decrease by one common ratio")
     B = sorted(set(subset))
-    con = contract(g, B, TYPE_I)
-    d = gauge_dim(g.n, g.m)
-    top = len(g.edges) == d
-    if not top and len(g.edges) != d - 1:
-        raise ValueError("graph degree must be the slice dimension or one less")
+    con = contract(g, collapse_layout(g.n, g.m, B, TYPE_I))
     outer_cfg, shape = _probe_family(g, B, seed)
-
-    evaluate = contracted_integrand if top else forms.restricted_contracted_integrand
 
     values = []
     for r in scales:
@@ -426,12 +421,12 @@ def counterterm_probe(g: Graph, subset, kind: str,
         for k in range(FIBER_POINTS):
             rot = cmath.exp(2j * math.pi * k / FIBER_POINTS)
             cfg = degenerating_family(outer_cfg, B, [rot * s for s in shape], r)
-            acc += evaluate(g, kind, cfg, B)
+            acc += contracted_integrand(g, kind, cfg, B)
         values.append(acc / FIBER_POINTS)
 
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     cauchy = all(d2 <= d1 * 1.2 + 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
-    limit = richardson_limit(values, ratio=scales[0] / scales[1])
+    limit = richardson_limit(values, ratio=ratio)
 
     expected = 0.0 + 0j
     if len(B) == 2 and len(con.inner.edges) == 1 and con.outer_ok:

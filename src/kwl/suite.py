@@ -68,7 +68,10 @@ def load_config(path: str) -> SuiteConfig:
             key, raw = key.strip(), raw.strip()
             if key not in _KEYS:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
-            values[key] = _KEYS[key](raw)
+            try:
+                values[key] = _KEYS[key](raw)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return SuiteConfig(**values)
 
 

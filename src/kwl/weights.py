@@ -59,7 +59,13 @@ class WeightEstimate:
 def default_threads() -> int:
     env = os.environ.get("KWL_THREADS")
     if env:
-        return int(env)
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"KWL_THREADS must be a thread count of at least 1, got {env!r}")
+        return threads
     return min(4, os.cpu_count() or 1)
 
 

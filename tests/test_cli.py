@@ -230,6 +230,16 @@ def test_counterterm_bad_scales_exit_2(capsys):
     probe = ["counterterm", "--graph", "2 1 ; a1>a2 a1>g1 a2>g1", "--subset", "0,1"]
     for scales in (["1e-2"], ["1e-2", "1e-2"], ["1e-2", "0"]):
         assert_usage_error(probe + ["--scales"] + scales, capsys)
+    # Richardson extrapolation needs one common ratio
+    for scales in (["1e-2", "1e-3", "1e-5"], ["1e-3", "1e-2"]):
+        assert "one common ratio" in assert_usage_error(probe + ["--scales"] + scales, capsys)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_kwl_threads_named_exit_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("KWL_THREADS", value)
+    err = assert_usage_error(["weight", "--graph", "1 2 ; a1>g1 a1>g2"], capsys)
+    assert "KWL_THREADS" in err and repr(value) in err
 
 
 def test_suite_reduced_config_runs_and_is_deterministic(tmp_path, capsys):
@@ -281,9 +291,14 @@ def test_suite_rejects_removed_budget_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("line, word", [
     ("tolerance = nan", "tolerance"), ("tolerance = inf", "tolerance"),
-    ("tolerance = -1", "tolerance"), ("threads = 0", "thread count")])
+    ("tolerance = -1", "tolerance"), ("threads = 0", "thread count"),
+    ("samples = 1e6", "line 1: samples"), ("tolerance = tiny", "line 1: tolerance"),
+    ("KWL_THREADS=abc", "KWL_THREADS"), ("KWL_THREADS=0", "KWL_THREADS")])
 def test_suite_rejects_bad_tolerance_or_threads_before_any_report(line, word, tmp_path,
-                                                                  capsys):
+                                                                  monkeypatch, capsys):
+    if line.startswith("KWL_THREADS="):  # an environment setting, not a config line
+        monkeypatch.setenv("KWL_THREADS", line.split("=", 1)[1])
+        line = ""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\nout_dir = {tmp_path}/out\n")
     err = assert_usage_error(["suite", "--config", str(cfg)], capsys)

@@ -6,8 +6,8 @@ import pytest
 
 from kwl.forms import (ANGLE, LOG, contracted_integrand, edge_function,
                        integrand, pairing_matrices, pairing_scale,
-                       restricted_contracted_integrand, shape_tangent_basis)
-from kwl.graphs import contract, make_graph, parse_graph
+                       shape_tangent_basis)
+from kwl.graphs import TYPE_I, collapse_layout, contract, make_graph, parse_graph
 from kwl.halfplane import (degenerating_family, gauge_dim,
                            make_configuration, sample_configuration)
 
@@ -190,9 +190,9 @@ def test_restricted_contraction_hits_outer_integrand():
     # 1/(2 pi) times the contracted graph's integrand
     g = parse_graph("2 2 ; a1>a2 a1>g1 a2>g2")
     outer = probe_family(1, 2, 9)
-    con = contract(g, {0, 1}, "I")
+    con = contract(g, collapse_layout(2, 2, {0, 1}, TYPE_I))
     s = cmath.exp(1.1j) / math.sqrt(2)
     cfg = degenerating_family(outer, [0, 1], (s, -s), 1e-5)
-    got = restricted_contracted_integrand(g, LOG, cfg, [0, 1])
+    got = contracted_integrand(g, LOG, cfg, [0, 1])
     want = integrand(con.outer, LOG, outer) / (2 * math.pi)
     assert abs(got - want) < 1e-4 * max(1.0, abs(want))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kwl.graphs import (TYPE_I, TYPE_II, canonical_graph, canonical_key,
-                        collapse_fault, contract, encode_graph, enumerate_graphs,
+                        collapse_fault, collapse_layout, contract, encode_graph,
+                        enumerate_graphs,
                         edge_sort_parity, make_graph, parse_graph,
                         possible_edges)
 from kwl.halfplane import NestedFamily
@@ -70,7 +71,7 @@ def test_enumerate_refuses_large():
 
 def test_contract_wedge_type_ii_flags_ground_source():
     wedge = make_graph(1, 2, [(0, 1), (0, 2)])
-    con = contract(wedge, {0, 1}, TYPE_II)
+    con = contract(wedge, collapse_layout(1, 2, {0, 1}, TYPE_II))
     assert con.inner.n == 1 and con.inner.m == 1 and len(con.inner.edges) == 1
     assert con.outer.n == 0 and con.outer.m == 2
     assert not con.outer_ok and "sourced at ground vertex" in con.fault
@@ -78,11 +79,13 @@ def test_contract_wedge_type_ii_flags_ground_source():
 
 def test_contract_type_i_example():
     g = make_graph(2, 1, [(0, 1), (1, 2)])
-    con = contract(g, {0, 1}, TYPE_I)
+    con = contract(g, collapse_layout(2, 1, {0, 1}, TYPE_I))
     assert con.inner.edges == ((0, 1),)
     assert con.outer.n == 1 and con.outer.m == 1
     assert con.outer.edges == ((0, 1),)
     assert con.outer_ok
+    with pytest.raises(ValueError, match="layout"):
+        contract(g, collapse_layout(3, 0, {0, 1}, TYPE_I))
 
 
 def test_contract_edge_additivity_random():
@@ -95,7 +98,7 @@ def test_contract_edge_additivity_random():
             g = graphs[int(rng.integers(len(graphs)))]
             size = int(rng.integers(2, n + 1))
             B = sorted(int(v) for v in rng.choice(n, size=size, replace=False))
-            con = contract(g, B, TYPE_I)
+            con = contract(g, collapse_layout(n, m, B, TYPE_I))
             assert len(con.inner.edges) + len(con.outer.edges) == len(g.edges)
             assert con.outer.num_vertices == g.num_vertices - len(B) + 1
             checked += 1
@@ -105,15 +108,15 @@ def test_contract_edge_additivity_random():
 def test_contract_type_ii_needs_position_without_ground():
     g = make_graph(2, 1, [(0, 2), (1, 2)])
     with pytest.raises(ValueError, match="position"):
-        contract(g, {0}, TYPE_II)
-    con = contract(g, {0}, TYPE_II, position=1)
+        collapse_layout(2, 1, {0}, TYPE_II)
+    con = contract(g, collapse_layout(2, 1, {0}, TYPE_II, position=1))
     assert con.outer.m == 2
 
 
 def test_contract_rejects_ground_gap():
     g = make_graph(1, 3, [(0, 1), (0, 3)])
     with pytest.raises(ValueError, match="consecutive"):
-        contract(g, {1, 3}, TYPE_II)
+        collapse_layout(1, 3, {1, 3}, TYPE_II)
 
 
 def test_collapse_fault_names_the_reason_without_raising():
@@ -220,7 +223,7 @@ def test_contract_and_nested_family_share_the_collapse_rule(n, m):
         for subset in itertools.combinations(range(n + m), size):
             for kind in (TYPE_I, TYPE_II):
                 try:
-                    contract(empty, subset, kind, position=0)
+                    contract(empty, collapse_layout(n, m, subset, kind, position=0))
                     by_contract = True
                 except ValueError:
                     by_contract = False

@@ -1,12 +1,17 @@
+import collections
+import itertools
 import math
+import types
 
 import pytest
 
+from kwl import graphs, stokes, suite
 from kwl.forms import ANGLE, LOG
-from kwl.graphs import TYPE_I, TYPE_II, enumerate_graphs, make_graph, parse_graph
+from kwl.graphs import (TYPE_I, TYPE_II, collapse_fault, collapse_layout, enumerate_graphs,
+                        make_graph, parse_graph)
 from kwl.stokes import (MULTI_POINT_I, TWO_POINT_I,
                         ZERO_BY_FLAG, boundary_strata, counterterm_probe,
-                        richardson_limit, shuffle_sign,
+                        orientation_sign, richardson_limit, shuffle_sign,
                         verify_identity)
 from kwl.weights import cached_weight
 
@@ -35,6 +40,64 @@ def test_type_i_pair_count():
         strata = boundary_strata(g)
         pairs = [st for st in strata if st.kind == TYPE_I and len(st.subset) == 2]
         assert len(pairs) == math.comb(n, 2)
+
+
+def _reference_strata(n, m):
+    """Every subset, both kinds and every ground gap the collapse rule accepts."""
+    out = []
+    for size in range(1, n + m + 1):
+        for S in itertools.combinations(range(n + m), size):
+            for kind in (TYPE_I, TYPE_II):
+                if collapse_fault(n, m, S, kind) is None:
+                    gaps = range(m + 1) if kind == TYPE_II and S[-1] < n else [None]
+                    out.extend((frozenset(S), kind, pos) for pos in gaps)
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(6) for m in range(6 - n)])
+def test_strata_table_matches_brute_force(n, m):
+    table = stokes._strata_table(n, m)
+    got = [(S, kind, pos) for S, kind, pos, _ in table]
+    assert len(set(got)) == len(got)
+    assert collections.Counter(got) == collections.Counter(_reference_strata(n, m))
+    for S, kind, pos, layout in table:
+        assert layout == collapse_layout(n, m, S, kind, pos)
+
+
+def test_strata_are_built_once_per_slice(monkeypatch):
+    # one pass of verify_identity over the 973 identity graphs on at most 4
+    # vertices places each of the 10 slices' 158 candidates once
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(graphs, "collapse_fault", counted("fault", graphs.collapse_fault))
+    monkeypatch.setattr(stokes, "collapse_layout", counted("layout", collapse_layout))
+    monkeypatch.setattr(stokes, "_orient_cache", {})
+    monkeypatch.setattr(stokes, "cached_weight",
+                        lambda *args, **kwargs: types.SimpleNamespace(value=1.0, stderr=0.0))
+    idg = list(suite._identity_graphs())
+    for g in idg:
+        for kind in (ANGLE, LOG):
+            verify_identity(g, kind, 1, 0)
+    slices = {(g.n, g.m) for g in idg}
+    assert (len(idg), len(slices)) == (973, 10)
+    assert sum(len(stokes._orient_cache[s]) for s in slices) == 112
+    assert calls == {"fault": 158, "layout": 158}
+
+
+@pytest.mark.parametrize("enc, label", [
+    ("4 1 ; a1>a2 a1>a3 a1>a4 a2>a1 a2>a3 a2>a4", "II{0,1,2,3}@0"),
+    ("5 0 ; a1>a2 a2>a3 a2>a4 a2>a5 a3>a2 a3>a4 a3>a5", "II{1,2,3,4}@0")])
+def test_orientation_sign_stable_from_five_vertices(enc, label):
+    # the chart Jacobian scales like r^d_in, below any absolute threshold here
+    g = parse_graph(enc)
+    (st,) = [st for st in boundary_strata(g) if st.describe().startswith(label + ":")]
+    assert orientation_sign(g.n, g.m, st) == -1
 
 
 def test_strata_need_identity_degree():
@@ -155,3 +218,12 @@ def test_counterterm_probe_collapses_a_non_contiguous_pair():
 def test_counterterm_probe_rejects_other_degrees():
     with pytest.raises(ValueError, match="degree"):
         counterterm_probe(parse_graph("2 1 ; a1>a2"), [0, 1], LOG)
+
+
+def test_counterterm_probe_rejects_scales_without_one_ratio():
+    g = parse_graph("2 2 ; a1>a2 a1>g1 a2>g2")
+    for scales in ([1e-2, 1e-3, 1e-5], [1e-3, 1e-2], [1e-2, 1e-3, 1e-4 * (1 + 1e-6)]):
+        with pytest.raises(ValueError, match="one common ratio"):
+            counterterm_probe(g, [0, 1], LOG, scales=scales)
+    rep = counterterm_probe(g, [0, 1], LOG, scales=[4e-3, 2e-3, 1e-3, 5e-4])
+    assert rep.deviation <= 1e-3 * abs(rep.expected)
