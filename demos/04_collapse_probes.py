@@ -11,17 +11,18 @@ and clusters of three or more points contribute nothing at all.
 import cmath
 import math
 
-from kwl import (contracted_integrand, counterterm_probe, degenerating_family,
-                 make_configuration, parse_graph)
+from kwl import (TYPE_I, collapse_layout, contracted_integrand, counterterm_probe,
+                 degenerating_family, make_configuration, parse_graph)
 
 # a two-point cluster in a top-degree graph: pointwise convergence
 g = parse_graph("2 1 ; a1>a2 a1>g1 a2>g1")
+pair = collapse_layout(g.n, g.m, [0, 1], TYPE_I)
 outer = make_configuration([cmath.exp(0.9j)], [0.0])
 shape = (cmath.exp(0.4j) / math.sqrt(2), -cmath.exp(0.4j) / math.sqrt(2))
 print("contracted integrand along a degenerating family:")
 for r in (1e-2, 1e-3, 1e-4, 1e-5):
-    cfg = degenerating_family(outer, [0, 1], shape, r)
-    val = contracted_integrand(g, "log", cfg, [0, 1])
+    cfg = degenerating_family(outer, pair, shape, r)
+    val = contracted_integrand(g, "log", cfg, pair)
     print(f"  r = {r:.0e}: {val:.8f}")
 
 # the full probe averages over the collapse circle and extrapolates;

@@ -19,9 +19,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import TYPE_I, Graph, collapse_layout
-from .halfplane import (Configuration, cluster_coordinates, collapse_cluster,
-                        gauge_dim, gauge_frame)
+from .graphs import TYPE_I, CollapseLayout, Graph
+from .halfplane import Configuration, gauge_dim, gauge_frame, normalized_shape
 
 ANGLE = "angle"
 LOG = "log"
@@ -153,8 +152,8 @@ def shape_tangent_basis(shape: Sequence[complex]) -> List[Tuple[complex, ...]]:
     raise ValueError("failed to build a shape tangent basis")
 
 
-def cluster_frames(cfg: Configuration, subset) -> List[Velocity]:
-    """Boundary-adapted tangent frame for an aerial cluster.
+def cluster_frames(cfg: Configuration, layout: CollapseLayout) -> List[Velocity]:
+    """Boundary-adapted tangent frame for a type I layout's aerial cluster.
 
     Columns, in order: the cluster rotation generator (period 2pi), the
     radial direction of the cluster scale, the non-rotation shape
@@ -163,23 +162,26 @@ def cluster_frames(cfg: Configuration, subset) -> List[Velocity]:
     ``vertex_map`` (cluster points inherit the velocity of the collapsed
     vertex).
     """
-    B = sorted(set(subset))
-    zeta, r, shape = cluster_coordinates(cfg, B)
+    if layout.kind != TYPE_I or (layout.n, len(layout.vertex_map)) != (cfg.n, cfg.n + cfg.m):
+        raise ValueError("cluster frames need a type I layout that fits the configuration")
+    B = layout.subset
+    zeta, r, shape = normalized_shape([cfg.aerial[v] for v in B])
     columns: List[Velocity] = []
     columns.append({v: 1j * (cfg.aerial[v] - zeta) for v in B})
     columns.append({v: (cfg.aerial[v] - zeta) / r for v in B})
     if len(B) > 2:
         for u in shape_tangent_basis(shape):
             columns.append({v: r * u[i] for i, v in enumerate(B)})
-    layout = collapse_layout(cfg.n, cfg.m, B, TYPE_I)
-    outer_cfg = collapse_cluster(cfg, layout, zeta)
-    for col in gauge_frame(outer_cfg.n, outer_cfg.m, outer_cfg.point(0)):
+    # outer point 0 is the cluster centre when the cluster takes vertex 0
+    z0 = zeta if layout.new_vertex == 0 else cfg.point(0)
+    for col in gauge_frame(layout.outer_n, layout.outer_m, z0):
         columns.append({v: col[w] for v, w in enumerate(layout.vertex_map) if w in col})
     return columns
 
 
-def contracted_integrand(g: Graph, kind: str, cfg: Configuration, subset) -> complex:
-    """Rotation-contracted integrand near a cluster collapse.
+def contracted_integrand(g: Graph, kind: str, cfg: Configuration,
+                         layout: CollapseLayout) -> complex:
+    """Rotation-contracted integrand near a type I layout's cluster collapse.
 
     At top degree the form is evaluated on the boundary-adapted frame:
     cluster rotation, radial, shape and outer slice directions.  Along a
@@ -196,7 +198,7 @@ def contracted_integrand(g: Graph, kind: str, cfg: Configuration, subset) -> com
     if len(g.edges) not in (d, d - 1):
         raise ValueError(f"graph degree {len(g.edges)} must be the slice dimension"
                          f" {d} or one less")
-    columns = cluster_frames(cfg, subset)
+    columns = cluster_frames(cfg, layout)
     if len(g.edges) < d:
         del columns[1]  # the radial direction
     return _frame_integrand(g, kind, cfg, columns)

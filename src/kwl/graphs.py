@@ -136,7 +136,9 @@ def check_collapse(n: int, m: int, subset, kind: str) -> None:
 
 
 class CollapseLayout(NamedTuple):
-    """Vertex labelling of a collapse on ``n`` aerial and some ground vertices.
+    """One collapse: the sorted ``subset`` on ``n`` aerial and some ground
+    vertices, its ``kind`` and the ground gap ``position`` (None unless the
+    subset is aerial-only type II), with the vertex labelling it induces.
 
     ``vertex_map`` sends each original vertex to its outer vertex
     (``new_vertex`` for members of the subset), ``inner_index`` each member
@@ -145,6 +147,9 @@ class CollapseLayout(NamedTuple):
     outer factor ``outer_n`` and ``outer_m``.
     """
 
+    subset: Tuple[int, ...]
+    kind: str
+    position: Optional[int]
     n: int
     new_vertex: int
     vertex_map: Tuple[int, ...]
@@ -153,6 +158,11 @@ class CollapseLayout(NamedTuple):
     inner_m: int
     outer_n: int
     outer_m: int
+
+    def label(self) -> str:
+        """``kind{subset}@position``, the position only when there is one."""
+        pos = "" if self.position is None else f"@{self.position}"
+        return f"{self.kind}{{{','.join(map(str, self.subset))}}}{pos}"
 
 
 def collapse_layout(n: int, m: int, subset, kind: str,
@@ -185,8 +195,10 @@ def collapse_layout(n: int, m: int, subset, kind: str,
     for i, v in enumerate([v for v in range(n + m) if inner_index[v] < 0]):
         vertex_map[v] = i + (i >= new_vertex)
     fresh_aerial = kind == TYPE_I
-    return CollapseLayout(n, new_vertex, tuple(vertex_map), tuple(inner_index),
-                          num_aer, len(members) - num_aer, n - num_aer + fresh_aerial,
+    gap = None if fresh_aerial or num_aer < len(members) else position
+    return CollapseLayout(tuple(members), kind, gap, n, new_vertex, tuple(vertex_map),
+                          tuple(inner_index), num_aer, len(members) - num_aer,
+                          n - num_aer + fresh_aerial,
                           m - len(members) + num_aer + (not fresh_aerial))
 
 

@@ -21,8 +21,9 @@ integrands stay square-integrable against the map, which keeps the
 batch-based error estimates calibrated near point collisions.
 
 Cluster placement is owned here: :func:`expand_cluster` lays a collapsed
-subset out around its outer point by the vertex labelling of
-:func:`kwl.graphs.collapse_layout`, and :func:`collapse_cluster` inverts it.
+subset out around its outer point by the vertex labelling of a
+:class:`kwl.graphs.CollapseLayout`; :func:`degenerating_family` is its
+aerial case.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import TYPE_I, TYPE_II, CollapseLayout, check_collapse, collapse_layout
+from .graphs import TYPE_I, TYPE_II, CollapseLayout, check_collapse
 
 ROOT = "root"
 LEAF = "leaf"
@@ -475,35 +476,16 @@ def expand_cluster(outer_cfg: Configuration, layout: CollapseLayout,
     return pts[:layout.n], [p.real for p in pts[layout.n:]]
 
 
-def collapse_cluster(cfg: Configuration, layout: CollapseLayout,
-                     center: complex) -> Configuration:
-    """Inverse of :func:`expand_cluster`: every vertex outside the subset
-    moves to its outer vertex and the subset to ``center``."""
-    pts = [0j] * (layout.outer_n + layout.outer_m)
-    for v, w in enumerate(layout.vertex_map):
-        pts[w] = cfg.point(v)
-    pts[layout.new_vertex] = center
-    return make_configuration(pts[:layout.outer_n], [p.real for p in pts[layout.outer_n:]])
-
-
-def degenerating_family(outer_cfg: Configuration, subset, inner_shape: Sequence[complex],
-                        r: float) -> Configuration:
-    """Expand the outer point of the collapsed aerial ``subset`` into a
-    cluster at scale ``r``: :func:`expand_cluster` with the ``i``-th
-    smallest member of ``subset`` at ``beta + r * inner_shape[i]``."""
+def degenerating_family(outer_cfg: Configuration, layout: CollapseLayout,
+                        inner_shape: Sequence[complex], r: float) -> Configuration:
+    """Expand the outer point of the type I ``layout``'s collapsed cluster
+    at scale ``r``: :func:`expand_cluster` with the ``i``-th member of
+    ``layout.subset`` at ``beta + r * inner_shape[i]``."""
     shape = check_shape(inner_shape)
-    B = set(subset)
-    if len(shape) != len(B):
+    if layout.kind != TYPE_I or (layout.outer_n, layout.outer_m) != (outer_cfg.n, outer_cfg.m):
+        raise ValueError("degenerating family needs a type I layout that fits the configuration")
+    if len(shape) != len(layout.subset):
         raise ValueError("shape needs one point per cluster member")
     if not r > 0:
         raise ValueError("scale must be positive on the open stratum")
-    layout = collapse_layout(outer_cfg.n + len(B) - 1, outer_cfg.m, B, TYPE_I)
     return make_configuration(*expand_cluster(outer_cfg, layout, shape, r))
-
-
-def cluster_coordinates(cfg: Configuration, subset) -> Tuple[complex, float, Tuple[complex, ...]]:
-    """Scale and normalized shape of an aerial cluster of ``cfg``."""
-    B = sorted(set(subset))
-    if any(v >= cfg.n for v in B) or len(B) < 2:
-        raise ValueError("cluster must contain >= 2 aerial points")
-    return normalized_shape([cfg.aerial[v] for v in B])

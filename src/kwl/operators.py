@@ -191,12 +191,12 @@ class MultiDiffOperator:
     def add_term(self, slots: Tuple[Monomial, ...], mono: Monomial, coeff) -> None:
         p_acc(self.terms, (slots, mono), coeff)
 
-    def plus(self, other: "MultiDiffOperator", scale=1) -> "MultiDiffOperator":
+    def plus(self, other: "MultiDiffOperator") -> "MultiDiffOperator":
         if (self.dim, self.arity) != (other.dim, other.arity):
             raise ValueError("operator shapes differ")
         out = MultiDiffOperator(self.dim, self.arity, dict(self.terms))
         for key, c in other.terms.items():
-            p_acc(out.terms, key, c * scale)
+            p_acc(out.terms, key, c)
         return out
 
     def scaled(self, s) -> "MultiDiffOperator":
@@ -230,8 +230,8 @@ class MultiDiffOperator:
     def max_abs(self) -> float:
         return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
+    def is_zero(self) -> bool:
+        return self.max_abs() == 0
 
     def swapped(self) -> "MultiDiffOperator":
         if self.arity != 2:
@@ -241,10 +241,10 @@ class MultiDiffOperator:
                                   for ((s1, s2), mono), c in self.terms.items()})
 
 
-def multiplication_operator(dim: int, arity: int = 2) -> MultiDiffOperator:
-    op = MultiDiffOperator(dim, arity)
-    zero = tuple([tuple([0] * dim)] * arity)
-    op.add_term(zero, tuple([0] * dim), Fraction(1))
+def multiplication_operator(dim: int) -> MultiDiffOperator:
+    """The bi-differential operator ``(f, g) -> f g``."""
+    op = MultiDiffOperator(dim, 2)
+    op.add_term(((0,) * dim,) * 2, (0,) * dim, Fraction(1))
     return op
 
 
@@ -260,10 +260,8 @@ def d_gamma(g: Graph, multivectors: Sequence[PolyMultivector]) -> MultiDiffOpera
     vertices collect derivatives acting on the argument slots.  Returns the
     zero operator when an out-degree does not match a field's degree.
     """
-    if len(multivectors) != g.n:
-        raise ValueError("need one multivector per aerial vertex")
-    if not multivectors and g.n == 0:
-        return multiplication_operator(1, g.m)
+    if g.n == 0 or len(multivectors) != g.n:
+        raise ValueError("need one multivector per aerial vertex, and at least one")
     dim = multivectors[0].dim
     if any(mv.dim != dim for mv in multivectors):
         raise ValueError("multivector dimensions differ")

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .forms import contracted_integrand, integrand
-from .graphs import (Contraction, Graph, TYPE_I, TYPE_II, canonical_key,
+from .graphs import (CollapseLayout, Contraction, Graph, TYPE_I, TYPE_II, canonical_key,
                      collapse_layout, contract, edge_sort_parity, encode_graph)
 from .halfplane import (coords_of_config, config_from_coords,
                         degenerating_family, expand_cluster, gauge_dim,
@@ -52,27 +52,24 @@ IDENTITY_TOL = PROBE_TOL = 1e-3
 
 @dataclass(frozen=True)
 class BoundaryStratum:
-    subset: frozenset
-    kind: str  # TYPE_I or TYPE_II
-    position: Optional[int]  # ground gap for aerial-only type II subsets
+    """A graph's edges split along a stratum's layout, and the term's rule."""
+
     contraction: Contraction
     rule: str
 
     def describe(self) -> str:
-        names = ",".join(str(v) for v in sorted(self.subset))
-        pos = "" if self.position is None else f"@{self.position}"
-        return f"{self.kind}{{{names}}}{pos}:{self.rule}"
+        return f"{self.contraction.layout.label()}:{self.rule}"
 
 
 #: each slice's stratum table under (n, m), each stratum's orientation sign
-#: under (n, m, kind, subset, position)
+#: under its layout
 _orient_cache: Dict[tuple, object] = {}
 _orient_lock = threading.Lock()
 
 
-def _strata_table(n: int, m: int) -> List[tuple]:
-    """Every codimension-one stratum of the (n, m) slice, in report order,
-    as ``(subset, kind, position, layout)``.
+def _strata_table(n: int, m: int) -> List[CollapseLayout]:
+    """The layout of every codimension-one stratum of the (n, m) slice, in
+    report order.
 
     Candidates are the aerial subsets of size >= 2 (type I), then for each
     aerial subset ``P``: ``P`` at every ground gap and ``P`` plus every
@@ -89,10 +86,9 @@ def _strata_table(n: int, m: int) -> List[tuple]:
     table = []
     for S, kind, pos in cands:
         try:
-            layout = collapse_layout(n, m, S, kind, pos)
+            table.append(collapse_layout(n, m, S, kind, pos))
         except ValueError:  # the collapse rule rejects the candidate
             continue
-        table.append((frozenset(S), kind, pos, layout))
     return table
 
 
@@ -111,38 +107,37 @@ def boundary_strata(g: Graph) -> List[BoundaryStratum]:
             _orient_cache[g.n, g.m] = _strata_table(g.n, g.m)
         table = _orient_cache[g.n, g.m]
     out: List[BoundaryStratum] = []
-    for S, kind, pos, layout in table:
+    for layout in table:
         con = contract(g, layout)
-        if kind == TYPE_I and len(S) > 2:
+        if layout.kind == TYPE_I and len(layout.subset) > 2:
             rule = MULTI_POINT_I
         elif not con.outer_ok:
             rule = ZERO_BY_FLAG
         else:
-            rule = TWO_POINT_I if kind == TYPE_I else TYPE_II_PRODUCT
-        out.append(BoundaryStratum(S, kind, pos, con, rule))
+            rule = TWO_POINT_I if layout.kind == TYPE_I else TYPE_II_PRODUCT
+        out.append(BoundaryStratum(con, rule))
     return out
 
 
-def shuffle_sign(g: Graph, subset) -> int:
+def shuffle_sign(g: Graph, layout: CollapseLayout) -> int:
     """Parity of sorting the edge list into inner-edges-then-outer-edges."""
-    B = set(subset)
-    return edge_sort_parity([0 if s in B and t in B else 1 for s, t in g.edges])
+    idx = layout.inner_index
+    return edge_sort_parity([0 if idx[s] >= 0 and idx[t] >= 0 else 1 for s, t in g.edges])
 
 
 # ---------------------------------------------------------------------------
 # stratum chart maps and orientation signs
 
 
-def _chart_map(stratum: BoundaryStratum):
+def _chart_map(layout: CollapseLayout):
     """Map (r, inner coords, outer coords) -> full slice coordinates.
 
     The inner and outer coordinates are the standard slice coordinates of
     the factor configuration spaces; for an interior two-point collapse the
     inner coordinate is the rotation angle of the pair.
     """
-    layout = stratum.contraction.layout
-    if stratum.kind == TYPE_I:
-        if len(stratum.subset) != 2:
+    if layout.kind == TYPE_I:
+        if len(layout.subset) != 2:
             raise ValueError("chart map only needed for two-point interior collapses")
         d_in = 1
     else:
@@ -152,7 +147,7 @@ def _chart_map(stratum: BoundaryStratum):
         r = x[0]
         q_in = x[1:1 + d_in]
         cfg_out = config_from_coords(layout.outer_n, layout.outer_m, x[1 + d_in:])
-        if stratum.kind == TYPE_I:
+        if layout.kind == TYPE_I:
             offs = cmath.exp(1j * q_in[0]) / math.sqrt(2.0)
             w = (offs, -offs)
         else:
@@ -163,30 +158,29 @@ def _chart_map(stratum: BoundaryStratum):
     return phi
 
 
-def orientation_sign(n: int, m: int, stratum: BoundaryStratum) -> int:
+def orientation_sign(layout: CollapseLayout) -> int:
     """Sign comparing the stratum chart orientation with the slice orientation.
 
     Measured as the sign of the Jacobian determinant of the chart map at
     generic base points; the boundary term carries the opposite sign (the
     outward normal is the decreasing collapse scale).
     """
-    key = (n, m, stratum.kind, frozenset(stratum.subset), stratum.position)
     with _orient_lock:
-        hit = _orient_cache.get(key)
+        hit = _orient_cache.get(layout)
     if hit is not None:
         return hit
-    phi = _chart_map(stratum)
-    layout = stratum.contraction.layout
+    phi = _chart_map(layout)
     signs = []
-    stable = [n, m, 1 if stratum.kind == TYPE_II else 0,
-              0 if stratum.position is None else stratum.position + 1,
-              len(stratum.subset), min(stratum.subset)]
+    raised = flat = 0
+    stable = [layout.n, len(layout.vertex_map) - layout.n, 1 if layout.kind == TYPE_II else 0,
+              0 if layout.position is None else layout.position + 1,
+              len(layout.subset), layout.subset[0]]
     for attempt in range(6):
         rng = np.random.default_rng(np.random.SeedSequence([101 + attempt] + stable))
         u_out = rng.uniform(0.3, 0.7, gauge_dim(layout.outer_n, layout.outer_m))
         cfg_out, _ = sample_configuration(layout.outer_n, layout.outer_m, u_out)
         q_out = coords_of_config(cfg_out)
-        if stratum.kind == TYPE_I:
+        if layout.kind == TYPE_I:
             q_in = np.array([rng.uniform(0.5, 5.5)])
         else:
             u_in = rng.uniform(0.3, 0.7, gauge_dim(layout.inner_n, layout.inner_m))
@@ -196,18 +190,24 @@ def orientation_sign(n: int, m: int, stratum: BoundaryStratum) -> int:
         try:
             J = _numeric_jacobian(phi, x0)
         except ValueError:
+            raised += 1
             continue
         det = float(np.linalg.det(J))
         # relative to the column norms: the collapse scale shrinks the inner
         # columns, so |det| scales like r^d_in
         if abs(det) > 1e-10 * float(np.prod(np.linalg.norm(J, axis=0))):
             signs.append(1 if det > 0 else -1)
+        else:
+            flat += 1
         if len(signs) >= 3:
             break
     if not signs or any(s != signs[0] for s in signs):
-        raise RuntimeError(f"could not determine a stable orientation sign for {stratum.describe()}")
+        raise RuntimeError(
+            f"could not determine a stable orientation sign for {layout.label()}:"
+            f" the chart map raised in {raised} of {attempt + 1} attempts, {flat} Jacobians"
+            f" fell under the threshold, signs seen {signs}")
     with _orient_lock:
-        _orient_cache[key] = signs[0]
+        _orient_cache[layout] = signs[0]
     return signs[0]
 
 
@@ -238,7 +238,7 @@ def _term_full(g: Graph, stratum: BoundaryStratum, kind: str, samples: int,
     if stratum.rule in (ZERO_BY_FLAG, MULTI_POINT_I):
         return 0.0 + 0j, 0.0, {}
     con = stratum.contraction
-    sign = shuffle_sign(g, stratum.subset) * (-orientation_sign(g.n, g.m, stratum))
+    sign = shuffle_sign(g, con.layout) * (-orientation_sign(con.layout))
     if stratum.rule == TWO_POINT_I:
         if len(con.inner.edges) != 1:
             return 0.0 + 0j, 0.0, {}  # edgeless or doubly-edged pair: zero by degree
@@ -314,7 +314,7 @@ def verify_identity(g: Graph, kind: str, samples: int, seed: int,
 # counterterm and regularity probes
 
 
-def richardson_limit(values: Sequence[complex], ratio: float = 10.0) -> complex:
+def richardson_limit(values: Sequence[complex], ratio: float) -> complex:
     """Extrapolate a sequence sampled at scales decreasing by ``ratio``.
 
     Values must be ordered from the largest scale to the smallest; repeated
@@ -354,17 +354,16 @@ class CountertermReport:
 _PROBE_RANGE = {"phi": (0.8, 2.3), "x": (-1.5, 1.5), "y": (0.7, 2.2)}
 
 
-def _probe_family(g: Graph, subset, seed: int):
-    """Deterministic outer configuration and cluster shape for a probe.
+def _probe_family(layout: CollapseLayout, seed: int):
+    """Deterministic outer configuration and cluster shape for a probe of a
+    type I collapse.
 
     Aerial points are drawn with height at least 0.7 and pairwise
     separation at least 0.3, so every cluster at the probe scales stays
     inside the upper half-plane and away from collisions.
     """
-    B = sorted(set(subset))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, g.n, g.m, len(B)]))
-    n_out = g.n - len(B) + 1
-    m = g.m
+    k, n_out, m = len(layout.subset), layout.outer_n, layout.outer_m
+    rng = np.random.default_rng(np.random.SeedSequence([seed, layout.n, m, k]))
     cols = slice_columns(n_out, m)
     for _ in range(64):
         coords = []
@@ -386,7 +385,7 @@ def _probe_family(g: Graph, subset, seed: int):
             break
     else:
         raise RuntimeError("could not draw a well-separated probe configuration")
-    raw = rng.normal(size=len(B)) + 1j * rng.normal(size=len(B))
+    raw = rng.normal(size=k) + 1j * rng.normal(size=k)
     raw -= raw.mean()
     return outer_cfg, tuple(raw / math.sqrt(float(np.sum(np.abs(raw) ** 2))))
 
@@ -411,17 +410,17 @@ def counterterm_probe(g: Graph, subset, kind: str,
     if not 1.0 < ratio < math.inf or any(abs(a / b - ratio) > 1e-9 * ratio
                                          for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must decrease by one common ratio")
-    B = sorted(set(subset))
-    con = contract(g, collapse_layout(g.n, g.m, B, TYPE_I))
-    outer_cfg, shape = _probe_family(g, B, seed)
+    layout = collapse_layout(g.n, g.m, subset, TYPE_I)
+    con = contract(g, layout)
+    outer_cfg, shape = _probe_family(layout, seed)
 
     values = []
     for r in scales:
         acc = 0.0 + 0j
         for k in range(FIBER_POINTS):
             rot = cmath.exp(2j * math.pi * k / FIBER_POINTS)
-            cfg = degenerating_family(outer_cfg, B, [rot * s for s in shape], r)
-            acc += contracted_integrand(g, kind, cfg, B)
+            cfg = degenerating_family(outer_cfg, layout, [rot * s for s in shape], r)
+            acc += contracted_integrand(g, kind, cfg, layout)
         values.append(acc / FIBER_POINTS)
 
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
@@ -429,10 +428,10 @@ def counterterm_probe(g: Graph, subset, kind: str,
     limit = richardson_limit(values, ratio=ratio)
 
     expected = 0.0 + 0j
-    if len(B) == 2 and len(con.inner.edges) == 1 and con.outer_ok:
+    if len(layout.subset) == 2 and len(con.inner.edges) == 1 and con.outer_ok:
         outer_d = gauge_dim(con.outer.n, con.outer.m)
         if len(con.outer.edges) == outer_d:
-            expected = (shuffle_sign(g, B) / (2.0 * math.pi)
+            expected = (shuffle_sign(g, layout) / (2.0 * math.pi)
                         * integrand(con.outer, kind, outer_cfg))
-    return CountertermReport(encode_graph(g), kind, tuple(B), tuple(scales),
+    return CountertermReport(encode_graph(g), kind, layout.subset, tuple(scales),
                              tuple(values), limit, expected, cauchy)

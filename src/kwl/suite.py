@@ -18,8 +18,8 @@ import numpy as np
 
 from . import forms, operators, stokes
 from .forms import ANGLE, LOG
-from .graphs import (TYPE_I, canonical_key, encode_graph, enumerate_graphs, make_graph,
-                     parse_graph)
+from .graphs import (TYPE_I, canonical_key, collapse_layout, encode_graph, enumerate_graphs,
+                     make_graph, parse_graph)
 from .halfplane import (NestedFamily, chart_membership, degenerating_family,
                         gcd_families, make_configuration, torus_rotate)
 from .operators import (CONTOUR_TOL, STAR_TOL, bivector, check_associativity,
@@ -30,6 +30,8 @@ from .weights import (VANISHING_TOL, check_tol, compute_weight, detect_vanishing
 
 #: the smallest budget; the property and determinism checks always draw it
 MIN_SAMPLES = 10_000
+#: the graph-sweeping checks take every graph on at most this many vertices
+CHECK_VERTICES = 4
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,10 @@ def check_wedge_weight(cfg: SuiteConfig) -> CheckResult:
 # criterion 2: structural vanishing of log weights
 
 
-def _canonical_top_graphs(max_vertices: int = 4):
+def _canonical_top_graphs():
     seen = set()
-    for n in range(0, max_vertices + 1):
-        for m in range(0, max_vertices + 1 - n):
+    for n in range(0, CHECK_VERTICES + 1):
+        for m in range(0, CHECK_VERTICES + 1 - n):
             e = 2 * n + m - 2
             if e < 0 or e > n * (n + m - 1):
                 continue
@@ -170,9 +172,9 @@ def check_contour_identity(cfg: SuiteConfig) -> CheckResult:
 # criterion 4: regularized boundary identities
 
 
-def _identity_graphs(max_vertices: int = 4):
-    for n in range(0, max_vertices + 1):
-        for m in range(0, max_vertices + 1 - n):
+def _identity_graphs():
+    for n in range(0, CHECK_VERTICES + 1):
+        for m in range(0, CHECK_VERTICES + 1 - n):
             e = 2 * n + m - 3
             if e < 0 or e > n * (n + m - 1):
                 continue
@@ -265,12 +267,12 @@ def check_regularity(cfg: SuiteConfig) -> CheckResult:
         for _ in range(20):
             size = int(rng.integers(2, g.n + 1))
             B = sorted(int(v) for v in rng.choice(g.n, size=size, replace=False))
-            probe_seed = int(rng.integers(1 << 31))
-            outer_cfg, shape = stokes._probe_family(g, B, probe_seed)
+            layout = collapse_layout(g.n, g.m, B, TYPE_I)
+            outer_cfg, shape = stokes._probe_family(layout, int(rng.integers(1 << 31)))
             vals = {}
             for r in (1e-3, 1e-5):
-                dcfg = degenerating_family(outer_cfg, B, shape, r)
-                vals[r] = abs(forms.contracted_integrand(g, LOG, dcfg, B))
+                dcfg = degenerating_family(outer_cfg, layout, shape, r)
+                vals[r] = abs(forms.contracted_integrand(g, LOG, dcfg, layout))
             families += 1
             if vals[1e-3] < 1e-12 and vals[1e-5] < 1e-12:
                 continue
@@ -480,9 +482,10 @@ def check_determinism(cfg: SuiteConfig) -> CheckResult:
     same = (json.dumps(a.to_json_dict(), sort_keys=True)
             == json.dumps(b.to_json_dict(), sort_keys=True))
 
-    coarse = compute_weight(wedge, ANGLE, max(cfg.samples // 4, MIN_SAMPLES),
-                            cfg.seed, cfg.threads)
-    fine = compute_weight(wedge, ANGLE, cfg.samples, cfg.seed, cfg.threads)
+    # four times the samples should halve the error bar
+    budget = max(cfg.samples // 4, MIN_SAMPLES)
+    coarse = compute_weight(wedge, ANGLE, budget, cfg.seed, cfg.threads)
+    fine = compute_weight(wedge, ANGLE, 4 * budget, cfg.seed, cfg.threads)
     scaling_ok = fine.stderr <= 0.6 * coarse.stderr
     return CheckResult("determinism", same and scaling_ok, {
         "bit_identical": same,

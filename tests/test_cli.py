@@ -50,6 +50,11 @@ def test_weight_degree_mismatch_note(capsys):
     data = json.loads(out)
     assert data["value"] == [0.0, 0.0]
     assert "note" in data
+    # the empty top-degree graph is exactly one, with no note
+    code, out = run_cli(["weight", "--graph", "0 2 ;"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == [1.0, 0.0] and "note" not in data
 
 
 def test_weight_parse_failure_exit_2(capsys):
@@ -256,6 +261,9 @@ def test_suite_reduced_config_runs_and_is_deterministic(tmp_path, capsys):
         a = (tmp_path / "out1" / f"check_{name}.json").read_bytes()
         b = (tmp_path / "out2" / f"check_{name}.json").read_bytes()
         assert a == b
+    # 10^4 against 4 * 10^4 samples: the error bar must shrink
+    report = json.loads((tmp_path / "out1" / "check_determinism.json").read_text())
+    assert report["passed"], report["details"]
 
 
 def test_suite_missing_config_exit_2(capsys):

@@ -168,9 +168,10 @@ def test_contracted_integrand_converges_log():
     outer = probe_family(1, 1, 7)
     s = cmath.exp(0.4j) / math.sqrt(2)
     vals = []
+    pair = collapse_layout(2, 1, [0, 1], TYPE_I)
     for r in (1e-2, 1e-3, 1e-4):
-        cfg = degenerating_family(outer, [0, 1], (s, -s), r)
-        vals.append(contracted_integrand(g, LOG, cfg, [0, 1]))
+        cfg = degenerating_family(outer, pair, (s, -s), r)
+        vals.append(contracted_integrand(g, LOG, cfg, pair))
     d1 = abs(vals[1] - vals[0])
     d2 = abs(vals[2] - vals[1])
     assert d2 < d1 * 0.5
@@ -180,7 +181,8 @@ def test_contracted_integrand_bounded_angle():
     g = parse_graph("2 1 ; a1>a2 a1>g1 a2>g1")
     outer = probe_family(1, 1, 7)
     s = cmath.exp(0.4j) / math.sqrt(2)
-    vals = [abs(contracted_integrand(g, ANGLE, degenerating_family(outer, [0, 1], (s, -s), r), [0, 1]))
+    pair = collapse_layout(2, 1, [0, 1], TYPE_I)
+    vals = [abs(contracted_integrand(g, ANGLE, degenerating_family(outer, pair, (s, -s), r), pair))
             for r in (1e-2, 1e-3, 1e-4, 1e-5)]
     assert max(vals) < 10 * max(vals[0], 1e-6)
 
@@ -190,9 +192,10 @@ def test_restricted_contraction_hits_outer_integrand():
     # 1/(2 pi) times the contracted graph's integrand
     g = parse_graph("2 2 ; a1>a2 a1>g1 a2>g2")
     outer = probe_family(1, 2, 9)
-    con = contract(g, collapse_layout(2, 2, {0, 1}, TYPE_I))
+    pair = collapse_layout(2, 2, {0, 1}, TYPE_I)
+    con = contract(g, pair)
     s = cmath.exp(1.1j) / math.sqrt(2)
-    cfg = degenerating_family(outer, [0, 1], (s, -s), 1e-5)
-    got = contracted_integrand(g, LOG, cfg, [0, 1])
+    cfg = degenerating_family(outer, pair, (s, -s), 1e-5)
+    got = contracted_integrand(g, LOG, cfg, pair)
     want = integrand(con.outer, LOG, outer) / (2 * math.pi)
     assert abs(got - want) < 1e-4 * max(1.0, abs(want))

@@ -6,10 +6,9 @@ import pytest
 
 from kwl.graphs import TYPE_I, TYPE_II, collapse_layout
 from kwl.halfplane import (NestedFamily, center_of_mass,
-                           chart_membership, cluster_coordinates, collapse_cluster,
-                           config_from_coords, coords_of_config,
+                           chart_membership, config_from_coords, coords_of_config,
                            degenerating_family, gauge_dim, gauge_frame,
-                           gcd_families, make_configuration, regauge,
+                           gcd_families, make_configuration, normalized_shape, regauge,
                            sample_configuration, slice_map, torus_rotate)
 
 
@@ -265,9 +264,9 @@ def test_degenerating_family_round_trip():
     outer = make_configuration([1j, 1 + 2j], [])
     shape = (cmath.exp(0.3j) / math.sqrt(2), -cmath.exp(0.3j) / math.sqrt(2))
     r = 1e-3
-    cfg = degenerating_family(outer, [0, 1], shape, r)
+    cfg = degenerating_family(outer, collapse_layout(3, 0, [0, 1], TYPE_I), shape, r)
     assert cfg.n == 3
-    zeta, rr, ss = cluster_coordinates(cfg, [0, 1])
+    zeta, rr, ss = normalized_shape(cfg.aerial[:2])
     assert abs(zeta - outer.aerial[0]) < 1e-12
     assert abs(rr - r) < 1e-10
     assert max(abs(a - b) for a, b in zip(ss, shape)) < 1e-9
@@ -278,29 +277,35 @@ def test_degenerating_family_places_a_non_contiguous_subset():
     outer = make_configuration([1j, 1 + 2j], [0.0])
     shape = (cmath.exp(0.3j) / math.sqrt(2), -cmath.exp(0.3j) / math.sqrt(2))
     r = 1e-3
-    cfg = degenerating_family(outer, [0, 2], shape, r)
-    assert cfg.aerial[1] == outer.aerial[1]
-    zeta, rr, ss = cluster_coordinates(cfg, [0, 2])
+    cfg = degenerating_family(outer, collapse_layout(3, 1, [0, 2], TYPE_I), shape, r)
+    assert (cfg.aerial[1], cfg.ground) == (outer.aerial[1], outer.ground)
+    zeta, rr, ss = normalized_shape([cfg.aerial[0], cfg.aerial[2]])
     assert abs(zeta - outer.aerial[0]) < 1e-12
     assert abs(rr - r) < 1e-10
     assert max(abs(a - b) for a, b in zip(ss, shape)) < 1e-9
-    back = collapse_cluster(cfg, collapse_layout(3, 1, [0, 2], TYPE_I), zeta)
-    assert back.ground == outer.ground
-    assert max(abs(a - b) for a, b in zip(back.aerial, outer.aerial)) < 1e-12
 
 
 def test_degenerating_family_rejects_zero_scale():
     outer = make_configuration([1j], [0.0, 1.0])
     shape = (1 / math.sqrt(2), -1 / math.sqrt(2))
     with pytest.raises(ValueError, match="positive"):
-        degenerating_family(outer, [0, 1], shape, 0.0)
+        degenerating_family(outer, collapse_layout(2, 2, [0, 1], TYPE_I), shape, 0.0)
+
+
+def test_degenerating_family_rejects_a_layout_that_does_not_fit():
+    outer = make_configuration([1j], [0.0, 1.0])
+    shape = (1 / math.sqrt(2), -1 / math.sqrt(2))
+    for layout in (collapse_layout(3, 2, [0, 1], TYPE_I),
+                   collapse_layout(2, 2, [0, 1], TYPE_II, 0)):
+        with pytest.raises(ValueError, match="fits the configuration"):
+            degenerating_family(outer, layout, shape, 0.01)
 
 
 def test_two_point_cluster_positions():
     outer = make_configuration([2j], [0.0, 1.0])
     phi = 0.77
     s = cmath.exp(1j * phi) / math.sqrt(2)
-    cfg = degenerating_family(outer, [0, 1], (s, -s), 0.01)
+    cfg = degenerating_family(outer, collapse_layout(2, 2, [0, 1], TYPE_I), (s, -s), 0.01)
     assert abs(cfg.aerial[0] - (2j + 0.01 * s)) < 1e-15
     assert abs(cfg.aerial[1] - (2j - 0.01 * s)) < 1e-15
 
@@ -308,7 +313,7 @@ def test_two_point_cluster_positions():
 def test_shape_normalization_enforced():
     outer = make_configuration([2j], [0.0, 1.0])
     with pytest.raises(ValueError, match="shape"):
-        degenerating_family(outer, [0, 1], (1.0, -0.5), 0.01)
+        degenerating_family(outer, collapse_layout(2, 2, [0, 1], TYPE_I), (1.0, -0.5), 0.01)
 
 
 def test_make_configuration_validation():

@@ -55,6 +55,11 @@ def test_d_gamma_degree_mismatch_zero():
     assert d_gamma(WEDGE, [xi]).is_zero()
 
 
+def test_d_gamma_needs_an_aerial_vertex():
+    with pytest.raises(ValueError, match="at least one"):
+        d_gamma(make_graph(0, 2, []), [])
+
+
 def test_d_gamma_edge_transposition_flips_sign():
     swapped = make_graph(1, 2, [(0, 2), (0, 1)])
     D1 = d_gamma(WEDGE, [PI_CONST])

@@ -3,9 +3,10 @@ import itertools
 import math
 import types
 
+import numpy as np
 import pytest
 
-from kwl import graphs, stokes, suite
+from kwl import forms, graphs, halfplane, stokes, suite
 from kwl.forms import ANGLE, LOG
 from kwl.graphs import (TYPE_I, TYPE_II, collapse_fault, collapse_layout, enumerate_graphs,
                         make_graph, parse_graph)
@@ -22,10 +23,11 @@ def test_strata_enumeration_example():
     strata = boundary_strata(EXAMPLE)
     labels = {st.describe() for st in strata}
     assert "I{0,1}:two-point-I" in labels
-    assert any(st.kind == TYPE_II and st.subset == frozenset({1, 2}) for st in strata)
-    assert any(st.kind == TYPE_II and st.subset == frozenset({0}) for st in strata)
+    layouts = [st.contraction.layout for st in strata]
+    assert any(lay.kind == TYPE_II and lay.subset == (1, 2) for lay in layouts)
+    assert any(lay.kind == TYPE_II and lay.subset == (0,) for lay in layouts)
     # the full vertex set never bounds a stratum
-    assert all(len(st.subset) < EXAMPLE.num_vertices for st in strata)
+    assert all(len(lay.subset) < EXAMPLE.num_vertices for lay in layouts)
 
 
 def test_strata_edge_additivity():
@@ -38,7 +40,8 @@ def test_type_i_pair_count():
     for n, m, e in [(2, 1, 2), (3, 0, 3), (3, 1, 4)]:
         g = next(iter(enumerate_graphs(n, m, e)))
         strata = boundary_strata(g)
-        pairs = [st for st in strata if st.kind == TYPE_I and len(st.subset) == 2]
+        pairs = [st for st in strata if st.contraction.layout.kind == TYPE_I
+                 and len(st.contraction.layout.subset) == 2]
         assert len(pairs) == math.comb(n, 2)
 
 
@@ -50,18 +53,18 @@ def _reference_strata(n, m):
             for kind in (TYPE_I, TYPE_II):
                 if collapse_fault(n, m, S, kind) is None:
                     gaps = range(m + 1) if kind == TYPE_II and S[-1] < n else [None]
-                    out.extend((frozenset(S), kind, pos) for pos in gaps)
+                    out.extend((S, kind, pos) for pos in gaps)
     return out
 
 
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(6) for m in range(6 - n)])
 def test_strata_table_matches_brute_force(n, m):
     table = stokes._strata_table(n, m)
-    got = [(S, kind, pos) for S, kind, pos, _ in table]
+    got = [(lay.subset, lay.kind, lay.position) for lay in table]
     assert len(set(got)) == len(got)
     assert collections.Counter(got) == collections.Counter(_reference_strata(n, m))
-    for S, kind, pos, layout in table:
-        assert layout == collapse_layout(n, m, S, kind, pos)
+    for lay in table:
+        assert lay == collapse_layout(n, m, lay.subset, lay.kind, lay.position)
 
 
 def test_strata_are_built_once_per_slice(monkeypatch):
@@ -97,7 +100,28 @@ def test_orientation_sign_stable_from_five_vertices(enc, label):
     # the chart Jacobian scales like r^d_in, below any absolute threshold here
     g = parse_graph(enc)
     (st,) = [st for st in boundary_strata(g) if st.describe().startswith(label + ":")]
-    assert orientation_sign(g.n, g.m, st) == -1
+    assert orientation_sign(st.contraction.layout) == -1
+
+
+def test_orientation_sign_failure_counts_its_attempts(monkeypatch):
+    # attempts: chart map raises, a flat Jacobian, then signs +1, -1, +1
+    outcomes = iter([None, np.zeros((3, 3)), np.eye(3), np.diag([-1.0, 1.0, 1.0]), np.eye(3)])
+
+    def jacobian(phi, x0):
+        J = next(outcomes)
+        if J is None:
+            raise ValueError("points coincide")
+        return J
+
+    monkeypatch.setattr(stokes, "_numeric_jacobian", jacobian)
+    monkeypatch.setattr(stokes, "_orient_cache", {})
+    layout = collapse_layout(2, 1, [0, 1], TYPE_I)
+    with pytest.raises(RuntimeError) as err:
+        orientation_sign(layout)
+    assert str(err.value) == (
+        "could not determine a stable orientation sign for I{0,1}: the chart map raised"
+        " in 1 of 5 attempts, 1 Jacobians fell under the threshold, signs seen [1, -1, 1]")
+    assert layout not in stokes._orient_cache
 
 
 def test_strata_need_identity_degree():
@@ -108,9 +132,10 @@ def test_strata_need_identity_degree():
 def test_shuffle_sign():
     g = parse_graph("2 1 ; a1>g1 a1>a2 a2>g1")
     # inner edge a1>a2 sits at position 1 with one outer edge before it
-    assert shuffle_sign(g, {0, 1}) == -1
+    pair = collapse_layout(2, 1, {0, 1}, TYPE_I)
+    assert shuffle_sign(g, pair) == -1
     g2 = parse_graph("2 1 ; a1>a2 a1>g1 a2>g1")
-    assert shuffle_sign(g2, {0, 1}) == 1
+    assert shuffle_sign(g2, pair) == 1
 
 
 def test_multi_point_and_flagged_terms_exact_zero():
@@ -191,6 +216,21 @@ def test_counterterm_probe_top_degree():
     assert rep.cauchy_decreasing
     assert rep.expected == 0.0  # the contracted graph is not of top degree
     assert abs(rep.limit - rep.expected) < 1e-3
+
+
+def test_counterterm_probe_places_its_collapse_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return collapse_layout(*args, **kwargs)
+
+    for mod in (stokes, forms, halfplane):
+        if hasattr(mod, "collapse_layout"):
+            monkeypatch.setattr(mod, "collapse_layout", counted)
+    rep = counterterm_probe(parse_graph("2 2 ; a1>a2 a1>g1 a2>g2"), [0, 1], LOG)
+    assert len(rep.values) == 4
+    assert calls == [(2, 2, [0, 1], TYPE_I)]
 
 
 def test_counterterm_probe_three_point_vanishes():
