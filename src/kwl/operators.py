@@ -13,7 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +27,7 @@ from .weights import (cached_weight, check_tol, detect_vanishing_pattern, qmc_me
                       vanishing_check)
 
 Monomial = Tuple[int, ...]
-Poly = Dict[Monomial, object]  # exponent tuple -> Fraction | float | complex
+Poly = Dict[Monomial, object]  # exponent tuple -> int | Fraction | float | complex
 
 #: absolute floors of the bounds on star-product coefficient residuals and
 #: on one-in-one-out contour integrals
@@ -84,12 +85,25 @@ def p_diff(a: Poly, var: int) -> Poly:
 
 
 def p_diff_multi(a: Poly, exps: Monomial) -> Poly:
-    out = a
-    for var, k in enumerate(exps):
-        for _ in range(k):
-            out = p_diff(out, var)
-            if not out:
-                return {}
+    """Derivative of ``a`` by the multi-index ``exps``, one monomial at a time.
+
+    Each coefficient is multiplied by ``e, e - 1, ...`` per variable in
+    variable order, the order in which chained :func:`p_diff` calls
+    multiply, so float and complex results match theirs bit for bit.
+    """
+    if not any(exps):
+        return a
+    out: Poly = {}
+    for mono, c in a.items():
+        for e, k in zip(mono, exps):
+            if e < k:
+                break
+            for x in range(e, e - k, -1):
+                c = c * x
+        else:
+            # distinct monomials stay distinct, so only p_acc's zero rule applies
+            if c != 0:
+                out[tuple(map(operator.sub, mono, exps))] = c
     return out
 
 
@@ -113,8 +127,14 @@ def poly_from_terms(dim: int, terms: Sequence[Tuple[Sequence[int], object]]) -> 
         mono = tuple(int(e) for e in mono)
         if len(mono) != dim:
             raise ValueError("monomial length does not match dimension")
-        p_acc(out, mono, Fraction(c) if isinstance(c, int) else c)
+        p_acc(out, mono, c)
     return out
+
+
+def p_int(a: Poly) -> Poly:
+    """``a`` with integer-valued Fractions as ints, which keep the kernels off ``fractions``."""
+    return {m: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+            for m, c in a.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +167,7 @@ class PolyMultivector:
                 raise ValueError("index out of range")
             if list(idx) != sorted(set(idx)):
                 raise ValueError("indices must be strictly increasing")
-            rows.append((idx, mono, Fraction(c) if isinstance(c, int) else c))
+            rows.append((idx, mono, c))
         return PolyMultivector(dim, degree, tuple(rows))
 
     def component(self, idx: Tuple[int, ...]) -> Poly:
@@ -161,6 +181,14 @@ class PolyMultivector:
             if kidx == key:
                 p_acc(out, mono, c * sign)
         return out
+
+
+def _field_terms(mv: PolyMultivector) -> Dict[Tuple[Tuple[int, ...], Monomial], object]:
+    """Coefficients by (index tuple, monomial), whatever the order of the rows."""
+    out: Dict[Tuple[Tuple[int, ...], Monomial], object] = {}
+    for idx, mono, c in mv.coeffs:
+        p_acc(out, (idx, mono), c)
+    return out
 
 
 def bivector(dim: int, entries) -> PolyMultivector:
@@ -213,18 +241,38 @@ class MultiDiffOperator:
         # each argument's derivative per slot multi-index, for this call only
         derivs: List[Dict[Monomial, Poly]] = [{} for _ in funcs]
         out: Poly = {}
+        add = operator.add
         for (slots, mono), c in self.terms.items():
-            prod: Poly = {mono: c}
+            dfs = []
             for exps, f, seen in zip(slots, funcs, derivs):
                 df = seen.get(exps)
                 if df is None:
                     df = seen[exps] = p_diff_multi(f, exps)
                 if not df:
-                    prod = {}
                     break
-                prod = p_mul(prod, df)
-            for mm, cc in prod.items():
-                p_acc(out, mm, cc)
+                dfs.append(df)
+            else:
+                # p_mul and p_acc inline: the same term order and zero rule
+                prod: Poly = {mono: c}
+                for df in dfs:
+                    nxt: Poly = {}
+                    for ma, ca in prod.items():
+                        for mb, cb in df.items():
+                            mm = tuple(map(add, ma, mb))
+                            cur = nxt.get(mm)
+                            new = ca * cb if cur is None else cur + ca * cb
+                            if new == 0:
+                                nxt.pop(mm, None)
+                            else:
+                                nxt[mm] = new
+                    prod = nxt
+                for mm, cc in prod.items():
+                    cur = out.get(mm)
+                    new = cc if cur is None else cur + cc
+                    if new == 0:
+                        out.pop(mm, None)
+                    else:
+                        out[mm] = new
         return out
 
     def max_abs(self) -> float:
@@ -244,7 +292,7 @@ class MultiDiffOperator:
 def multiplication_operator(dim: int) -> MultiDiffOperator:
     """The bi-differential operator ``(f, g) -> f g``."""
     op = MultiDiffOperator(dim, 2)
-    op.add_term(((0,) * dim,) * 2, (0,) * dim, Fraction(1))
+    op.add_term(((0,) * dim,) * 2, (0,) * dim, 1)
     return op
 
 
@@ -275,7 +323,7 @@ def d_gamma(g: Graph, multivectors: Sequence[PolyMultivector]) -> MultiDiffOpera
     in_edges = {v: [e for e, (_, t) in enumerate(g.edges) if t == v] for v in range(g.num_vertices)}
 
     for assign in itertools.product(range(dim), repeat=E):
-        coeff: Poly = {tuple([0] * dim): Fraction(1)}
+        coeff: Poly = {tuple([0] * dim): 1}
         for v in range(g.n):
             comp = multivectors[v].component(tuple(assign[e] for e in out_edges[v]))
             if not comp:
@@ -350,20 +398,59 @@ def u_n(kind: str, multivectors: Sequence[PolyMultivector], samples: int,
     return value, error
 
 
+def _poly_key(a: Poly) -> tuple:
+    """Memo key of a polynomial: its items in order, coefficient types included."""
+    return tuple((mono, type(c), c) for mono, c in a.items())
+
+
 @dataclass
 class StarSeries:
-    """Truncated star product: one bidifferential operator per order."""
+    """Truncated star product: one bidifferential operator per order.
+
+    ``pi`` is the bivector the series was built from.  The series memoizes
+    what depends only on itself and an argument pair: the Jacobi defect of
+    ``pi``, the ``|.|`` operators and the inner products that
+    :func:`check_associativity` takes on ``(f, g)`` and on ``(g, h)``.
+    """
 
     dim: int
     order: int
     ops: List[MultiDiffOperator]
     errs: List[MultiDiffOperator]
     kind: str
+    pi: PolyMultivector
+    _memo: Dict[tuple, object] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     def multiply(self, f: Poly, g: Poly) -> List[Poly]:
         """Coefficients of f*g per order of the formal parameter."""
         _check_poly_dim(self.dim, f, g)
+        f, g = p_int(f), p_int(g)
         return [op.apply([f, g]) for op in self.ops]
+
+    def _memoized(self, key: tuple, build):
+        # every caller gets the same object back, so callers only read it
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def _abs_ops(self) -> List[MultiDiffOperator]:
+        return self._memoized(("abs",), lambda: [op.abs_coeffs() for op in self.ops])
+
+    def _inner(self, order: int, f: Poly, g: Poly) -> Tuple[List[Poly], ...]:
+        """``op(f, g)``, ``|op|(|f|, |g|)`` and ``err(|f|, |g|)`` for orders up to ``order``."""
+        def build():
+            fa, ga = p_abs(f), p_abs(g)
+            return ([op.apply([f, g]) for op in self.ops[:order + 1]],
+                    [op.apply([fa, ga]) for op in self._abs_ops()[:order + 1]],
+                    [err.apply([fa, ga]) for err in self.errs[:order + 1]])
+        return self._memoized(("inner", order, _poly_key(f), _poly_key(g)), build)
+
+
+def _check_order(order: int) -> None:
+    if not 0 <= order <= 2:
+        raise ValueError(f"order must be 0, 1 or 2, got {order}"
+                         " (orders above 2 are not supported at full precision)")
 
 
 def star_product(pi: PolyMultivector, order: int, kind: str, samples: int,
@@ -375,9 +462,7 @@ def star_product(pi: PolyMultivector, order: int, kind: str, samples: int,
     """
     if pi.degree != 2:
         raise ValueError("star product needs a bivector")
-    if not 0 <= order <= 2:
-        raise ValueError(f"order must be 0, 1 or 2, got {order}"
-                         " (orders above 2 are not supported at full precision)")
+    _check_order(order)
     ops = [multiplication_operator(pi.dim)]
     errs = [MultiDiffOperator(pi.dim, 2)]
     fact = 1
@@ -386,7 +471,7 @@ def star_product(pi: PolyMultivector, order: int, kind: str, samples: int,
         val, err = u_n(kind, [pi] * k, samples, seed, threads)
         ops.append(val.scaled(1.0 / fact))
         errs.append(err.scaled(1.0 / fact))
-    return StarSeries(pi.dim, order, ops, errs, kind)
+    return StarSeries(pi.dim, order, ops, errs, kind, pi)
 
 
 def jacobi_defect(pi: PolyMultivector) -> float:
@@ -422,13 +507,12 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
     The bivector must satisfy the Jacobi identity (checked symbolically).
     Each order's residual coefficients are compared against three times the
     uncertainty propagated from the weight errors plus an absolute floor.
-    A precomputed ``star`` must match ``pi``'s dimension and ``kind`` and
-    reach ``order``.
+    A precomputed ``star`` must be built from ``pi`` (the same coefficients
+    in any row order), be of ``kind`` and reach ``order``; its memo carries
+    the Jacobi defect and the inner products from one check to the next.
     """
     _check_poly_dim(pi.dim, f, g, h)
-    defect = jacobi_defect(pi)
-    if defect > 1e-12:
-        raise ValueError(f"bivector is not Poisson (Jacobi defect {defect:.3g})")
+    _check_order(order)
     if star is not None:
         if star.order < order:
             raise ValueError(f"star series has order {star.order}, check asks for {order}")
@@ -436,17 +520,20 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
             raise ValueError(f"star series has dimension {star.dim}, bivector has {pi.dim}")
         if star.kind != kind:
             raise ValueError(f"star series is of kind {star.kind!r}, check asks for {kind!r}")
+        if _field_terms(star.pi) != _field_terms(pi):
+            raise ValueError("star series was built from another bivector")
+        defect = star._memoized(("jacobi",), lambda: jacobi_defect(star.pi))
+    else:
+        defect = jacobi_defect(pi)
+    if defect > 1e-12:
+        raise ValueError(f"bivector is not Poisson (Jacobi defect {defect:.3g})")
     series = star if star is not None else star_product(pi, order, kind, samples, seed, threads)
+    f, g, h = p_int(f), p_int(g), p_int(h)
     ops, errs = series.ops[:order + 1], series.errs[:order + 1]
-    fa, ga, ha = p_abs(f), p_abs(g), p_abs(h)
-    # inner products and their |.| and error variants depend on one order only
-    abs_ops = [op.abs_coeffs() for op in ops]
-    fg = [op.apply([f, g]) for op in ops]
-    gh = [op.apply([g, h]) for op in ops]
-    abs_fg = [op.apply([fa, ga]) for op in abs_ops]
-    err_fg = [err.apply([fa, ga]) for err in errs]
-    abs_gh = [op.apply([ga, ha]) for op in abs_ops]
-    err_gh = [err.apply([ga, ha]) for err in errs]
+    abs_ops = series._abs_ops()[:order + 1]
+    fa, ha = p_abs(f), p_abs(h)
+    fg, abs_fg, err_fg = series._inner(order, f, g)
+    gh, abs_gh, err_gh = series._inner(order, g, h)
     residuals = []
     tolerances = []
     for k in range(order + 1):

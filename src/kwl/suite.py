@@ -310,14 +310,13 @@ def _moyal_order2(f, g):
 
 def check_star_product(cfg: SuiteConfig) -> CheckResult:
     from .operators import p_max_abs, p_sub
-    from fractions import Fraction
     details: dict = {}
     ok = True
 
     pi = bivector(2, [(0, 1, (0, 0), 1)])
     star = star_product(pi, 2, ANGLE, cfg.samples, cfg.seed, cfg.threads)
-    x = {(1, 0): Fraction(1)}
-    y = {(0, 1): Fraction(1)}
+    x = {(1, 0): 1}
+    y = {(0, 1): 1}
 
     # commutator: x*y - y*x = hbar + O(hbar^3)
     xy = star.multiply(x, y)
@@ -331,8 +330,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
     details["commutator"] = {"deviation": dev1, "tol": tol1, "passed": comm_ok}
 
     # order-2 term against the constant-coefficient expansion on monomials
-    basis = [{(2, 0): Fraction(1)}, {(1, 1): Fraction(1)}, {(0, 2): Fraction(1)},
-             {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}]
+    basis = [{(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}, {(1, 0): 1}, {(0, 1): 1}]
     worst = 0.0
     worst_tol = 0.0
     for f in basis:
@@ -352,8 +350,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
     # associativity for the linear bivector x dx^dy on low-degree monomials
     pil = bivector(2, [(0, 1, (1, 0), 1)])
     starl = star_product(pil, 2, ANGLE, cfg.samples, cfg.seed, cfg.threads)
-    monos = [{(1, 0): Fraction(1)}, {(0, 1): Fraction(1)},
-             {(2, 0): Fraction(1)}, {(1, 1): Fraction(1)}, {(0, 2): Fraction(1)}]
+    monos = [{(1, 0): 1}, {(0, 1): 1}, {(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}]
     worst_assoc = 0.0
     assoc_ok = True
     for f in monos:

@@ -11,8 +11,8 @@ from kwl.operators import (MultiDiffOperator, PolyMultivector, bivector,
                            check_associativity, check_globalization, contour_check, d_gamma,
                            function_field, jacobi_defect, multiplication_operator,
                            one_in_one_out_integral, operator_arity, p_abs, p_acc,
-                           p_add, p_diff, p_diff_multi, p_max_abs, p_mul, p_sub,
-                           poly_from_json_list, star_product,
+                           p_add, p_diff, p_diff_multi, p_int, p_max_abs, p_mul, p_sub,
+                           poly_from_json_list, poly_from_terms, star_product,
                            u_n, vector_field)
 
 WEDGE = make_graph(1, 2, [(0, 1), (0, 2)])
@@ -235,21 +235,8 @@ def reference_associativity(series, f, g, h, order, tol=1e-3):
     return tuple(residuals), tuple(tolerances)
 
 
-@pytest.mark.parametrize("kind", [ANGLE, LOG])
-@pytest.mark.parametrize("pi", BRACKETS, ids=["x", "xy", "so3"])
-def test_associativity_matches_per_pair_reference(pi, kind):
-    star = star_product(pi, 2, kind, 2 ** 10, seed=3)
-    triples = list(itertools.product(monomials(pi.dim), repeat=3))
-    for f, g, h in triples[::7]:
-        rep = check_associativity(pi, f, g, h, 2, kind, 2 ** 10, seed=3, star=star)
-        assert (rep.residuals, rep.tolerances) == reference_associativity(star, f, g, h, 2)
-        for op in star.ops + star.errs:
-            assert op.apply([f, g]) == reference_apply(op, [f, g])
-
-
-def test_associativity_apply_and_abs_counts(monkeypatch):
-    pi = BRACKETS[2]
-    star = star_product(pi, 2, ANGLE, 2 ** 10, seed=3)
+def count_calls(monkeypatch):
+    """Count MultiDiffOperator.apply and abs_coeffs calls from here on."""
     calls = {"apply": 0, "abs_coeffs": 0}
     for name in calls:
         method = getattr(MultiDiffOperator, name)
@@ -258,20 +245,122 @@ def test_associativity_apply_and_abs_counts(monkeypatch):
             calls[_name] += 1
             return _method(self, *args)
         monkeypatch.setattr(MultiDiffOperator, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [ANGLE, LOG])
+@pytest.mark.parametrize("pi", BRACKETS, ids=["x", "xy", "so3"])
+def test_associativity_matches_per_pair_reference(pi, kind, monkeypatch):
+    star = star_product(pi, 2, kind, 2 ** 10, seed=3)
+    triples = list(itertools.product(monomials(pi.dim), repeat=3))[::7]
+
+    def check_all():
+        return [check_associativity(pi, f, g, h, 2, kind, 2 ** 10, seed=3, star=star)
+                for f, g, h in triples]
+    reports = check_all()
+    for (f, g, h), rep in zip(triples, reports):
+        assert (rep.residuals, rep.tolerances) == reference_associativity(star, f, g, h, 2)
+        for op in star.ops + star.errs:
+            assert op.apply([f, g]) == reference_apply(op, [f, g])
+    # a second pass on the same star takes every inner product from its memo
+    calls = count_calls(monkeypatch)
+    assert check_all() == reports
+    assert calls == {"apply": 36 * len(triples), "abs_coeffs": 0}
+
+
+def test_associativity_apply_and_abs_counts(monkeypatch):
+    pi = BRACKETS[2]
+    star = star_product(pi, 2, ANGLE, 2 ** 10, seed=3)
+    calls = count_calls(monkeypatch)
     f, g, h = monomials(3)[3:6]
     check_associativity(pi, f, g, h, 2, ANGLE, 2 ** 10, seed=3, star=star)
     assert calls == {"apply": 54, "abs_coeffs": 3}
+
+
+def test_associativity_memo_serves_a_new_h(monkeypatch):
+    pi = BRACKETS[2]
+    star = star_product(pi, 2, ANGLE, 2 ** 10, seed=3)
+    f, g, h, h2 = monomials(3)[3:7]
+    check_associativity(pi, f, g, h, 2, ANGLE, 2 ** 10, seed=3, star=star)
+    calls = count_calls(monkeypatch)
+    rep = check_associativity(pi, f, g, h2, 2, ANGLE, 2 ** 10, seed=3, star=star)
+    # (f, g) comes from the memo; only (g, h2) and the outer products are new
+    assert calls == {"apply": 36 + 9, "abs_coeffs": 0}
+    monkeypatch.undo()
+    assert rep == check_associativity(pi, f, g, h2, 2, ANGLE, 2 ** 10, seed=3)
+
+
+def test_associativity_accepts_reordered_bivector_rows():
+    pi = BRACKETS[2]
+    shuffled = PolyMultivector(pi.dim, pi.degree, pi.coeffs[::-1])
+    star = star_product(pi, 1, ANGLE, 2 ** 10, seed=1)
+    f, g, h = monomials(3)[:3]
+    assert (check_associativity(shuffled, f, g, h, 1, ANGLE, 2 ** 10, seed=1, star=star)
+            == check_associativity(pi, f, g, h, 1, ANGLE, 2 ** 10, seed=1, star=star))
 
 
 @pytest.mark.parametrize("pi, order, kind, match", [
     (PI_LINEAR, 1, ANGLE, "order"),
     (bivector(3, []), 2, ANGLE, "dimension"),
     (PI_LINEAR, 2, LOG, "kind"),
-], ids=["lower-order", "other-dimension", "other-kind"])
+    (PI_CONST, 2, ANGLE, "another bivector"),
+], ids=["lower-order", "other-dimension", "other-kind", "other-bivector"])
 def test_associativity_rejects_mismatched_star(pi, order, kind, match):
     star = star_product(pi, order, kind, 2 ** 10, seed=1)
     with pytest.raises(ValueError, match=match):
         check_associativity(PI_LINEAR, X, Y, X, 2, ANGLE, 2 ** 10, seed=1, star=star)
+
+
+def test_associativity_rejects_negative_order():
+    star = star_product(PI_LINEAR, 2, ANGLE, 2 ** 10, seed=1)
+    for kwargs in ({"star": star}, {}):
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2, got -1"):
+            check_associativity(PI_LINEAR, X, Y, X, -1, ANGLE, 2 ** 10, seed=1, **kwargs)
+
+
+def test_integer_coefficients_stay_int():
+    assert [type(c) for _, _, c in PI_LINEAR.coeffs] == [int]
+    assert type(poly_from_terms(2, [((1, 0), 2)])[(1, 0)]) is int
+    assert [type(c) for c in multiplication_operator(2).terms.values()] == [int]
+    assert [type(c) for c in d_gamma(WEDGE, [PI_CONST]).terms.values()] == [int, int]
+    third = Fraction(1, 3)
+    assert p_int({(1, 0): Fraction(2), (0, 1): third, (0, 0): 0.5}) == {
+        (1, 0): 2, (0, 1): third, (0, 0): 0.5}
+    assert [type(c) for c in p_int({(1, 0): Fraction(2), (0, 1): third}).values()] == [
+        int, Fraction]
+
+
+def test_associativity_exact_with_fraction_coefficients():
+    pi = BRACKETS[2]
+    star = star_product(pi, 2, ANGLE, 2 ** 10, seed=3)
+    f = {(1, 0, 0): Fraction(1, 3), (0, 1, 1): Fraction(2)}
+    g = {(0, 1, 0): Fraction(1, 3), (0, 0, 2): Fraction(-5, 7)}
+    h = {(1, 1, 0): Fraction(-1, 3), (0, 0, 1): 1}
+    rep = check_associativity(pi, f, g, h, 2, ANGLE, 2 ** 10, seed=3, star=star)
+    assert rep.residuals[0] == 0.0
+    assert (rep.residuals, rep.tolerances) == reference_associativity(star, f, g, h, 2)
+
+
+def chained_p_diff(a, exps):
+    """Derivative by a multi-index as one p_diff call per unit of each exponent."""
+    out = a
+    for var, k in enumerate(exps):
+        for _ in range(k):
+            out = p_diff(out, var)
+    return out
+
+
+def test_p_diff_multi_matches_chained_p_diff():
+    polys = [
+        {(5, 2, 0): 0.1, (6, 0, 3): -2.7, (1, 1, 1): 1e-300, (0, 0, 0): 3.0},
+        {(5, 3, 1): 0.3 + 0.7j, (7, 2, 2): -1e-5j, (2, 0, 6): complex(1.1, -0.0)},
+        {(5, 5, 5): Fraction(1, 3), (6, 1, 2): Fraction(-7, 5), (0, 6, 0): 2},
+    ]
+    for a in polys:
+        for exps in itertools.product(range(8), repeat=3):
+            got, want = p_diff_multi(a, exps), chained_p_diff(a, exps)
+            assert list(got.items()) == list(want.items()), (a, exps)
+            assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
 
 def test_wrong_monomial_dimension_rejected():
