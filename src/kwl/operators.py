@@ -67,9 +67,10 @@ def p_sub(a: Poly, b: Poly) -> Poly:
 
 def p_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
+    add = operator.add
     for ma, ca in a.items():
         for mb, cb in b.items():
-            p_acc(out, tuple(x + y for x, y in zip(ma, mb)), ca * cb)
+            p_acc(out, tuple(map(add, ma, mb)), ca * cb)
     return out
 
 
@@ -183,14 +184,6 @@ class PolyMultivector:
         return out
 
 
-def _field_terms(mv: PolyMultivector) -> Dict[Tuple[Tuple[int, ...], Monomial], object]:
-    """Coefficients by (index tuple, monomial), whatever the order of the rows."""
-    out: Dict[Tuple[Tuple[int, ...], Monomial], object] = {}
-    for idx, mono, c in mv.coeffs:
-        p_acc(out, (idx, mono), c)
-    return out
-
-
 def bivector(dim: int, entries) -> PolyMultivector:
     """Bivector from (i, j, monomial, coeff) rows with i < j."""
     return PolyMultivector.build(dim, 2, [((i, j), mono, c) for i, j, mono, c in entries])
@@ -241,7 +234,6 @@ class MultiDiffOperator:
         # each argument's derivative per slot multi-index, for this call only
         derivs: List[Dict[Monomial, Poly]] = [{} for _ in funcs]
         out: Poly = {}
-        add = operator.add
         for (slots, mono), c in self.terms.items():
             dfs = []
             for exps, f, seen in zip(slots, funcs, derivs):
@@ -252,27 +244,11 @@ class MultiDiffOperator:
                     break
                 dfs.append(df)
             else:
-                # p_mul and p_acc inline: the same term order and zero rule
                 prod: Poly = {mono: c}
                 for df in dfs:
-                    nxt: Poly = {}
-                    for ma, ca in prod.items():
-                        for mb, cb in df.items():
-                            mm = tuple(map(add, ma, mb))
-                            cur = nxt.get(mm)
-                            new = ca * cb if cur is None else cur + ca * cb
-                            if new == 0:
-                                nxt.pop(mm, None)
-                            else:
-                                nxt[mm] = new
-                    prod = nxt
+                    prod = p_mul(prod, df)
                 for mm, cc in prod.items():
-                    cur = out.get(mm)
-                    new = cc if cur is None else cur + cc
-                    if new == 0:
-                        out.pop(mm, None)
-                    else:
-                        out[mm] = new
+                    p_acc(out, mm, cc)
         return out
 
     def max_abs(self) -> float:
@@ -410,7 +386,10 @@ class StarSeries:
     ``pi`` is the bivector the series was built from.  The series memoizes
     what depends only on itself and an argument pair: the Jacobi defect of
     ``pi``, the ``|.|`` operators and the inner products that
-    :func:`check_associativity` takes on ``(f, g)`` and on ``(g, h)``.
+    :func:`check_associativity` takes on ``(f, g)`` and on ``(g, h)``.  The
+    memo keeps one entry per distinct ``(order, f, g)`` it is asked about and
+    is freed only with the series, so a long-lived series checked against
+    many different argument pairs grows with their number.
     """
 
     dim: int
@@ -507,9 +486,9 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
     The bivector must satisfy the Jacobi identity (checked symbolically).
     Each order's residual coefficients are compared against three times the
     uncertainty propagated from the weight errors plus an absolute floor.
-    A precomputed ``star`` must be built from ``pi`` (the same coefficients
-    in any row order), be of ``kind`` and reach ``order``; its memo carries
-    the Jacobi defect and the inner products from one check to the next.
+    A precomputed ``star`` must be built from ``pi``, be of ``kind`` and
+    reach ``order``; its memo carries the Jacobi defect and the inner
+    products from one check to the next.
     """
     _check_poly_dim(pi.dim, f, g, h)
     _check_order(order)
@@ -520,7 +499,7 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
             raise ValueError(f"star series has dimension {star.dim}, bivector has {pi.dim}")
         if star.kind != kind:
             raise ValueError(f"star series is of kind {star.kind!r}, check asks for {kind!r}")
-        if _field_terms(star.pi) != _field_terms(pi):
+        if star.pi != pi:
             raise ValueError("star series was built from another bivector")
         defect = star._memoized(("jacobi",), lambda: jacobi_defect(star.pi))
     else:

@@ -290,15 +290,6 @@ def test_associativity_memo_serves_a_new_h(monkeypatch):
     assert rep == check_associativity(pi, f, g, h2, 2, ANGLE, 2 ** 10, seed=3)
 
 
-def test_associativity_accepts_reordered_bivector_rows():
-    pi = BRACKETS[2]
-    shuffled = PolyMultivector(pi.dim, pi.degree, pi.coeffs[::-1])
-    star = star_product(pi, 1, ANGLE, 2 ** 10, seed=1)
-    f, g, h = monomials(3)[:3]
-    assert (check_associativity(shuffled, f, g, h, 1, ANGLE, 2 ** 10, seed=1, star=star)
-            == check_associativity(pi, f, g, h, 1, ANGLE, 2 ** 10, seed=1, star=star))
-
-
 @pytest.mark.parametrize("pi, order, kind, match", [
     (PI_LINEAR, 1, ANGLE, "order"),
     (bivector(3, []), 2, ANGLE, "dimension"),
