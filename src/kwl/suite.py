@@ -28,8 +28,10 @@ from .stokes import IDENTITY_TOL, PROBE_TOL, counterterm_probe, verify_identity
 from .weights import (VANISHING_TOL, check_tol, compute_weight, detect_vanishing_pattern,
                       vanishing_check)
 
-#: the smallest budget; the property and determinism checks always draw it
+#: the smallest budget; the property check always draws it
 MIN_SAMPLES = 10_000
+#: the determinism check compares 4 threads with 1 at this budget: 4 pool tasks
+DETERMINISM_SAMPLES = 1 << 16
 #: the graph-sweeping checks take every graph on at most this many vertices
 CHECK_VERTICES = 4
 
@@ -474,8 +476,8 @@ def check_config_properties(cfg: SuiteConfig) -> CheckResult:
 
 def check_determinism(cfg: SuiteConfig) -> CheckResult:
     wedge = make_graph(1, 2, [(0, 1), (0, 2)])
-    a = compute_weight(wedge, ANGLE, MIN_SAMPLES, cfg.seed, threads=4)
-    b = compute_weight(wedge, ANGLE, MIN_SAMPLES, cfg.seed, threads=1)
+    a = compute_weight(wedge, ANGLE, DETERMINISM_SAMPLES, cfg.seed, threads=4)
+    b = compute_weight(wedge, ANGLE, DETERMINISM_SAMPLES, cfg.seed, threads=1)
     same = (json.dumps(a.to_json_dict(), sort_keys=True)
             == json.dumps(b.to_json_dict(), sort_keys=True))
 

@@ -8,6 +8,10 @@ means, which stays valid without independence assumptions on points
 inside a batch.  Everything is keyed by an integer seed; identical
 (graph, kind, samples, seed) inputs give bit-identical results regardless
 of the worker pool size.
+
+Consecutive batches share a pool task up to ``TASK_ROWS`` rows.  Batch
+``b``'s scrambled Sobol engine depends only on (dim, seed, b), so it is
+kept and rewound for the next weight until ``clear_weight_cache``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ COLLISION_EPS = 1e-12
 # depend on it.  A chunk of 6 x 6 complex matrices is 2.4 MB; chunks of
 # 1k-16k rows ran at about the same speed, whole 65,536-row batches slower
 CHUNK_ROWS = 4096
+#: rows per pool task: consecutive batches share a task up to this many
+#: rows, since two threads on small batches ran slower than one
+TASK_ROWS = 1 << 14
 #: absolute floor of the bound on a measured weight's distance from its
 #: exact value (zero for the vanishing patterns)
 VANISHING_TOL = 5e-3
@@ -128,31 +135,55 @@ def _check_budget(samples: int, seed: int) -> None:
         raise ValueError("seed must be nonnegative")
 
 
+_cache: Dict[tuple, WeightEstimate] = {}
+#: scrambled Sobol engines by (dim, seed, batch), stored rewound
+_engines: Dict[Tuple[int, int, int], qmc.Sobol] = {}
+_cache_lock = threading.Lock()
+
+
+def _sobol_points(dim: int, seed: int, batch: int, n: int) -> np.ndarray:
+    """First ``n`` points of the Sobol stream scrambled by ``(seed, batch)``;
+    the engine leaves the store while it draws, so no two threads share one."""
+    key = (dim, seed, batch)
+    with _cache_lock:
+        sob = _engines.pop(key, None)
+    if sob is None:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
+        sob = qmc.Sobol(dim, scramble=True, seed=rng)
+    U = sob.random(n)
+    with _cache_lock:
+        _engines[key] = sob.reset()
+    return U
+
+
 def _qmc_batches(func, dim: int, samples: int, seed: int,
                  threads: Optional[int]) -> Tuple[complex, float, int, int]:
     """Batched scrambled-QMC mean of ``func(U) -> (values, rejected)``.
 
     The budget is rounded up so the 16 batches are equal powers of two;
-    batch ``b`` uses the Sobol stream seeded by ``(seed, b)``.  Returns
-    (value, stderr, actual sample count, rejected sample count).
+    batch ``b`` uses the Sobol stream seeded by ``(seed, b)``, and batches
+    share pool tasks up to ``TASK_ROWS`` rows.  Returns (value, stderr,
+    actual sample count, rejected sample count).
     """
     per_batch = 1 << max(0, math.ceil(math.log2(samples / BATCHES)))
+    group = max(1, min(BATCHES, TASK_ROWS // per_batch))
 
     def one(batch: int) -> Tuple[complex, int]:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
-        sob = qmc.Sobol(dim, scramble=True, seed=rng)
         # Sobol points can include exact zeros; nudge off the faces
-        U = np.clip(sob.random(per_batch), 1e-15, 1.0 - 1e-15)
+        U = np.clip(_sobol_points(dim, seed, batch, per_batch), 1e-15, 1.0 - 1e-15)
         vals, rejected = func(U)
         return complex(np.mean(vals)), rejected
+
+    def task(lo: int) -> list:
+        return [one(b) for b in range(lo, lo + group)]
 
     nthreads = threads if threads is not None else default_threads()
     if nthreads < 1:
         raise ValueError(f"thread count must be at least 1, got {nthreads}")
     if nthreads > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            futs = [ex.submit(one, b) for b in range(BATCHES)]
-            results = [f.result() for f in futs]
+            futs = [ex.submit(task, lo) for lo in range(0, BATCHES, group)]
+            results = [r for f in futs for r in f.result()]
     else:
         results = [one(b) for b in range(BATCHES)]
 
@@ -201,10 +232,6 @@ def qmc_mean(func, dim: int, samples: int, seed: int,
     return _qmc_batches(lambda U: (func(U), 0), dim, samples, seed, threads)[:3]
 
 
-_cache: Dict[tuple, WeightEstimate] = {}
-_cache_lock = threading.Lock()
-
-
 def cached_weight(g: Graph, kind: str, samples: int, seed: int,
                   threads: Optional[int] = None) -> WeightEstimate:
     """Weight estimate deduplicated across graphs isomorphic up to aerial
@@ -224,8 +251,10 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
 
 
 def clear_weight_cache() -> None:
+    """Empty the weight cache and the Sobol engine store."""
     with _cache_lock:
         _cache.clear()
+        _engines.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
 import json
+import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import qmc
 
-from kwl import forms, halfplane
+from kwl import forms, halfplane, suite, weights
 from kwl.forms import ANGLE, LOG
 from kwl.graphs import make_graph, parse_graph
-from kwl.weights import (CHUNK_ROWS, COLLISION_EPS, NO_OUTGOING,
+from kwl.halfplane import gauge_dim
+from kwl.weights import (BATCHES, CHUNK_ROWS, COLLISION_EPS, NO_OUTGOING,
                          ONE_IN_ONE_OUT, UNIVALENT, WHEEL, cached_weight,
                          clear_weight_cache, compute_weight,
                          detect_vanishing_pattern, integrand_batch, qmc_mean,
@@ -260,3 +267,138 @@ def test_weight_json_shape():
                       "rejected"}
     assert d["rejected"] == est.rejected
     assert d["value"] == [est.value.real, est.value.imag]
+
+
+# ---------------------------------------------------------------------------
+# pool tasks and the Sobol engine store
+
+
+def _reference_batches(g, kind, samples, seed):
+    """One fresh Sobol engine and one batch at a time, no pool: the
+    schedule the grouped tasks and rewound engines must reproduce."""
+    per_batch = 1 << max(0, math.ceil(math.log2(samples / BATCHES)))
+    results = []
+    for batch in range(BATCHES):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
+        sob = qmc.Sobol(gauge_dim(g.n, g.m), scramble=True, seed=rng)
+        U = np.clip(sob.random(per_batch), 1e-15, 1.0 - 1e-15)
+        vals, rejected = integrand_batch(g, kind, U)
+        results.append((complex(np.mean(vals)), rejected))
+    means = np.array([r[0] for r in results], dtype=complex)
+    value = complex(means.mean())
+    var = float(np.sum(np.abs(means - value) ** 2)) / (BATCHES - 1)
+    return (value, math.sqrt(var / BATCHES), per_batch * BATCHES,
+            sum(r[1] for r in results))
+
+
+def _counting_pool(monkeypatch):
+    """Replace the weights pool; returns the list of per-pool task counts."""
+    counts = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts.append(0)
+
+        def submit(self, *args, **kwargs):
+            counts[-1] += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "ThreadPoolExecutor", CountingPool)
+    return counts
+
+
+def _counting_sobol(monkeypatch, draw_delay=0.0):
+    """Replace the Sobol class weights builds; returns the build counter.
+    Each draw then sleeps ``draw_delay`` seconds, letting other threads run."""
+    builds = [0]
+
+    class CountingSobol(qmc.Sobol):
+        def __init__(self, *args, **kwargs):
+            builds[0] += 1
+            super().__init__(*args, **kwargs)
+
+        def random(self, *args, **kwargs):
+            points = super().random(*args, **kwargs)
+            time.sleep(draw_delay)
+            return points
+
+    monkeypatch.setattr(weights, "qmc", SimpleNamespace(Sobol=CountingSobol))
+    return builds
+
+
+def test_batches_share_pool_tasks_up_to_task_rows(monkeypatch):
+    counts = _counting_pool(monkeypatch)
+    for samples, tasks in ((1 << 10, 1), (1 << 14, 1), (1 << 17, 8), (1 << 20, 16)):
+        counts.clear()
+        compute_weight(WEDGE, ANGLE, samples, seed=5, threads=2)
+        assert counts == [tasks], samples
+
+
+def test_suite_determinism_check_compares_a_split_schedule(monkeypatch):
+    counts = _counting_pool(monkeypatch)
+    suite.check_determinism(suite.SuiteConfig())
+    assert counts[0] == 4  # the four-thread run
+
+
+@pytest.mark.parametrize("samples", [1 << 14, 1 << 17])
+def test_grouped_tasks_match_the_per_batch_loop(samples):
+    clear_weight_cache()
+    for kind in (ANGLE, LOG):
+        ref = _reference_batches(G31, kind, samples, 11)
+        for threads in (1, 2, 4):
+            est = compute_weight(G31, kind, samples, seed=11, threads=threads)
+            assert (est.value, est.stderr, est.samples, est.rejected) == ref, (kind, threads)
+
+
+def test_same_dim_and_seed_reuse_sobol_engines(monkeypatch):
+    builds = _counting_sobol(monkeypatch)
+    clear_weight_cache()
+    compute_weight(WEDGE, ANGLE, 1 << 10, seed=5, threads=2)
+    assert builds[0] == BATCHES
+    compute_weight(WEDGE, LOG, 1 << 10, seed=5, threads=1)
+    assert builds[0] == BATCHES
+    compute_weight(WEDGE, ANGLE, 1 << 10, seed=6, threads=1)
+    assert builds[0] == 2 * BATCHES
+    clear_weight_cache()
+    compute_weight(WEDGE, ANGLE, 1 << 10, seed=5, threads=1)
+    assert builds[0] == 3 * BATCHES
+
+
+def test_rewound_engines_draw_like_fresh_ones():
+    budgets = (1 << 10, 1 << 14, 1 << 10)
+    clear_weight_cache()
+    rewound = [compute_weight(G31, LOG, s, seed=4, threads=1) for s in budgets]
+    fresh = []
+    for s in budgets:
+        clear_weight_cache()
+        fresh.append(compute_weight(G31, LOG, s, seed=4, threads=1))
+    assert rewound == fresh
+    assert rewound[0] == rewound[2]
+
+
+def test_concurrent_weights_at_one_seed_match_one_thread(monkeypatch):
+    reps = 4
+    clear_weight_cache()
+    want = {kind: compute_weight(G31, kind, 1 << 10, seed=8, threads=1)
+            for kind in (ANGLE, LOG)}
+    clear_weight_cache()
+    # a draw outlasts the integrand, so both threads work on the same
+    # batch at once and an engine shared by them would be seen
+    _counting_sobol(monkeypatch, draw_delay=1e-2)
+    barrier = threading.Barrier(2)
+    got = {ANGLE: [], LOG: []}
+
+    def run(kind):
+        barrier.wait()
+        for _ in range(reps):
+            got[kind].append(compute_weight(G31, kind, 1 << 10, seed=8, threads=1))
+
+    workers = [threading.Thread(target=run, args=(kind,)) for kind in (ANGLE, LOG)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    clear_weight_cache()
+    for kind in (ANGLE, LOG):
+        assert got[kind] == [want[kind]] * reps, kind
