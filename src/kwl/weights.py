@@ -10,8 +10,10 @@ inside a batch.  Everything is keyed by an integer seed; identical
 of the worker pool size.
 
 Consecutive batches share a pool task up to ``TASK_ROWS`` rows.  Batch
-``b``'s scrambled Sobol engine depends only on (dim, seed, b), so it is
-kept and rewound for the next weight until ``clear_weight_cache``.
+``b``'s scrambled Sobol engine (:mod:`kwl.qmc`: Joe-Kuo direction numbers
+with the linear matrix scramble and digital shift of
+``scipy.stats.qmc.Sobol``, bit for bit) depends only on (dim, seed, b), so
+it is kept and rewound for the next weight until ``clear_weight_cache``.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
+from . import qmc
 from .forms import ANGLE, check_kind, pairing_matrices, pairing_scale
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
-from .halfplane import gauge_dim, gauge_frame, slice_map
+from .halfplane import gauge_frame, slice_map
 
 BATCHES = 16
 COLLISION_EPS = 1e-12
@@ -149,7 +151,7 @@ def _sobol_points(dim: int, seed: int, batch: int, n: int) -> np.ndarray:
         sob = _engines.pop(key, None)
     if sob is None:
         rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
-        sob = qmc.Sobol(dim, scramble=True, seed=rng)
+        sob = qmc.Sobol(dim, seed=rng)
     U = sob.random(n)
     with _cache_lock:
         _engines[key] = sob.reset()
@@ -206,7 +208,8 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
     exactly zero (the integral of a non-top form); the empty top-degree
     case is exactly one.  Otherwise the value is the deterministic QMC
     estimate at the requested sample budget, rounded up so the 16 batches
-    are balanced powers of two.
+    are balanced powers of two; slices of more than ``qmc.MAX_DIM``
+    dimensions are rejected.
     """
     check_kind(kind)
     _check_budget(samples, seed)
@@ -216,8 +219,11 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
         return WeightEstimate(0.0 + 0j, 0.0, 0, seed, kind, enc, exact=True)
     if d_top == 0:
         return WeightEstimate(1.0 + 0j, 0.0, 0, seed, kind, enc, exact=True)
+    if d_top > qmc.MAX_DIM:
+        raise ValueError(f"the slice of a ({g.n},{g.m}) graph has {d_top} dimensions; "
+                         f"the Sobol table stops at {qmc.MAX_DIM}")
     value, stderr, total, rejected = _qmc_batches(
-        lambda U: integrand_batch(g, kind, U), gauge_dim(g.n, g.m), samples, seed, threads)
+        lambda U: integrand_batch(g, kind, U), d_top, samples, seed, threads)
     return WeightEstimate(value, stderr, total, seed, kind, enc, rejected=rejected)
 
 

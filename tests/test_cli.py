@@ -97,6 +97,17 @@ def test_weight_bad_budget_or_seed_exit_2(capsys):
     assert_usage_error(["weight", "--graph", "0 2 ;", "--samples", "-4"], capsys)
 
 
+def test_weight_above_the_sobol_table_exit_2(capsys):
+    # 9 aerial vertices and 1 ground one: a 17-dimensional slice, above the
+    # 14 of the Sobol table; a graph of the wrong degree there is still an
+    # exact zero
+    star = " ".join(f"a{v}>a1" for v in range(2, 10))
+    graph = f"9 1 ; {star} " + " ".join(f"a{v}>g1" for v in range(1, 10))
+    assert "17 dimensions" in assert_usage_error(["weight", "--graph", graph], capsys)
+    code, out = run_cli(["weight", "--graph", f"9 1 ; {star}"], capsys)
+    assert code == 0 and json.loads(out)["value"] == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
 @pytest.mark.parametrize("command, graph", [
     ("verify-identity", "2 1 ; a1>a2 a2>g1"), ("vanish", "2 1 ; a1>a2 a2>a1 a1>g1")])

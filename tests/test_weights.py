@@ -1,16 +1,17 @@
 import json
 import math
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.stats import qmc
+from scipy.stats import qmc as scipy_qmc
 
-from kwl import forms, halfplane, suite, weights
+from kwl import forms, halfplane, qmc, suite, weights
 from kwl.forms import ANGLE, LOG
 from kwl.graphs import make_graph, parse_graph
 from kwl.halfplane import gauge_dim
@@ -270,18 +271,68 @@ def test_weight_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# pool tasks and the Sobol engine store
+# the Sobol engine against scipy's, pool tasks and the engine store
+
+
+def _batch_rng(seed, batch):
+    return np.random.default_rng(np.random.SeedSequence([seed, batch]))
+
+
+def _scipy_points(dim, seed, batch, n):
+    """The reference stream: scipy's scrambled Sobol points for batch
+    ``batch`` at ``seed``, seeded the way weights seeds kwl's engine."""
+    return scipy_qmc.Sobol(dim, scramble=True, seed=_batch_rng(seed, batch)).random(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1 << 16])
+@pytest.mark.parametrize("dim", range(1, qmc.MAX_DIM + 1))
+def test_sobol_matches_scipy_bit_for_bit(dim, n):
+    for seed, batch in ((0, 0), (11, 15)):
+        engine = qmc.Sobol(dim, seed=_batch_rng(seed, batch))
+        want = _scipy_points(dim, seed, batch, n)
+        for _ in range(2):  # fresh, then rewound
+            assert np.array_equal(engine.random(n), want), (seed, batch)
+            engine.reset()
+
+
+@pytest.mark.parametrize("dim", [0, qmc.MAX_DIM + 1])
+def test_sobol_dimension_outside_the_table_rejected(dim):
+    with pytest.raises(ValueError, match="dimension"):
+        qmc.Sobol(dim, seed=_batch_rng(0, 0))
+
+
+def test_sobol_second_draw_needs_reset():
+    engine = qmc.Sobol(3, seed=_batch_rng(0, 0))
+    first = engine.random(8)
+    with pytest.raises(ValueError, match="reset"):
+        engine.random(8)
+    assert np.array_equal(engine.reset().random(8), first)
+
+
+def test_weight_above_the_sobol_table_rejected():
+    # 8 aerial vertices and 2 ground ones: a 16-dimensional slice
+    g = make_graph(8, 2, [(v, 8) for v in range(8)] + [(v, 9) for v in range(8)])
+    with pytest.raises(ValueError, match="16 dimensions"):
+        compute_weight(g, ANGLE, 1 << 10, 1)
+
+
+def test_weights_load_no_scipy_stats():
+    code = ("import sys, kwl\n"
+            "kwl.compute_weight(kwl.make_graph(1, 2, [(0, 1), (0, 2)]), 'angle', 1024, 1)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def _reference_batches(g, kind, samples, seed):
-    """One fresh Sobol engine and one batch at a time, no pool: the
-    schedule the grouped tasks and rewound engines must reproduce."""
+    """scipy's Sobol points, one batch at a time, no pool: the schedule
+    the grouped tasks and rewound kwl engines must reproduce."""
     per_batch = 1 << max(0, math.ceil(math.log2(samples / BATCHES)))
     results = []
     for batch in range(BATCHES):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
-        sob = qmc.Sobol(gauge_dim(g.n, g.m), scramble=True, seed=rng)
-        U = np.clip(sob.random(per_batch), 1e-15, 1.0 - 1e-15)
+        U = _scipy_points(gauge_dim(g.n, g.m), seed, batch, per_batch)
+        U = np.clip(U, 1e-15, 1.0 - 1e-15)
         vals, rejected = integrand_batch(g, kind, U)
         results.append((complex(np.mean(vals)), rejected))
     means = np.array([r[0] for r in results], dtype=complex)
@@ -313,7 +364,7 @@ def _counting_sobol(monkeypatch, draw_delay=0.0):
     Each draw then sleeps ``draw_delay`` seconds, letting other threads run."""
     builds = [0]
 
-    class CountingSobol(qmc.Sobol):
+    class CountingSobol(weights.qmc.Sobol):
         def __init__(self, *args, **kwargs):
             builds[0] += 1
             super().__init__(*args, **kwargs)
@@ -323,7 +374,7 @@ def _counting_sobol(monkeypatch, draw_delay=0.0):
             time.sleep(draw_delay)
             return points
 
-    monkeypatch.setattr(weights, "qmc", SimpleNamespace(Sobol=CountingSobol))
+    monkeypatch.setattr(weights.qmc, "Sobol", CountingSobol)
     return builds
 
 
