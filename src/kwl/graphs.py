@@ -252,6 +252,23 @@ def edge_sort_parity(seq: Sequence) -> int:
     return -1 if inversions % 2 else 1
 
 
+def odd_automorphism(g: Graph) -> Optional[Tuple[int, ...]]:
+    """An aerial relabelling that maps the edge set onto itself by an odd
+    permutation of the edge sequence, or None.
+
+    Relabelling aerial points preserves the orientation of the slice, so
+    such a graph's weight equals minus itself: it is exactly zero.
+    """
+    index = {e: i for i, e in enumerate(g.edges)}
+    ground = tuple(range(g.n, g.num_vertices))
+    for perm in itertools.permutations(range(g.n)):
+        relabel = perm + ground
+        image = [index.get((relabel[s], relabel[t])) for s, t in g.edges]
+        if None not in image and edge_sort_parity(image) == -1:
+            return perm
+    return None
+
+
 def canonical_key(g: Graph):
     """Key equal for graphs isomorphic under aerial relabelling, plus parity.
 
@@ -261,8 +278,9 @@ def canonical_key(g: Graph):
     edge sequence, transported through the minimising relabelling, to the
     canonical sorted order; a graph's weight is the canonical graph's
     weight times this parity.  Ties between relabellings are broken by the
-    first permutation in lexicographic order, which pins the parity even
-    for graphs with self-isomorphisms.
+    first permutation in lexicographic order; the parity then depends on
+    the input labelling only for graphs with an :func:`odd_automorphism`,
+    whose weight is zero.
     """
     best = None
     best_seq = None

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import qmc
 from .forms import ANGLE, check_kind, pairing_matrices, pairing_scale
-from .graphs import Graph, canonical_graph, canonical_key, encode_graph
+from .graphs import Graph, canonical_graph, canonical_key, encode_graph, odd_automorphism
 from .halfplane import gauge_frame, slice_map
 
 BATCHES = 16
@@ -205,8 +205,9 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
     """Estimate the weight of a graph.
 
     A graph whose edge count differs from the slice dimension has weight
-    exactly zero (the integral of a non-top form); the empty top-degree
-    case is exactly one.  Otherwise the value is the deterministic QMC
+    exactly zero (the integral of a non-top form), and so has a graph with
+    an odd automorphism (:func:`graphs.odd_automorphism`); the empty
+    top-degree case is exactly one.  Otherwise the value is the deterministic QMC
     estimate at the requested sample budget, rounded up so the 16 batches
     are balanced powers of two; slices of more than ``qmc.MAX_DIM``
     dimensions are rejected.
@@ -222,6 +223,8 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
     if d_top > qmc.MAX_DIM:
         raise ValueError(f"the slice of a ({g.n},{g.m}) graph has {d_top} dimensions; "
                          f"the Sobol table stops at {qmc.MAX_DIM}")
+    if odd_automorphism(g) is not None:
+        return WeightEstimate(0.0 + 0j, 0.0, 0, seed, kind, enc, exact=True)
     value, stderr, total, rejected = _qmc_batches(
         lambda U: integrand_batch(g, kind, U), d_top, samples, seed, threads)
     return WeightEstimate(value, stderr, total, seed, kind, enc, rejected=rejected)
@@ -252,8 +255,9 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
             _cache[cache_key] = hit
     if g.edges == key[2]:  # the canonical graph itself
         return hit
-    return WeightEstimate(hit.value if parity == 1 else -hit.value, hit.stderr, hit.samples,
-                          hit.seed, kind, encode_graph(g), rejected=hit.rejected, exact=hit.exact)
+    value = hit.value if parity == 1 or hit.value == 0 else -hit.value  # no -0.0
+    return WeightEstimate(value, hit.stderr, hit.samples, hit.seed, kind, encode_graph(g),
+                          rejected=hit.rejected, exact=hit.exact)
 
 
 def clear_weight_cache() -> None:

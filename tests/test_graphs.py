@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from kwl.graphs import (TYPE_I, TYPE_II, canonical_graph, canonical_key,
                         collapse_fault, collapse_layout, contract, encode_graph,
                         enumerate_graphs,
-                        edge_sort_parity, make_graph, parse_graph,
-                        possible_edges)
+                        edge_sort_parity, make_graph, odd_automorphism,
+                        parse_graph, possible_edges)
 from kwl.halfplane import NestedFamily
 
 
@@ -142,6 +143,21 @@ def test_canonical_key_relabelled_aerials():
     a = make_graph(2, 0, [(0, 1), (1, 0)])
     ka, _ = canonical_key(a)
     assert canonical_key(make_graph(2, 0, [(1, 0), (0, 1)]))[0] == ka
+
+
+def test_odd_automorphism():
+    # swapping a1 and a2 swaps the two edges of the two-cycle
+    assert odd_automorphism(parse_graph("2 0 ; a1>a2 a2>a1")) == (1, 0)
+    # that swap exchanges two pairs of edges: an even permutation
+    assert odd_automorphism(parse_graph("2 2 ; a1>g1 a1>g2 a2>g1 a2>g2")) is None
+    assert odd_automorphism(parse_graph("3 0 ; a1>a2 a2>a1 a3>a1")) is None
+    assert odd_automorphism(parse_graph("1 2 ; a1>g1 a1>g2")) is None
+    # in a (4,0) graph: a1 <-> a2 with a3 <-> a4 swaps three edge pairs
+    g = parse_graph("4 0 ; a1>a2 a2>a1 a1>a3 a2>a4 a3>a4 a4>a3")
+    assert odd_automorphism(g) == (1, 0, 3, 2)
+    tops = {canonical_key(g)[0] for n, m in ((2, 0), (2, 2), (3, 1), (4, 0))
+            for g in enumerate_graphs(n, m, 2 * n + m - 2) if odd_automorphism(g)}
+    assert sorted(collections.Counter(k[:2] for k in tops).items()) == [((2, 0), 1), ((4, 0), 10)]
 
 
 def test_canonical_key_ground_order_fixed():

@@ -187,6 +187,23 @@ def test_identity_sweep_three_vertices(kind):
             assert rep.passed, (g, kind, rep.residual, rep.stderr)
 
 
+@pytest.mark.parametrize("kind", [ANGLE, LOG])
+def test_relabelled_identities_agree_up_to_parity(kind):
+    # a residual is its canonical class's times the relabelling parity;
+    # this needs the graphs with an odd automorphism to weigh exactly zero
+    g = parse_graph("3 0 ; a1>a2 a2>a1 a3>a1")
+    h = parse_graph("3 0 ; a1>a3 a2>a3 a3>a2")
+    assert graphs.canonical_key(g) == (graphs.canonical_key(h)[0], -graphs.canonical_key(h)[1])
+    assert verify_identity(g, kind, 1 << 12, 5).residual == 0
+    assert verify_identity(h, kind, 1 << 12, 5).residual == 0
+    first = {}
+    for n, m in [(3, 0), (2, 2), (3, 1), (4, 0)]:
+        for g in enumerate_graphs(n, m, 2 * n + m - 3):
+            key, parity = graphs.canonical_key(g)
+            residual = parity * verify_identity(g, kind, 1 << 10, 5).residual
+            assert abs(residual - first.setdefault(key, residual)) < 1e-15, g
+
+
 def test_identity_all_zero_terms():
     # every stratum is flagged or degree-zero: residual is exactly zero
     g = parse_graph("1 2 ; a1>g1")

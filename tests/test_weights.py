@@ -219,6 +219,24 @@ def test_cached_weight_reports_the_input_graph(text, parity):
     assert est.value == parity * cached_weight(canon, ANGLE, 2 ** 10, 5).value
 
 
+def test_odd_automorphism_weight_exact_zero():
+    # either labelling of the two-cycle, computed or through the cache
+    for text in ("2 0 ; a1>a2 a2>a1", "2 0 ; a2>a1 a1>a2"):
+        g = parse_graph(text)
+        for kind in (ANGLE, LOG):
+            for est in (compute_weight(g, kind, 1 << 12, 5), cached_weight(g, kind, 1 << 12, 5)):
+                assert est.exact and est.stderr == 0 and est.graph == text
+                assert est.to_json_dict()["value"] == [0.0, 0.0]
+                assert math.copysign(1, est.value.real) == 1  # not -0.0
+
+
+def test_even_automorphism_keeps_the_weight():
+    # swapping a1 and a2 permutes the edges evenly; the weight is 1/2 squared
+    est = compute_weight(parse_graph("2 2 ; a1>g1 a1>g2 a2>g1 a2>g2"), ANGLE, 1 << 16, 5)
+    assert not est.exact
+    assert abs(est.value - 0.25) <= 3 * est.stderr
+
+
 def test_pattern_detection():
     assert detect_vanishing_pattern(parse_graph("2 1 ; a1>a2 a2>a1 a1>g1")) == ONE_IN_ONE_OUT
     assert detect_vanishing_pattern(parse_graph("2 2 ; a1>a2 a1>g1 a1>g2")) == UNIVALENT
