@@ -78,7 +78,7 @@ class Sobol:
         scrambled = np.einsum("dpk,djk->djp", lower, digits) & 1
         v = (scrambled << _DIGIT).sum(axis=2, dtype=np.uint32).T
         # Gray code: point h + i, i < h = 2^j, is point i with digits j and
-        # j - 1 flipped, so step j XORs v[j] ^ v[j - 1] onto a copy
+        # j - 1 flipped, so step j XORs v[j] ^ v[j - 1] onto the first points
         v[1:] ^= v[:-1]
         # coordinates are kept as the bit patterns of the doubles 1 + x:
         # x's digits fill the top of the mantissa, where XOR acts on them alone

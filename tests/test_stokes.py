@@ -197,7 +197,8 @@ def test_relabelled_identities_agree_up_to_parity(kind):
     assert verify_identity(g, kind, 1 << 12, 5).residual == 0
     assert verify_identity(h, kind, 1 << 12, 5).residual == 0
     first = {}
-    for n, m in [(3, 0), (2, 2), (3, 1), (4, 0)]:
+    slices = [(n, m) for n in range(5) for m in range(5 - n) if 2 * n + m >= 3]
+    for n, m in slices:
         for g in enumerate_graphs(n, m, 2 * n + m - 3):
             key, parity = graphs.canonical_key(g)
             residual = parity * verify_identity(g, kind, 1 << 10, 5).residual

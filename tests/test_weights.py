@@ -13,7 +13,8 @@ from scipy.stats import qmc as scipy_qmc
 
 from kwl import forms, halfplane, qmc, suite, weights
 from kwl.forms import ANGLE, LOG
-from kwl.graphs import make_graph, parse_graph
+from kwl.graphs import (canonical_graph, canonical_key, enumerate_graphs, make_graph,
+                        odd_automorphism, parse_graph)
 from kwl.halfplane import gauge_dim
 from kwl.weights import (BATCHES, CHUNK_ROWS, COLLISION_EPS, NO_OUTGOING,
                          ONE_IN_ONE_OUT, UNIVALENT, WHEEL, cached_weight,
@@ -228,6 +229,13 @@ def test_odd_automorphism_weight_exact_zero():
                 assert est.exact and est.stderr == 0 and est.graph == text
                 assert est.to_json_dict()["value"] == [0.0, 0.0]
                 assert math.copysign(1, est.value.real) == 1  # not -0.0
+    # four (4,0) classes carry no vanishing pattern; only the automorphism
+    # shows that they vanish
+    bare = {canonical_key(g)[0] for g in enumerate_graphs(4, 0, 6)
+            if odd_automorphism(g) and detect_vanishing_pattern(g) is None}
+    assert len(bare) == 4
+    for key in bare:
+        assert compute_weight(canonical_graph(key), LOG, 1 << 12, 5).exact
 
 
 def test_even_automorphism_keeps_the_weight():
