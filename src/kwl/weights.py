@@ -205,9 +205,8 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
     """Estimate the weight of a graph.
 
     A graph whose edge count differs from the slice dimension has weight
-    exactly zero (the integral of a non-top form), and so has a graph with
-    an odd automorphism (:func:`graphs.odd_automorphism`); the empty
-    top-degree case is exactly one.  Otherwise the value is the deterministic QMC
+    exactly zero (the integral of a non-top form); the empty top-degree
+    case is exactly one.  Otherwise the value is the deterministic QMC
     estimate at the requested sample budget, rounded up so the 16 batches
     are balanced powers of two; slices of more than ``qmc.MAX_DIM``
     dimensions are rejected.
@@ -223,8 +222,6 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
     if d_top > qmc.MAX_DIM:
         raise ValueError(f"the slice of a ({g.n},{g.m}) graph has {d_top} dimensions; "
                          f"the Sobol table stops at {qmc.MAX_DIM}")
-    if odd_automorphism(g) is not None:
-        return WeightEstimate(0.0 + 0j, 0.0, 0, seed, kind, enc, exact=True)
     value, stderr, total, rejected = _qmc_batches(
         lambda U: integrand_batch(g, kind, U), d_top, samples, seed, threads)
     return WeightEstimate(value, stderr, total, seed, kind, enc, rejected=rejected)
@@ -244,13 +241,25 @@ def qmc_mean(func, dim: int, samples: int, seed: int,
 def cached_weight(g: Graph, kind: str, samples: int, seed: int,
                   threads: Optional[int] = None) -> WeightEstimate:
     """Weight estimate deduplicated across graphs isomorphic up to aerial
-    relabelling and edge reordering (sign restored from the edge parity)."""
+    relabelling and edge reordering (sign restored from the edge parity).
+
+    A class with an odd automorphism (:func:`graphs.odd_automorphism`)
+    weighs an exact zero: relabelling shows that its weight equals minus
+    itself.  Only this class-level entry point applies the rule;
+    :func:`compute_weight` estimates every graph it is given.
+    """
     key, parity = canonical_key(g)
     cache_key = (key, kind, samples, seed)
     with _cache_lock:
         hit = _cache.get(cache_key)
     if hit is None:
-        hit = compute_weight(canonical_graph(key), kind, samples, seed, threads)
+        canon = canonical_graph(key)
+        if odd_automorphism(canon) is None:
+            hit = compute_weight(canon, kind, samples, seed, threads)
+        else:
+            check_kind(kind)
+            _check_budget(samples, seed)
+            hit = WeightEstimate(0.0 + 0j, 0.0, 0, seed, kind, encode_graph(canon), exact=True)
         with _cache_lock:
             _cache[cache_key] = hit
     if g.edges == key[2]:  # the canonical graph itself

@@ -221,21 +221,21 @@ def test_cached_weight_reports_the_input_graph(text, parity):
 
 
 def test_odd_automorphism_weight_exact_zero():
-    # either labelling of the two-cycle, computed or through the cache
+    # either labelling of the two-cycle, through the class cache
     for text in ("2 0 ; a1>a2 a2>a1", "2 0 ; a2>a1 a1>a2"):
         g = parse_graph(text)
         for kind in (ANGLE, LOG):
-            for est in (compute_weight(g, kind, 1 << 12, 5), cached_weight(g, kind, 1 << 12, 5)):
-                assert est.exact and est.stderr == 0 and est.graph == text
-                assert est.to_json_dict()["value"] == [0.0, 0.0]
-                assert math.copysign(1, est.value.real) == 1  # not -0.0
+            est = cached_weight(g, kind, 1 << 12, 5)
+            assert est.exact and est.stderr == 0 and est.graph == text
+            assert est.to_json_dict()["value"] == [0.0, 0.0]
+            assert math.copysign(1, est.value.real) == 1  # not -0.0
     # four (4,0) classes carry no vanishing pattern; only the automorphism
     # shows that they vanish
     bare = {canonical_key(g)[0] for g in enumerate_graphs(4, 0, 6)
             if odd_automorphism(g) and detect_vanishing_pattern(g) is None}
     assert len(bare) == 4
     for key in bare:
-        assert compute_weight(canonical_graph(key), LOG, 1 << 12, 5).exact
+        assert cached_weight(canonical_graph(key), LOG, 1 << 12, 5).exact
 
 
 def test_even_automorphism_keeps_the_weight():
