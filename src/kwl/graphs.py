@@ -252,46 +252,34 @@ def edge_sort_parity(seq: Sequence) -> int:
     return -1 if inversions % 2 else 1
 
 
-def odd_automorphism(g: Graph) -> Optional[Tuple[int, ...]]:
-    """An aerial relabelling that maps the edge set onto itself by an odd
-    permutation of the edge sequence, or None.
-
-    Relabelling aerial points preserves the orientation of the slice, so
-    such a graph's weight equals minus itself: it is exactly zero.
-    """
-    index = {e: i for i, e in enumerate(g.edges)}
-    ground = tuple(range(g.n, g.num_vertices))
-    for perm in itertools.permutations(range(g.n)):
-        relabel = perm + ground
-        image = [index.get((relabel[s], relabel[t])) for s, t in g.edges]
-        if None not in image and edge_sort_parity(image) == -1:
-            return perm
-    return None
-
-
 def canonical_key(g: Graph):
     """Key equal for graphs isomorphic under aerial relabelling, plus parity.
 
     The key fixes the ground order (ground relabelling is not allowed) and
     minimises the sorted edge tuple over all permutations of the aerial
     labels.  The parity is the sign of the permutation taking the stored
-    edge sequence, transported through the minimising relabelling, to the
+    edge sequence, transported through a minimising relabelling, to the
     canonical sorted order; a graph's weight is the canonical graph's
-    weight times this parity.  Ties between relabellings are broken by the
-    first permutation in lexicographic order; the parity then depends on
-    the input labelling only for graphs with an :func:`odd_automorphism`,
-    whose weight is zero.
+    weight times this parity.  It is 0 when two minimising relabellings
+    give opposite signs: the class then has an odd automorphism, an aerial
+    relabelling that permutes its edges oddly, and since relabelling aerial
+    points preserves the orientation of the slice its weight equals minus
+    itself, which makes it exactly zero.
     """
-    best = None
-    best_seq = None
+    best = best_seq = parity = None
+    ground = tuple(range(g.n, g.num_vertices))
     for perm in itertools.permutations(range(g.n)):
-        relabel = list(perm) + list(range(g.n, g.num_vertices))
+        relabel = perm + ground
         seq = tuple((relabel[s], relabel[t]) for s, t in g.edges)
         edges = tuple(sorted(seq))
         if best is None or edges < best:
-            best = edges
-            best_seq = seq
-    return (g.n, g.m, best), edge_sort_parity(best_seq)
+            best, best_seq, parity = edges, seq, None
+        elif parity != 0 and edges == best:
+            if parity is None:
+                parity = edge_sort_parity(best_seq)
+            if edge_sort_parity(seq) != parity:
+                parity = 0
+    return (g.n, g.m, best), edge_sort_parity(best_seq) if parity is None else parity
 
 
 def canonical_graph(key) -> Graph:

@@ -59,8 +59,9 @@ class Sobol:
     """Scrambled Sobol engine in ``d`` dimensions, ``1 <= d <= MAX_DIM``.
 
     ``seed`` is a ``numpy.random.Generator``; the scramble is drawn from
-    its first spawned child, as scipy does.  :meth:`random` draws the
-    first ``n`` points once; :meth:`reset` allows the next draw.
+    its first spawned child, as scipy does.  The engine is read-only after
+    construction: every :meth:`random` call builds the first ``n`` points
+    afresh, so one engine can serve any number of draws and threads.
     """
 
     def __init__(self, d: int, *, seed: np.random.Generator) -> None:
@@ -84,12 +85,9 @@ class Sobol:
         # x's digits fill the top of the mantissa, where XOR acts on them alone
         self._first = _ONE | shift.astype(np.uint64) << _MANTISSA
         self._steps = v.astype(np.uint64) << _MANTISSA
-        self._drawn = False
 
     def random(self, n: int) -> np.ndarray:
         """The first ``n`` points, ``(n, d)`` floats in [0, 1)."""
-        if self._drawn:
-            raise ValueError("Sobol engine already drawn from; reset() it first")
         if not 1 <= n <= 1 << BITS:
             raise ValueError(f"point count must be 1..2^{BITS}, got {n}")
         X = np.empty((n, self.d), dtype=np.uint64)
@@ -99,12 +97,6 @@ class Sobol:
             c = min(h, n - h)
             np.bitwise_xor(X[:c], self._steps[j], out=X[h:h + c])
             h, j = 2 * h, j + 1
-        self._drawn = True
         U = X.view(np.float64)
         U -= 1.0  # exact: 1 + x carries x's BITS digits
         return U
-
-    def reset(self) -> "Sobol":
-        """Rewind to the first point; returns the engine."""
-        self._drawn = False
-        return self

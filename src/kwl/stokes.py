@@ -404,6 +404,8 @@ def counterterm_probe(g: Graph, subset, kind: str,
     degree below the top for ``g``), and against zero otherwise, which
     includes every cluster of three or more points.
     """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if len(scales) < 2 or not all(math.isfinite(r) and r > 0 for r in scales):
         raise ValueError("scales must be at least two positive finite numbers")
     ratio = scales[0] / scales[1]

@@ -13,7 +13,8 @@ Consecutive batches share a pool task up to ``TASK_ROWS`` rows.  Batch
 ``b``'s scrambled Sobol engine (:mod:`kwl.qmc`: Joe-Kuo direction numbers
 with the linear matrix scramble and digital shift of
 ``scipy.stats.qmc.Sobol``, bit for bit) depends only on (dim, seed, b), so
-it is kept and rewound for the next weight until ``clear_weight_cache``.
+it is built once and shared by every later weight, in any thread, until
+``clear_weight_cache``; drawing from an engine does not change it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 
 from . import qmc
 from .forms import ANGLE, check_kind, pairing_matrices, pairing_scale
-from .graphs import Graph, canonical_graph, canonical_key, encode_graph, odd_automorphism
-from .halfplane import gauge_frame, slice_map
+from .graphs import Graph, canonical_graph, canonical_key, encode_graph
+from .halfplane import gauge_dim, gauge_frame, slice_map
 
 BATCHES = 16
 COLLISION_EPS = 1e-12
@@ -138,24 +139,22 @@ def _check_budget(samples: int, seed: int) -> None:
 
 
 _cache: Dict[tuple, WeightEstimate] = {}
-#: scrambled Sobol engines by (dim, seed, batch), stored rewound
+#: scrambled Sobol engines by (dim, seed, batch)
 _engines: Dict[Tuple[int, int, int], qmc.Sobol] = {}
 _cache_lock = threading.Lock()
 
 
 def _sobol_points(dim: int, seed: int, batch: int, n: int) -> np.ndarray:
-    """First ``n`` points of the Sobol stream scrambled by ``(seed, batch)``;
-    the engine leaves the store while it draws, so no two threads share one."""
+    """First ``n`` points of the Sobol stream scrambled by ``(seed, batch)``."""
     key = (dim, seed, batch)
     with _cache_lock:
-        sob = _engines.pop(key, None)
+        sob = _engines.get(key)
     if sob is None:
         rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
         sob = qmc.Sobol(dim, seed=rng)
-    U = sob.random(n)
-    with _cache_lock:
-        _engines[key] = sob.reset()
-    return U
+        with _cache_lock:
+            sob = _engines.setdefault(key, sob)
+    return sob.random(n)
 
 
 def _qmc_batches(func, dim: int, samples: int, seed: int,
@@ -200,31 +199,47 @@ def _qmc_batches(func, dim: int, samples: int, seed: int,
 # public estimation API
 
 
+def _exact(value: complex, g: Graph, kind: str, seed: int) -> WeightEstimate:
+    return WeightEstimate(value, 0.0, 0, seed, kind, encode_graph(g), exact=True)
+
+
+def _exact_weight(g: Graph, kind: str, samples: int, seed: int) -> Optional[WeightEstimate]:
+    """The weight the degree decides, after checking the arguments.
+
+    A graph whose edge count differs from its slice dimension weighs
+    exactly zero (the integral of a non-top form) and the empty top-degree
+    graph exactly one; None means the weight must be estimated.  Raises on
+    a bad kind or budget, a graph with no gauge slice, and a top-degree
+    slice of more than ``qmc.MAX_DIM`` dimensions.
+    """
+    check_kind(kind)
+    _check_budget(samples, seed)
+    dim = gauge_dim(g.n, g.m)
+    if len(g.edges) != dim:
+        return _exact(0.0 + 0j, g, kind, seed)
+    if dim == 0:
+        return _exact(1.0 + 0j, g, kind, seed)
+    if dim > qmc.MAX_DIM:
+        raise ValueError(f"the slice of a ({g.n},{g.m}) graph has {dim} dimensions; "
+                         f"the Sobol table stops at {qmc.MAX_DIM}")
+    return None
+
+
 def compute_weight(g: Graph, kind: str, samples: int, seed: int,
                    threads: Optional[int] = None) -> WeightEstimate:
     """Estimate the weight of a graph.
 
-    A graph whose edge count differs from the slice dimension has weight
-    exactly zero (the integral of a non-top form); the empty top-degree
-    case is exactly one.  Otherwise the value is the deterministic QMC
-    estimate at the requested sample budget, rounded up so the 16 batches
-    are balanced powers of two; slices of more than ``qmc.MAX_DIM``
-    dimensions are rejected.
+    Degree-decided weights are exact (:func:`_exact_weight`).  Otherwise
+    the value is the deterministic QMC estimate at the requested sample
+    budget, rounded up so the 16 batches are balanced powers of two.
     """
-    check_kind(kind)
-    _check_budget(samples, seed)
-    enc = encode_graph(g)
-    d_top = 2 * g.n + g.m - 2
-    if len(g.edges) != d_top:
-        return WeightEstimate(0.0 + 0j, 0.0, 0, seed, kind, enc, exact=True)
-    if d_top == 0:
-        return WeightEstimate(1.0 + 0j, 0.0, 0, seed, kind, enc, exact=True)
-    if d_top > qmc.MAX_DIM:
-        raise ValueError(f"the slice of a ({g.n},{g.m}) graph has {d_top} dimensions; "
-                         f"the Sobol table stops at {qmc.MAX_DIM}")
+    exact = _exact_weight(g, kind, samples, seed)
+    if exact is not None:
+        return exact
     value, stderr, total, rejected = _qmc_batches(
-        lambda U: integrand_batch(g, kind, U), d_top, samples, seed, threads)
-    return WeightEstimate(value, stderr, total, seed, kind, enc, rejected=rejected)
+        lambda U: integrand_batch(g, kind, U), len(g.edges), samples, seed, threads)
+    return WeightEstimate(value, stderr, total, seed, kind, encode_graph(g),
+                          rejected=rejected)
 
 
 def qmc_mean(func, dim: int, samples: int, seed: int,
@@ -243,23 +258,23 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
     """Weight estimate deduplicated across graphs isomorphic up to aerial
     relabelling and edge reordering (sign restored from the edge parity).
 
-    A class with an odd automorphism (:func:`graphs.odd_automorphism`)
-    weighs an exact zero: relabelling shows that its weight equals minus
-    itself.  Only this class-level entry point applies the rule;
-    :func:`compute_weight` estimates every graph it is given.
+    Degree-decided weights are returned before any canonical search.  A
+    class of parity 0 (:func:`graphs.canonical_key`: it has an odd
+    automorphism) weighs an exact zero.  Only this class-level entry point
+    applies that rule; :func:`compute_weight` estimates every graph it is
+    given.
     """
+    exact = _exact_weight(g, kind, samples, seed)
+    if exact is not None:
+        return exact
     key, parity = canonical_key(g)
+    if parity == 0:
+        return _exact(0.0 + 0j, g, kind, seed)
     cache_key = (key, kind, samples, seed)
     with _cache_lock:
         hit = _cache.get(cache_key)
     if hit is None:
-        canon = canonical_graph(key)
-        if odd_automorphism(canon) is None:
-            hit = compute_weight(canon, kind, samples, seed, threads)
-        else:
-            check_kind(kind)
-            _check_budget(samples, seed)
-            hit = WeightEstimate(0.0 + 0j, 0.0, 0, seed, kind, encode_graph(canon), exact=True)
+        hit = compute_weight(canonical_graph(key), kind, samples, seed, threads)
         with _cache_lock:
             _cache[cache_key] = hit
     if g.edges == key[2]:  # the canonical graph itself

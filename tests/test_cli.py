@@ -97,6 +97,11 @@ def test_weight_bad_budget_or_seed_exit_2(capsys):
     assert_usage_error(["weight", "--graph", "0 2 ;", "--samples", "-4"], capsys)
 
 
+@pytest.mark.parametrize("graph", ["0 0 ;", "0 1 ;"])
+def test_weight_without_gauge_slice_exit_2(graph, capsys):
+    assert "no gauge slice" in assert_usage_error(["weight", "--graph", graph], capsys)
+
+
 def test_weight_above_the_sobol_table_exit_2(capsys):
     # 9 aerial vertices and 1 ground one: a 17-dimensional slice, above the
     # 14 of the Sobol table; a graph of the wrong degree there is still an
@@ -191,6 +196,14 @@ def test_vanish_command(capsys):
     assert data["passed"]
 
 
+def test_vanish_wrong_degree_is_exact_zero(capsys):
+    # eleven aerial vertices: the degree decides before any relabelling search
+    code, out = run_cli(["vanish", "--graph", "11 0 ; a1>a2"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == [0.0, 0.0] and data["stderr"] == 0.0 and data["passed"]
+
+
 def test_vanish_no_pattern_exit_2(capsys):
     code, _ = run_cli(["vanish", "--graph", "1 2 ; a1>g1 a1>g2"], capsys)
     assert code == 2
@@ -249,6 +262,12 @@ def test_counterterm_bad_scales_exit_2(capsys):
     # Richardson extrapolation needs one common ratio
     for scales in (["1e-2", "1e-3", "1e-5"], ["1e-3", "1e-2"]):
         assert "one common ratio" in assert_usage_error(probe + ["--scales"] + scales, capsys)
+
+
+def test_counterterm_negative_seed_exit_2(capsys):
+    err = assert_usage_error(["counterterm", "--graph", "2 1 ; a1>a2 a1>g1 a2>g1",
+                              "--subset", "0,1", "--seed", "-1"], capsys)
+    assert "seed must be nonnegative" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])

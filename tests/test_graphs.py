@@ -7,8 +7,7 @@ import pytest
 from kwl.graphs import (TYPE_I, TYPE_II, canonical_graph, canonical_key,
                         collapse_fault, collapse_layout, contract, encode_graph,
                         enumerate_graphs,
-                        edge_sort_parity, make_graph, odd_automorphism,
-                        parse_graph, possible_edges)
+                        edge_sort_parity, make_graph, parse_graph, possible_edges)
 from kwl.halfplane import NestedFamily
 
 
@@ -145,6 +144,20 @@ def test_canonical_key_relabelled_aerials():
     assert canonical_key(make_graph(2, 0, [(1, 0), (0, 1)]))[0] == ka
 
 
+def odd_automorphism(g):
+    """Reference: an aerial relabelling that maps the edge set onto itself
+    by an odd permutation of the edge sequence, or None; searched on its
+    own, independent of the canonical key."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    ground = tuple(range(g.n, g.num_vertices))
+    for perm in itertools.permutations(range(g.n)):
+        relabel = perm + ground
+        image = [index.get((relabel[s], relabel[t])) for s, t in g.edges]
+        if None not in image and edge_sort_parity(image) == -1:
+            return perm
+    return None
+
+
 def test_odd_automorphism():
     # swapping a1 and a2 swaps the two edges of the two-cycle
     assert odd_automorphism(parse_graph("2 0 ; a1>a2 a2>a1")) == (1, 0)
@@ -155,9 +168,21 @@ def test_odd_automorphism():
     # in a (4,0) graph: a1 <-> a2 with a3 <-> a4 swaps three edge pairs
     g = parse_graph("4 0 ; a1>a2 a2>a1 a1>a3 a2>a4 a3>a4 a4>a3")
     assert odd_automorphism(g) == (1, 0, 3, 2)
-    tops = {canonical_key(g)[0] for n, m in ((2, 0), (2, 2), (3, 1), (4, 0))
-            for g in enumerate_graphs(n, m, 2 * n + m - 2) if odd_automorphism(g)}
-    assert sorted(collections.Counter(k[:2] for k in tops).items()) == [((2, 0), 1), ((4, 0), 10)]
+
+
+def test_canonical_parity_zero_iff_odd_automorphism():
+    for n in range(5):
+        for m in range(5 - n):
+            for e in range(max(0, 2 * n + m - 3), 2 * n + m - 1):  # identity, top
+                for g in enumerate_graphs(n, m, e):
+                    assert (canonical_key(g)[1] == 0) == (odd_automorphism(g) is not None), g
+    assert canonical_key(parse_graph("2 0 ; a1>a2 a2>a1")) == ((2, 0, ((0, 1), (1, 0))), 0)
+    # an even automorphism leaves the parity nonzero
+    assert canonical_key(parse_graph("2 2 ; a1>g2 a1>g1 a2>g1 a2>g2"))[1] == -1
+    zero = {canonical_key(g)[0] for n, m in ((2, 0), (2, 2), (3, 1), (4, 0), (3, 2), (4, 1))
+            for g in enumerate_graphs(n, m, 2 * n + m - 2) if canonical_key(g)[1] == 0}
+    assert sorted(collections.Counter(k[:2] for k in zero).items()) == [
+        ((2, 0), 1), ((3, 2), 10), ((4, 0), 10), ((4, 1), 40)]
 
 
 def test_canonical_key_ground_order_fixed():

@@ -201,7 +201,11 @@ def test_relabelled_identities_agree_up_to_parity(kind):
     for n, m in slices:
         for g in enumerate_graphs(n, m, 2 * n + m - 3):
             key, parity = graphs.canonical_key(g)
-            residual = parity * verify_identity(g, kind, 1 << 10, 5).residual
+            residual = verify_identity(g, kind, 1 << 10, 5).residual
+            if parity == 0:  # an odd automorphism: the residual is minus itself
+                assert residual == 0, g
+                continue
+            residual *= parity
             assert abs(residual - first.setdefault(key, residual)) < 1e-15, g
 
 

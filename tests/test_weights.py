@@ -13,8 +13,7 @@ from scipy.stats import qmc as scipy_qmc
 
 from kwl import forms, halfplane, qmc, suite, weights
 from kwl.forms import ANGLE, LOG
-from kwl.graphs import (canonical_graph, canonical_key, enumerate_graphs, make_graph,
-                        odd_automorphism, parse_graph)
+from kwl.graphs import canonical_graph, canonical_key, enumerate_graphs, make_graph, parse_graph
 from kwl.halfplane import gauge_dim
 from kwl.weights import (BATCHES, CHUNK_ROWS, COLLISION_EPS, NO_OUTGOING,
                          ONE_IN_ONE_OUT, UNIVALENT, WHEEL, cached_weight,
@@ -221,6 +220,7 @@ def test_cached_weight_reports_the_input_graph(text, parity):
 
 
 def test_odd_automorphism_weight_exact_zero():
+    clear_weight_cache()
     # either labelling of the two-cycle, through the class cache
     for text in ("2 0 ; a1>a2 a2>a1", "2 0 ; a2>a1 a1>a2"):
         g = parse_graph(text)
@@ -232,10 +232,24 @@ def test_odd_automorphism_weight_exact_zero():
     # four (4,0) classes carry no vanishing pattern; only the automorphism
     # shows that they vanish
     bare = {canonical_key(g)[0] for g in enumerate_graphs(4, 0, 6)
-            if odd_automorphism(g) and detect_vanishing_pattern(g) is None}
+            if canonical_key(g)[1] == 0 and detect_vanishing_pattern(g) is None}
     assert len(bare) == 4
     for key in bare:
         assert cached_weight(canonical_graph(key), LOG, 1 << 12, 5).exact
+    assert not weights._cache  # parity 0 decides without storing a class
+
+
+def test_degree_decided_weights_skip_the_canonical_search(monkeypatch):
+    calls = []
+    search = weights.canonical_key
+    monkeypatch.setattr(weights, "canonical_key", lambda g: calls.append(g) or search(g))
+    # one edge on eleven aerial vertices: the degree decides, an 11! search would not
+    est = cached_weight(parse_graph("11 0 ; a1>a2"), LOG, 1 << 10, 5)
+    assert est.exact and est.value == 0 and est.graph == "11 0 ; a1>a2"
+    assert cached_weight(parse_graph("0 2 ;"), ANGLE, 1 << 10, 5).value == 1
+    assert calls == []
+    cached_weight(WEDGE, ANGLE, 1 << 10, 5)
+    assert calls == [WEDGE]
 
 
 def test_even_automorphism_keeps_the_weight():
@@ -316,23 +330,14 @@ def test_sobol_matches_scipy_bit_for_bit(dim, n):
     for seed, batch in ((0, 0), (11, 15)):
         engine = qmc.Sobol(dim, seed=_batch_rng(seed, batch))
         want = _scipy_points(dim, seed, batch, n)
-        for _ in range(2):  # fresh, then rewound
+        for _ in range(2):  # a second draw from the same engine repeats the first
             assert np.array_equal(engine.random(n), want), (seed, batch)
-            engine.reset()
 
 
 @pytest.mark.parametrize("dim", [0, qmc.MAX_DIM + 1])
 def test_sobol_dimension_outside_the_table_rejected(dim):
     with pytest.raises(ValueError, match="dimension"):
         qmc.Sobol(dim, seed=_batch_rng(0, 0))
-
-
-def test_sobol_second_draw_needs_reset():
-    engine = qmc.Sobol(3, seed=_batch_rng(0, 0))
-    first = engine.random(8)
-    with pytest.raises(ValueError, match="reset"):
-        engine.random(8)
-    assert np.array_equal(engine.reset().random(8), first)
 
 
 def test_weight_above_the_sobol_table_rejected():
@@ -353,7 +358,7 @@ def test_weights_load_no_scipy_stats():
 
 def _reference_batches(g, kind, samples, seed):
     """scipy's Sobol points, one batch at a time, no pool: the schedule
-    the grouped tasks and rewound kwl engines must reproduce."""
+    the grouped tasks and stored kwl engines must reproduce."""
     per_batch = 1 << max(0, math.ceil(math.log2(samples / BATCHES)))
     results = []
     for batch in range(BATCHES):
@@ -442,16 +447,16 @@ def test_same_dim_and_seed_reuse_sobol_engines(monkeypatch):
     assert builds[0] == 3 * BATCHES
 
 
-def test_rewound_engines_draw_like_fresh_ones():
+def test_stored_engines_draw_like_fresh_ones():
     budgets = (1 << 10, 1 << 14, 1 << 10)
     clear_weight_cache()
-    rewound = [compute_weight(G31, LOG, s, seed=4, threads=1) for s in budgets]
+    stored = [compute_weight(G31, LOG, s, seed=4, threads=1) for s in budgets]
     fresh = []
     for s in budgets:
         clear_weight_cache()
         fresh.append(compute_weight(G31, LOG, s, seed=4, threads=1))
-    assert rewound == fresh
-    assert rewound[0] == rewound[2]
+    assert stored == fresh
+    assert stored[0] == stored[2]
 
 
 def test_concurrent_weights_at_one_seed_match_one_thread(monkeypatch):
@@ -460,8 +465,8 @@ def test_concurrent_weights_at_one_seed_match_one_thread(monkeypatch):
     want = {kind: compute_weight(G31, kind, 1 << 10, seed=8, threads=1)
             for kind in (ANGLE, LOG)}
     clear_weight_cache()
-    # a draw outlasts the integrand, so both threads work on the same
-    # batch at once and an engine shared by them would be seen
+    # a draw outlasts the integrand, so both threads draw from the same
+    # stored engine at once; engines are read-only, so sharing is safe
     _counting_sobol(monkeypatch, draw_delay=1e-2)
     barrier = threading.Barrier(2)
     got = {ANGLE: [], LOG: []}
