@@ -25,7 +25,7 @@ from .stokes import (BoundaryStratum, IdentityReport, CountertermReport,
                      boundary_strata, verify_identity,
                      counterterm_probe, richardson_limit)
 from .operators import (PolyMultivector, MultiDiffOperator, StarSeries,
-                        bivector, vector_field, function_field, d_gamma, u_n,
+                        bivector, vector_field, d_gamma, u_n,
                         star_product, check_associativity, check_globalization,
                         one_in_one_out_integral)
 from .suite import SuiteConfig, run_suite

@@ -4,7 +4,8 @@ Subcommands: enumerate, weight, vanish, verify-identity, star,
 associativity, globalization, counterterm, suite.  Exit codes: 0 success,
 1 check failure, 2 usage or parse error: argparse's usage errors and every
 ValueError or OSError a command raises become one ``error:`` line and
-exit 2.  KWL_THREADS overrides the worker count.
+exit 2.  KWL_THREADS sets the default worker count; an explicit
+``--threads`` or suite ``threads`` value wins over it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .forms import KINDS, LOG
 from .graphs import enumerate_graphs, encode_graph, parse_graph
 from .operators import (bivector_from_json_dict, check_associativity,
                         check_globalization, poly_from_json_list, star_product)
-from .stokes import IDENTITY_TOL, counterterm_probe, verify_identity
-from .weights import VANISHING_TOL, compute_weight, vanishing_check
+from .stokes import counterterm_probe, verify_identity
+from .weights import compute_weight, vanishing_check
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -64,7 +65,7 @@ def cmd_weight(args) -> int:
 
 def cmd_vanish(args) -> int:
     ok, est, pattern, _ = vanishing_check(parse_graph(args.graph), args.kind, args.samples,
-                                          args.seed, tol=args.tol, threads=args.threads)
+                                          args.seed, threads=args.threads)
     print(json.dumps({"graph": est.graph, "pattern": pattern,
                       "value": [est.value.real, est.value.imag],
                       "stderr": est.stderr, "passed": ok}, sort_keys=True))
@@ -73,7 +74,7 @@ def cmd_vanish(args) -> int:
 
 def cmd_verify_identity(args) -> int:
     rep = verify_identity(parse_graph(args.graph), args.kind, args.samples, args.seed,
-                          tol=args.tol, threads=args.threads)
+                          threads=args.threads)
     print(json.dumps(rep.to_json_dict(), sort_keys=True))
     return 0 if rep.passed else CHECK_FAILURE
 
@@ -182,13 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("vanish", help="measure a structurally vanishing weight")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--tol", type=float, default=VANISHING_TOL)
     common(sp)
     sp.set_defaults(fn=cmd_vanish)
 
     sp = sub.add_parser("verify-identity", help="sum the regularized boundary terms")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--tol", type=float, default=IDENTITY_TOL)
     common(sp)
     sp.set_defaults(fn=cmd_verify_identity)
 

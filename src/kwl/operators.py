@@ -23,8 +23,7 @@ import numpy as np
 from .forms import LOG, check_kind, pairing_matrices, pairing_scale
 from .graphs import Graph, edge_sort_parity, enumerate_graphs, encode_graph
 from .halfplane import gauge_frame
-from .weights import (cached_weight, check_tol, detect_vanishing_pattern, qmc_mean,
-                      vanishing_check)
+from .weights import cached_weight, detect_vanishing_pattern, qmc_mean, vanishing_check
 
 Monomial = Tuple[int, ...]
 Poly = Dict[Monomial, object]  # exponent tuple -> int | Fraction | float | complex
@@ -193,10 +192,6 @@ def vector_field(dim: int, entries) -> PolyMultivector:
     return PolyMultivector.build(dim, 1, [((i,), mono, c) for i, mono, c in entries])
 
 
-def function_field(dim: int, poly: Poly) -> PolyMultivector:
-    return PolyMultivector.build(dim, 0, [((), mono, c) for mono, c in poly.items()])
-
-
 class MultiDiffOperator:
     """Polynomial-coefficient operator acting on ``arity`` polynomials."""
 
@@ -256,13 +251,6 @@ class MultiDiffOperator:
 
     def is_zero(self) -> bool:
         return self.max_abs() == 0
-
-    def swapped(self) -> "MultiDiffOperator":
-        if self.arity != 2:
-            raise ValueError("swap needs a binary operator")
-        return MultiDiffOperator(self.dim, 2,
-                                 {((s2, s1), mono): c
-                                  for ((s1, s2), mono), c in self.terms.items()})
 
 
 def multiplication_operator(dim: int) -> MultiDiffOperator:
@@ -479,13 +467,13 @@ class AssociativityReport:
 
 def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
                         order: int, kind: str, samples: int, seed: int,
-                        tol: float = STAR_TOL, threads: Optional[int] = None,
+                        threads: Optional[int] = None,
                         star: Optional[StarSeries] = None) -> AssociativityReport:
     """Associativity defect of the truncated star product on three polynomials.
 
     The bivector must satisfy the Jacobi identity (checked symbolically).
     Each order's residual coefficients are compared against three times the
-    uncertainty propagated from the weight errors plus an absolute floor.
+    uncertainty propagated from the weight errors plus ``STAR_TOL``.
     A precomputed ``star`` must be built from ``pi``, be of ``kind`` and
     reach ``order``; its memo carries the Jacobi defect and the inner
     products from one check to the next.
@@ -529,7 +517,7 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
             noise += p_max_abs(errs[b].apply([fa, abs_gh[a]]))
             noise += p_max_abs(abs_ops[b].apply([fa, err_gh[a]]))
         residuals.append(p_max_abs(resid))
-        tolerances.append(3.0 * noise + tol)
+        tolerances.append(3.0 * noise + STAR_TOL)
     passed = all(r <= t for r, t in zip(residuals, tolerances))
     return AssociativityReport(tuple(range(order + 1)), tuple(residuals),
                                tuple(tolerances), passed)
@@ -566,16 +554,14 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
 
 
 def contour_check(u: complex, v: complex, samples: int, seed: int,
-                  tol: float = CONTOUR_TOL, threads: Optional[int] = None
-                  ) -> Tuple[bool, complex, float, int]:
+                  threads: Optional[int] = None) -> Tuple[bool, complex, float, int]:
     """Test :func:`one_in_one_out_integral` at (u, v) against zero.
 
     Returns (passed, value, stderr, samples); it passes when
-    |value| < max(tol, 3 stderr).
+    |value| < max(CONTOUR_TOL, 3 stderr).
     """
-    check_tol(tol)
     val, err, ns = one_in_one_out_integral(u, v, samples, seed, threads)
-    return abs(val) < max(tol, 3.0 * err), val, err, ns
+    return abs(val) < max(CONTOUR_TOL, 3.0 * err), val, err, ns
 
 
 @dataclass(frozen=True)

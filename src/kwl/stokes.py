@@ -31,12 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .forms import contracted_integrand, integrand
-from .graphs import (CollapseLayout, Contraction, Graph, TYPE_I, TYPE_II, canonical_key,
-                     collapse_layout, contract, edge_sort_parity, encode_graph)
+from .graphs import (CollapseLayout, Contraction, Graph, TYPE_I, TYPE_II, collapse_layout,
+                     contract, edge_sort_parity, encode_graph)
 from .halfplane import (coords_of_config, config_from_coords,
                         degenerating_family, expand_cluster, gauge_dim,
                         regauge, sample_configuration, slice_columns)
-from .weights import cached_weight, check_tol
+from .weights import cached_weight
 
 TWO_POINT_I = "two-point-I"
 MULTI_POINT_I = "multi-point-I-zero"
@@ -99,8 +99,7 @@ def boundary_strata(g: Graph) -> List[BoundaryStratum]:
     The strata come from the (n, m) slice's table, built once per slice
     and kept in ``_orient_cache``; the graph only splits its edges.
     """
-    d = 2 * g.n + g.m - 2
-    if len(g.edges) != d - 1:
+    if len(g.edges) != gauge_dim(g.n, g.m) - 1:
         raise ValueError("boundary analysis needs edge count = slice dimension - 1")
     with _orient_lock:
         if (g.n, g.m) not in _orient_cache:
@@ -231,9 +230,9 @@ def _term_full(g: Graph, stratum: BoundaryStratum, kind: str, samples: int,
     """Boundary term with its error decomposed per cached weight.
 
     Returns (value, stderr, sensitivities) where sensitivities maps the
-    canonical key of each weight entering the term to
-    (|d term / d weight|, stderr of that weight); terms sharing a cached
-    estimate are fully correlated and must be combined linearly.
+    class key (``WeightEstimate.class_key``) of each weight entering the
+    term to (|d term / d weight|, stderr of that weight); terms sharing a
+    cached estimate are fully correlated and must be combined linearly.
     """
     if stratum.rule in (ZERO_BY_FLAG, MULTI_POINT_I):
         return 0.0 + 0j, 0.0, {}
@@ -245,7 +244,7 @@ def _term_full(g: Graph, stratum: BoundaryStratum, kind: str, samples: int,
         west = cached_weight(con.outer, kind, samples, seed, threads)
         sens = {}
         if west.stderr:
-            sens[canonical_key(con.outer)[0]] = (1.0, west.stderr)
+            sens[west.class_key] = (1.0, west.stderr)
         return sign * west.value, west.stderr, sens
     # type II: product of the factor weights
     w_in = cached_weight(con.inner, kind, samples, seed, threads)
@@ -255,9 +254,9 @@ def _term_full(g: Graph, stratum: BoundaryStratum, kind: str, samples: int,
               + w_in.stderr * w_out.stderr)
     sens = {}
     if w_in.stderr:
-        sens[canonical_key(con.inner)[0]] = (abs(w_out.value) + w_out.stderr, w_in.stderr)
+        sens[w_in.class_key] = (abs(w_out.value) + w_out.stderr, w_in.stderr)
     if w_out.stderr:
-        sens[canonical_key(con.outer)[0]] = (abs(w_in.value) + w_in.stderr, w_out.stderr)
+        sens[w_out.class_key] = (abs(w_in.value) + w_in.stderr, w_out.stderr)
     return value, stderr, sens
 
 
@@ -284,15 +283,14 @@ class IdentityReport:
 
 
 def verify_identity(g: Graph, kind: str, samples: int, seed: int,
-                    tol: float = IDENTITY_TOL, threads: Optional[int] = None) -> IdentityReport:
+                    threads: Optional[int] = None) -> IdentityReport:
     """Sum the regularized boundary terms; the residual must vanish.
 
-    Passes when |residual| <= 3 * combined stderr + tol.  Terms sharing a
-    cached weight estimate carry fully correlated errors, so their
-    sensitivities are summed before the independent pieces are combined in
-    quadrature.
+    Passes when |residual| <= 3 * combined stderr + IDENTITY_TOL.  Terms
+    sharing a cached weight estimate carry fully correlated errors, so
+    their sensitivities are summed before the independent pieces are
+    combined in quadrature.
     """
-    check_tol(tol)
     terms = []
     coeff_by_key: Dict[tuple, float] = {}
     err_by_key: Dict[tuple, float] = {}
@@ -305,9 +303,9 @@ def verify_identity(g: Graph, kind: str, samples: int, seed: int,
     residual = sum(v for _, v, _ in terms)
     stderr = math.sqrt(sum((coeff_by_key[k] * err_by_key[k]) ** 2
                            for k in coeff_by_key))
-    passed = abs(residual) <= 3.0 * stderr + tol
+    passed = abs(residual) <= 3.0 * stderr + IDENTITY_TOL
     return IdentityReport(encode_graph(g), kind, tuple(terms), residual,
-                          stderr, tol, passed)
+                          stderr, IDENTITY_TOL, passed)
 
 
 # ---------------------------------------------------------------------------

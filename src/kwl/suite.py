@@ -22,11 +22,10 @@ from .graphs import (TYPE_I, canonical_key, collapse_layout, encode_graph, enume
                      make_graph, parse_graph)
 from .halfplane import (NestedFamily, chart_membership, degenerating_family,
                         gcd_families, make_configuration, torus_rotate)
-from .operators import (CONTOUR_TOL, STAR_TOL, bivector, check_associativity,
-                        check_globalization, contour_check, star_product)
+from .operators import (STAR_TOL, bivector, check_associativity, check_globalization,
+                        contour_check, star_product)
 from .stokes import IDENTITY_TOL, PROBE_TOL, counterterm_probe, verify_identity
-from .weights import (VANISHING_TOL, check_tol, compute_weight, detect_vanishing_pattern,
-                      vanishing_check)
+from .weights import VANISHING_TOL, compute_weight, detect_vanishing_pattern, vanishing_check
 
 #: the smallest budget; the property check always draws it
 MIN_SAMPLES = 10_000
@@ -45,17 +44,14 @@ class SuiteConfig:
     seed: int = 2024
     threads: Optional[int] = None
     out_dir: str = "suite-out"
-    tolerance: Optional[float] = None  # overrides residual thresholds when set
     samples: int = 1_000_000
 
     def __post_init__(self):
         if self.samples < MIN_SAMPLES:
             raise ValueError("samples must be at least 10^4")
-        if self.tolerance is not None:
-            check_tol(self.tolerance)
 
 
-_KEYS = {"seed": int, "threads": int, "out_dir": str, "tolerance": float, "samples": int}
+_KEYS = {"seed": int, "threads": int, "out_dir": str, "samples": int}
 
 
 def load_config(path: str) -> SuiteConfig:
@@ -92,10 +88,6 @@ class CheckResult:
 
 def _c(z: complex) -> List[float]:
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def _tol(cfg: SuiteConfig, default: float) -> float:
-    return default if cfg.tolerance is None else cfg.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +133,8 @@ def check_structural_vanishing(cfg: SuiteConfig) -> CheckResult:
     for g in _canonical_top_graphs():
         if detect_vanishing_pattern(g) is None:
             continue
-        good, est, pattern, bound = vanishing_check(
-            g, LOG, cfg.samples, cfg.seed, tol=_tol(cfg, VANISHING_TOL), threads=cfg.threads)
+        good, est, pattern, bound = vanishing_check(g, LOG, cfg.samples, cfg.seed,
+                                                    threads=cfg.threads)
         ok = ok and good
         rows.append({"graph": encode_graph(g), "pattern": pattern,
                      "value": _c(est.value), "stderr": est.stderr,
@@ -162,8 +154,7 @@ def check_contour_identity(cfg: SuiteConfig) -> CheckResult:
     for _ in range(5):
         u = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
         v = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
-        good, val, err, ns = contour_check(u, v, cfg.samples, cfg.seed,
-                                           tol=_tol(cfg, CONTOUR_TOL), threads=cfg.threads)
+        good, val, err, ns = contour_check(u, v, cfg.samples, cfg.seed, threads=cfg.threads)
         ok = ok and good
         rows.append({"u": _c(u), "v": _c(v), "value": _c(val),
                      "stderr": err, "passed": good, "samples": ns})
@@ -186,28 +177,24 @@ def _identity_graphs():
 
 
 def check_stokes_identities(cfg: SuiteConfig) -> CheckResult:
-    tol = _tol(cfg, IDENTITY_TOL)
     counts = {ANGLE: 0, LOG: 0}
     failures = []
     worst = {"residual": 0.0}
     for kind in (ANGLE, LOG):
         for g in _identity_graphs():
             rep = verify_identity(g, kind, max(cfg.samples // 10, MIN_SAMPLES), cfg.seed,
-                                  tol=tol, threads=cfg.threads)
+                                  threads=cfg.threads)
             counts[kind] += 1
             if abs(rep.residual) > worst["residual"]:
                 worst = {"residual": abs(rep.residual), "graph": rep.graph,
                          "kind": kind, "stderr": rep.stderr}
-            # an explicit tolerance override is a hard bound on the residual
-            passed = (rep.passed if cfg.tolerance is None
-                      else abs(rep.residual) <= cfg.tolerance)
-            if not passed:
+            if not rep.passed:
                 failures.append({"graph": rep.graph, "kind": kind,
                                  "residual": _c(rep.residual), "stderr": rep.stderr})
     ok = not failures
     return CheckResult("stokes_identities", ok, {
         "checked_angle": counts[ANGLE], "checked_log": counts[LOG],
-        "failures": failures, "worst": worst, "tol": tol,
+        "failures": failures, "worst": worst, "tol": IDENTITY_TOL,
     })
 
 
@@ -216,7 +203,6 @@ def check_stokes_identities(cfg: SuiteConfig) -> CheckResult:
 
 
 def check_counterterm(cfg: SuiteConfig) -> CheckResult:
-    tol = _tol(cfg, PROBE_TOL)
     rows = []
     ok = True
 
@@ -224,7 +210,7 @@ def check_counterterm(cfg: SuiteConfig) -> CheckResult:
     for kind in (LOG, ANGLE):
         rep = counterterm_probe(g21, [0, 1], kind, seed=cfg.seed)
         dev = rep.deviation / max(1.0, abs(rep.expected))
-        good = rep.cauchy_decreasing and dev <= tol
+        good = rep.cauchy_decreasing and dev <= PROBE_TOL
         ok = ok and good
         rows.append({"graph": rep.graph, "kind": kind, "subset": list(rep.subset),
                      "limit": _c(rep.limit), "expected": _c(rep.expected),
@@ -233,7 +219,7 @@ def check_counterterm(cfg: SuiteConfig) -> CheckResult:
 
     g31 = parse_graph("3 1 ; a1>a2 a1>a3 a2>a3 a2>g1 a3>g1")
     rep = counterterm_probe(g31, [0, 1, 2], LOG, seed=cfg.seed)
-    good = abs(rep.limit) < tol
+    good = abs(rep.limit) < PROBE_TOL
     ok = ok and good
     rows.append({"graph": rep.graph, "kind": LOG, "subset": list(rep.subset),
                  "limit": _c(rep.limit), "expected": [0.0, 0.0],
@@ -244,7 +230,7 @@ def check_counterterm(cfg: SuiteConfig) -> CheckResult:
     for kind in (LOG, ANGLE):
         rep = counterterm_probe(g22, [0, 1], kind, seed=cfg.seed)
         dev = rep.deviation / max(abs(rep.expected), 1e-9)
-        good = dev <= tol and abs(rep.expected) > 1e-6
+        good = dev <= PROBE_TOL and abs(rep.expected) > 1e-6
         ok = ok and good
         rows.append({"graph": rep.graph, "kind": kind, "subset": list(rep.subset),
                      "limit": _c(rep.limit), "expected": _c(rep.expected),
@@ -325,7 +311,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
     yx = star.multiply(y, x)
     comm1 = p_sub(xy[1], yx[1])
     sigma1 = star.errs[1].apply([{(1, 0): 1.0}, {(0, 1): 1.0}])
-    tol1 = 3.0 * 2.0 * p_max_abs(sigma1) + _tol(cfg, STAR_TOL)
+    tol1 = 3.0 * 2.0 * p_max_abs(sigma1) + STAR_TOL
     dev1 = p_max_abs(p_sub(comm1, {(0, 0): 1.0}))
     comm_ok = dev1 <= tol1 and p_max_abs(xy[2]) <= tol1
     ok = ok and comm_ok
@@ -342,7 +328,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
             dev = p_max_abs(p_sub(got, want))
             fa = operators.p_abs(f); ga = operators.p_abs(g)
             noise = p_max_abs(star.errs[2].apply([fa, ga]))
-            tol = 3.0 * noise + _tol(cfg, STAR_TOL)
+            tol = 3.0 * noise + STAR_TOL
             if dev > worst:
                 worst, worst_tol = dev, tol
             if dev > tol:
@@ -358,9 +344,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
     for f in monos:
         for g in monos:
             for h in monos:
-                rep = check_associativity(pil, f, g, h, 2, ANGLE,
-                                          cfg.samples, cfg.seed,
-                                          tol=_tol(cfg, STAR_TOL),
+                rep = check_associativity(pil, f, g, h, 2, ANGLE, cfg.samples, cfg.seed,
                                           threads=cfg.threads, star=starl)
                 worst_assoc = max(worst_assoc, max(rep.residuals))
                 assoc_ok = assoc_ok and rep.passed

@@ -23,7 +23,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -49,7 +49,12 @@ VANISHING_TOL = 5e-3
 
 @dataclass(frozen=True)
 class WeightEstimate:
-    """QMC weight estimate with batch-based statistical error."""
+    """QMC weight estimate with batch-based statistical error.
+
+    ``class_key`` is the canonical class key of an estimate that
+    :func:`cached_weight` looked up (None otherwise); it takes no part in
+    equality or JSON.
+    """
 
     value: complex
     stderr: float
@@ -59,6 +64,7 @@ class WeightEstimate:
     graph: str
     rejected: int = 0
     exact: bool = False
+    class_key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {"graph": self.graph, "kind": self.kind, "samples": self.samples,
@@ -124,11 +130,6 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
     if rejected:
         vals = np.where(mask, 0.0, vals)
     return vals, rejected
-
-
-def check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
 def _check_budget(samples: int, seed: int) -> None:
@@ -274,14 +275,14 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
     with _cache_lock:
         hit = _cache.get(cache_key)
     if hit is None:
-        hit = compute_weight(canonical_graph(key), kind, samples, seed, threads)
+        hit = replace(compute_weight(canonical_graph(key), kind, samples, seed, threads),
+                      class_key=key)
         with _cache_lock:
             _cache[cache_key] = hit
     if g.edges == key[2]:  # the canonical graph itself
         return hit
     value = hit.value if parity == 1 or hit.value == 0 else -hit.value  # no -0.0
-    return WeightEstimate(value, hit.stderr, hit.samples, hit.seed, kind, encode_graph(g),
-                          rejected=hit.rejected, exact=hit.exact)
+    return replace(hit, value=value, graph=encode_graph(g))
 
 
 def clear_weight_cache() -> None:
@@ -346,17 +347,16 @@ def detect_vanishing_pattern(g: Graph) -> Optional[str]:
 
 
 def vanishing_check(g: Graph, kind: str, samples: int, seed: int,
-                    tol: float = VANISHING_TOL, threads: Optional[int] = None):
+                    threads: Optional[int] = None):
     """Measure the weight of a pattern-bearing graph and test it against 0.
 
     Returns (passed, estimate, pattern, bound); it passes when |value| <
-    bound = max(tol, 3 stderr).  Raises when no structural pattern is
-    present.
+    bound = max(VANISHING_TOL, 3 stderr).  Raises when no structural
+    pattern is present.
     """
-    check_tol(tol)
     pattern = detect_vanishing_pattern(g)
     if pattern is None:
         raise ValueError("graph exhibits none of the structural vanishing patterns")
     est = cached_weight(g, kind, samples, seed, threads)
-    bound = max(tol, 3.0 * est.stderr)
+    bound = max(VANISHING_TOL, 3.0 * est.stderr)
     return abs(est.value) < bound, est, pattern, bound

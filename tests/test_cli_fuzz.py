@@ -29,7 +29,6 @@ def _rare(valid, invalid):
 KIND = st.sampled_from(["log", "angle"])
 SAMPLES = _rare(st.integers(1, 2048), st.integers(-2, 0))
 SEED = st.integers(-2, 2 ** 40)
-REAL = st.one_of(st.floats(), st.sampled_from([0.0, 1e-3, 5e-3, -1.0]))
 VERTEX = st.sampled_from(["a1", "a2", "a3", "a4", "g1", "g2", "g3", "a0", "g0",
                           "b1", "a", "a1x", "a-1"])
 
@@ -103,10 +102,9 @@ def test_fuzz_weight(graph, kind, samples, seed):
 
 
 @FUZZ
-@given(st.sampled_from(["vanish", "verify-identity"]), graph_texts(), REAL, KIND,
-       SAMPLES, SEED)
-def test_fuzz_vanish_and_verify_identity(command, graph, tol, kind, samples, seed):
-    run([command, f"--graph={graph}", f"--tol={tol!r}"] + common(kind, samples, seed))
+@given(st.sampled_from(["vanish", "verify-identity"]), graph_texts(), KIND, SAMPLES, SEED)
+def test_fuzz_vanish_and_verify_identity(command, graph, kind, samples, seed):
+    run([command, f"--graph={graph}"] + common(kind, samples, seed))
 
 
 SCALE = st.one_of(st.floats(1e-6, 1.0), st.sampled_from(["0", "-0.5", "nan", "inf", "1e-2"]))

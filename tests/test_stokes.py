@@ -209,6 +209,26 @@ def test_relabelled_identities_agree_up_to_parity(kind):
             assert abs(residual - first.setdefault(key, residual)) < 1e-15, g
 
 
+@pytest.mark.parametrize("kind", [ANGLE, LOG])
+@pytest.mark.parametrize("enc, label", [
+    ("2 1 ; a1>a2 a2>g1", "II{1,2}"),  # exact weights
+    ("2 2 ; a1>a2 a2>g1 a2>g2", "I{0,1}"),  # estimated weights
+])
+def test_identity_fails_on_a_flipped_or_dropped_term(enc, label, kind, monkeypatch):
+    g = parse_graph(enc)
+    rep = verify_identity(g, kind, 1 << 12, 5)
+    term = {st.contraction.layout.label(): v for st, v, _ in rep.terms}[label]
+    assert rep.passed and abs(term) > 0.4
+    true_sign = stokes.orientation_sign
+    for factor in (-1, 0):  # a wrong orientation sign, then a lost term
+        monkeypatch.setattr(stokes, "orientation_sign", lambda layout, factor=factor: (
+            factor * true_sign(layout) if layout.label() == label else true_sign(layout)))
+        bad = verify_identity(g, kind, 1 << 12, 5)
+        assert not bad.passed, (factor, bad.residual, bad.stderr)
+        assert bad.stderr == rep.stderr
+        assert abs(bad.residual - (rep.residual + (factor - 1) * term)) < 1e-12
+
+
 def test_identity_all_zero_terms():
     # every stratum is flagged or degree-zero: residual is exactly zero
     g = parse_graph("1 2 ; a1>g1")

@@ -215,8 +215,14 @@ def test_cached_weight_reports_the_input_graph(text, parity):
     g = parse_graph(text)
     canon = parse_graph("2 1 ; a1>a2 a1>g1 a2>a1")
     est = cached_weight(g, ANGLE, 2 ** 10, 5)
+    ref = cached_weight(canon, ANGLE, 2 ** 10, 5)
     assert est.graph == text
-    assert est.value == parity * cached_weight(canon, ANGLE, 2 ** 10, 5).value
+    assert est.value == parity * ref.value
+    # the class key rides along but takes no part in equality or JSON
+    assert est.class_key == ref.class_key == canonical_key(g)[0]
+    direct = compute_weight(canon, ANGLE, 2 ** 10, 5)
+    assert direct.class_key is None
+    assert ref == direct and ref.to_json_dict() == direct.to_json_dict()
 
 
 def test_odd_automorphism_weight_exact_zero():
