@@ -17,8 +17,9 @@ integral in this package.
 Free aerial points map from the unit square by ``x = tan(pi(u - 1/2))``
 and ``y = s^2 exp(-1/s)`` with ``s = v/(1-v)``.  The exponential factor
 makes the sampling density vanish fast enough at the real line that edge
-integrands stay square-integrable against the map, which keeps the
-batch-based error estimates calibrated near point collisions.
+integrands stay square-integrable there.  Near an aerial-aerial collision an
+edge integrand grows like ``1/rho`` and its variance diverges, so there the
+batch-based error estimates are not calibrated.
 
 Cluster placement is owned here: :func:`expand_cluster` lays a collapsed
 subset out around its outer point by the vertex labelling of a

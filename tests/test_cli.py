@@ -331,8 +331,8 @@ def test_suite_rejects_removed_budget_keys(tmp_path, capsys):
 @pytest.mark.parametrize("line, word", [
     ("threads = 0", "thread count"), ("samples = 1e6", "line 1: samples"),
     ("KWL_THREADS=abc", "KWL_THREADS"), ("KWL_THREADS=0", "KWL_THREADS")])
-def test_suite_rejects_bad_tolerance_or_threads_before_any_report(line, word, tmp_path,
-                                                                  monkeypatch, capsys):
+def test_suite_rejects_bad_thread_or_sample_settings_before_any_report(
+        line, word, tmp_path, monkeypatch, capsys):
     if line.startswith("KWL_THREADS="):  # an environment setting, not a config line
         monkeypatch.setenv("KWL_THREADS", line.split("=", 1)[1])
         line = ""

@@ -6,7 +6,7 @@ import pytest
 
 from kwl.forms import ANGLE, LOG
 from kwl.graphs import make_graph, parse_graph
-from kwl.operators import (MultiDiffOperator, PolyMultivector, bivector,
+from kwl.operators import (MultiDiffOperator, PolyMultivector, _poly_key, bivector,
                            bivector_from_json_dict,
                            check_associativity, check_globalization, contour_check, d_gamma,
                            jacobi_defect, multiplication_operator,
@@ -290,6 +290,121 @@ def test_associativity_memo_serves_a_new_h(monkeypatch):
     assert calls == {"apply": 36 + 9, "abs_coeffs": 0}
     monkeypatch.undo()
     assert rep == check_associativity(pi, f, g, h2, 2, ANGLE, 2 ** 10, seed=3)
+
+
+def poly_items(p):
+    """A polynomial's items in order with coefficient types, for bit-for-bit comparison."""
+    return [(mono, type(c), c) for mono, c in p.items()]
+
+
+# a trivector in three dimensions, whose one-vertex graph has three argument slots
+TRIVECTOR = PolyMultivector.build(3, 3, [((0, 1, 2), (1, 1, 0), 2), ((0, 1, 2), (0, 0, 2), -1)])
+ARGS3 = ({(2, 1, 0): Fraction(1, 3), (0, 1, 1): 2, (1, 0, 0): 1.5},
+         {(1, 0, 2): 0.25, (0, 2, 1): Fraction(-5, 7), (0, 0, 1): -3},
+         {(1, 1, 1): complex(0.5, 2.0), (3, 0, 0): 1, (0, 2, 0): -0.75})
+
+
+def partial_cases():
+    """(operator, arguments) of arity 0-3 with int, Fraction, float and complex coefficients."""
+    tri = d_gamma(parse_graph("1 3 ; a1>g1 a1>g2 a1>g3"), [TRIVECTOR])
+    chain = d_gamma(parse_graph("2 2 ; a1>a2 a1>g1 a2>g1 a2>g2"), [PI_LINEAR, PI_LINEAR])
+    nullary = MultiDiffOperator(2, 0, {((), (1, 0)): 3, ((), (0, 2)): complex(0.5, -1)})
+    unary = MultiDiffOperator(3, 1, {(((1, 0, 0),), (0, 1, 0)): Fraction(2, 3),
+                                     (((0, 0, 1),), (0, 0, 0)): 0.125,
+                                     (((0, 0, 0),), (1, 0, 0)): -2})
+    return [(nullary, []), (unary, [ARGS3[0]]),
+            (chain, [{(2, 1): Fraction(1, 3), (0, 1): 1}, {(1, 2): 0.5, (3, 0): -2}]),
+            (chain.scaled(complex(0.3, -1.1)), [{(1, 1): 1, (0, 2): 2.5}, {(2, 1): 1}]),
+            (tri, list(ARGS3)), (tri.scaled(Fraction(1, 3)), list(ARGS3)),
+            (tri.scaled(0.7), list(ARGS3)), (tri.scaled(complex(0.3, -1.1)), list(ARGS3))]
+
+
+@pytest.mark.parametrize("op, funcs", partial_cases(),
+                         ids=["arity0", "arity1", "arity2", "arity2-complex", "arity3-int",
+                              "arity3-fraction", "arity3-float", "arity3-complex"])
+def test_partial_application_matches_apply_bit_for_bit(op, funcs):
+    want = op.apply(funcs)
+    assert want and poly_items(want) == poly_items(reference_apply(op, funcs))
+    for k in range(op.arity + 1):
+        # fill k slots at once, then the rest one slot at a time, then finish
+        part = op.fill(funcs[:k])
+        assert part[0] == op.arity - k
+        for f in funcs[k:]:
+            part = op.fill([f], part)
+        assert poly_items(op.apply([], part)) == poly_items(want)
+        assert poly_items(op.apply(funcs[k:], op.fill(funcs[:k]))) == poly_items(want)
+
+
+def test_partial_application_drops_a_term_whose_later_slot_derivative_is_empty():
+    op = MultiDiffOperator(2, 2, {(((1, 0), (2, 0)), (0, 0)): 5,
+                                  (((0, 0), (0, 1)), (1, 0)): 0.5})
+    f, g = {(2, 0): 1}, {(0, 1): 3, (1, 0): 1}
+    part = op.fill([f])
+    assert part == (1, [(((2, 0),), {(1, 0): 10}), (((0, 1),), {(3, 0): 0.5})])
+    # d^2/dx^2 of g is empty: only the second term survives the second slot
+    assert op.fill([g], part) == (0, [((), {(3, 0): 1.5})])
+    assert poly_items(op.apply([f, g])) == poly_items(reference_apply(op, [f, g]))
+    assert poly_items(op.apply([g], part)) == poly_items(op.apply([f, g]))
+
+
+def test_partial_application_rejects_wrong_argument_counts():
+    op = multiplication_operator(2)
+    with pytest.raises(ValueError, match="2 open slots, got 3 arguments"):
+        op.apply([X, Y, X])
+    with pytest.raises(ValueError, match="1 open slots, got 2 arguments"):
+        op.fill([X, Y], op.fill([X]))
+    with pytest.raises(ValueError, match="1 slots left open"):
+        op.apply([X])
+
+
+def count_builds(monkeypatch):
+    """Record the argument keys of MultiDiffOperator.fill calls that start from
+    the whole operator: memoized partials and full applications."""
+    calls = []
+    fill = MultiDiffOperator.fill
+
+    def counted(self, funcs, part=None):
+        if part is None:
+            calls.append(tuple(_poly_key(f) for f in funcs))
+        return fill(self, funcs, part)
+    monkeypatch.setattr(MultiDiffOperator, "fill", counted)
+    return calls
+
+
+def test_associativity_second_pass_builds_no_partial(monkeypatch):
+    pi = BRACKETS[2]
+    star = star_product(pi, 2, ANGLE, 2 ** 10, seed=3)
+    triples = list(itertools.product(monomials(3), repeat=3))[::11]
+
+    def check_all():
+        return [check_associativity(pi, f, g, h, 2, ANGLE, 2 ** 10, seed=3, star=star)
+                for f, g, h in triples]
+    builds = count_builds(monkeypatch)
+    reports = check_all()
+    memo = dict(star._memo)
+    assert sum(len(funcs) == 1 for funcs in builds) > 0
+    builds.clear()
+    assert check_all() == reports
+    assert builds == [] and star._memo == memo
+
+
+def test_associativity_pairs_with_equal_products_share_a_partial(monkeypatch):
+    x, y, h = p_int(X), p_int(Y), {(1, 1): 1}
+    xy = (_poly_key({(1, 1): 1}),)  # ops[0](x, y) = ops[0](y, x)
+    star, fresh = (star_product(PI_LINEAR, 2, ANGLE, 2 ** 10, seed=3) for _ in range(2))
+    rep_xy = check_associativity(PI_LINEAR, x, y, h, 2, ANGLE, 2 ** 10, seed=3, star=star)
+    shared = [key for key in star._memo if key[0] == "fill" and key[3:] == xy]
+    assert len(shared) == 3  # ops[b] with xy in its first slot, b = 0, 1, 2
+    builds = count_builds(monkeypatch)
+    rep_yx = check_associativity(PI_LINEAR, y, x, h, 2, ANGLE, 2 ** 10, seed=3, star=star)
+    assert xy not in builds
+    # on a fresh series the same check builds those three partials
+    builds.clear()
+    assert rep_yx == check_associativity(PI_LINEAR, y, x, h, 2, ANGLE, 2 ** 10, seed=3,
+                                         star=fresh)
+    assert builds.count(xy) == 3
+    monkeypatch.undo()
+    assert rep_xy == check_associativity(PI_LINEAR, x, y, h, 2, ANGLE, 2 ** 10, seed=3)
 
 
 @pytest.mark.parametrize("pi, order, kind, match", [
