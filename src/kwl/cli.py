@@ -31,6 +31,15 @@ def _fail_usage(msg: str) -> int:
     return USAGE_ERROR
 
 
+def _print_json(obj: dict) -> None:
+    """Print a result as one JSON line; NaN or infinity in it is an error."""
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"result is not finite: {exc}") from None
+    print(text)
+
+
 def _json_arg(text: str) -> dict:
     if text.startswith("@"):
         with open(text[1:]) as fh:
@@ -59,23 +68,23 @@ def cmd_weight(args) -> int:
     out = est.to_json_dict()
     if est.exact and est.value == 0:
         out["note"] = "edge count does not match the slice dimension; weight is exactly zero"
-    print(json.dumps(out, sort_keys=True))
+    _print_json(out)
     return 0
 
 
 def cmd_vanish(args) -> int:
     ok, est, pattern, _ = vanishing_check(parse_graph(args.graph), args.kind, args.samples,
                                           args.seed, threads=args.threads)
-    print(json.dumps({"graph": est.graph, "pattern": pattern,
-                      "value": [est.value.real, est.value.imag],
-                      "stderr": est.stderr, "passed": ok}, sort_keys=True))
+    _print_json({"graph": est.graph, "pattern": pattern,
+                 "value": [est.value.real, est.value.imag],
+                 "stderr": est.stderr, "passed": ok})
     return 0 if ok else CHECK_FAILURE
 
 
 def cmd_verify_identity(args) -> int:
     rep = verify_identity(parse_graph(args.graph), args.kind, args.samples, args.seed,
                           threads=args.threads)
-    print(json.dumps(rep.to_json_dict(), sort_keys=True))
+    _print_json(rep.to_json_dict())
     return 0 if rep.passed else CHECK_FAILURE
 
 
@@ -88,7 +97,7 @@ def cmd_star(args) -> int:
         orders.append([{"monomial": list(mono),
                         "coeff": [complex(c).real, complex(c).imag]}
                        for mono, c in sorted(p.items())])
-    print(json.dumps({"orders": orders}, sort_keys=True))
+    _print_json({"orders": orders})
     return 0
 
 
@@ -96,9 +105,8 @@ def cmd_associativity(args) -> int:
     pi, (f, g, h) = _poisson_inputs(args, "f", "g", "h")
     rep = check_associativity(pi, f, g, h, args.order, args.kind,
                               args.samples, args.seed, threads=args.threads)
-    print(json.dumps({"orders": list(rep.orders), "residuals": list(rep.residuals),
-                      "tolerances": list(rep.tolerances), "passed": rep.passed},
-                     sort_keys=True))
+    _print_json({"orders": list(rep.orders), "residuals": list(rep.residuals),
+                 "tolerances": list(rep.tolerances), "passed": rep.passed})
     return 0 if rep.passed else CHECK_FAILURE
 
 
@@ -116,7 +124,7 @@ def cmd_globalization(args) -> int:
                     for u, v, val, e, ok in rep.contour],
         "passed": rep.passed,
     }
-    print(json.dumps(out, sort_keys=True))
+    _print_json(out)
     return 0 if rep.passed else CHECK_FAILURE
 
 
@@ -124,14 +132,14 @@ def cmd_counterterm(args) -> int:
     subset = [int(tok) for tok in args.subset.split(",")]
     rep = counterterm_probe(parse_graph(args.graph), subset, args.kind,
                             scales=tuple(args.scales), seed=args.seed)
-    print(json.dumps({
+    _print_json({
         "graph": rep.graph, "kind": rep.kind, "subset": list(rep.subset),
         "scales": list(rep.scales),
         "values": [[v.real, v.imag] for v in rep.values],
         "limit": [rep.limit.real, rep.limit.imag],
         "expected": [rep.expected.real, rep.expected.imag],
         "deviation": rep.deviation, "cauchy_decreasing": rep.cauchy_decreasing,
-    }, sort_keys=True))
+    })
     return 0
 
 

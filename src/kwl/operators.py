@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -559,7 +560,7 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
     if not (u.imag > 0 and v.imag > 0):
         raise ValueError("endpoints must lie in the upper half-plane")
 
-    def func(U: np.ndarray) -> np.ndarray:
+    def func(U: np.ndarray) -> Tuple[np.ndarray, int]:
         x = np.tan(math.pi * (U[:, 0] - 0.5))
         t = U[:, 1]
         jac = math.pi * (1.0 + x * x) / (1.0 - t) ** 2
@@ -567,9 +568,9 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
         # z is vertex 0 and moves like the free point of a (1, 2) slice;
         # u (vertex 1) -> z and z -> v (vertex 2)
         M = pairing_matrices([(1, 0), (0, 2)], [z, u, v], gauge_frame(1, 2, z), LOG)
-        return np.linalg.det(M) * pairing_scale(LOG, 2) * jac
+        return np.linalg.det(M) * pairing_scale(LOG, 2) * jac, 0
 
-    return qmc_mean(func, 2, samples, seed, threads)
+    return qmc_mean(func, 2, samples, seed, threads)[:3]
 
 
 def contour_check(u: complex, v: complex, samples: int, seed: int,
@@ -650,9 +651,10 @@ def _json_int(x, what: str, low: int = 0) -> int:
 
 
 def _json_coeff(x):
+    # an integer beyond the float range would overflow in the weighted sums
     if (isinstance(x, bool) or not isinstance(x, (int, float))
-            or isinstance(x, float) and not math.isfinite(x)):
-        raise ValueError(f"coefficient must be a finite number, got {x!r}")
+            or not abs(x) <= sys.float_info.max):
+        raise ValueError(f"coefficient must be a finite number in the float range, got {x!r}")
     return x
 
 

@@ -112,25 +112,30 @@ def check_wedge_weight(cfg: SuiteConfig) -> CheckResult:
 # criterion 2: structural vanishing of log weights
 
 
-def _canonical_top_graphs():
+def _swept_graphs(deficit: int, one_per_class: bool = False):
+    """Every graph on at most ``CHECK_VERTICES`` vertices with ``deficit``
+    fewer edges than top degree, 2n + m - 2: 0 for the weights, 1 for the
+    boundary identities.  ``one_per_class`` keeps the first graph of each
+    canonical class."""
     seen = set()
     for n in range(0, CHECK_VERTICES + 1):
         for m in range(0, CHECK_VERTICES + 1 - n):
-            e = 2 * n + m - 2
-            if e < 0 or e > n * (n + m - 1):
+            e = 2 * n + m - 2 - deficit
+            if not 0 <= e <= n * (n + m - 1):
                 continue
             for g in enumerate_graphs(n, m, e):
-                key, _ = canonical_key(g)
-                if key in seen:
-                    continue
-                seen.add(key)
+                if one_per_class:
+                    key, _ = canonical_key(g)
+                    if key in seen:
+                        continue
+                    seen.add(key)
                 yield g
 
 
 def check_structural_vanishing(cfg: SuiteConfig) -> CheckResult:
     rows = []
     ok = True
-    for g in _canonical_top_graphs():
+    for g in _swept_graphs(0, one_per_class=True):
         if detect_vanishing_pattern(g) is None:
             continue
         good, est, pattern, bound = vanishing_check(g, LOG, cfg.samples, cfg.seed,
@@ -165,23 +170,12 @@ def check_contour_identity(cfg: SuiteConfig) -> CheckResult:
 # criterion 4: regularized boundary identities
 
 
-def _identity_graphs():
-    for n in range(0, CHECK_VERTICES + 1):
-        for m in range(0, CHECK_VERTICES + 1 - n):
-            e = 2 * n + m - 3
-            if e < 0 or e > n * (n + m - 1):
-                continue
-            if 2 * n + m - 2 < 1:
-                continue
-            yield from enumerate_graphs(n, m, e)
-
-
 def check_stokes_identities(cfg: SuiteConfig) -> CheckResult:
     counts = {ANGLE: 0, LOG: 0}
     failures = []
     worst = {"residual": 0.0}
     for kind in (ANGLE, LOG):
-        for g in _identity_graphs():
+        for g in _swept_graphs(1):
             rep = verify_identity(g, kind, max(cfg.samples // 10, MIN_SAMPLES), cfg.seed,
                                   threads=cfg.threads)
             counts[kind] += 1
@@ -249,7 +243,7 @@ def check_regularity(cfg: SuiteConfig) -> CheckResult:
     worst = None
     families = 0
     ok = True
-    for g in _canonical_top_graphs():
+    for g in _swept_graphs(0, one_per_class=True):
         if g.n < 2:
             continue
         for _ in range(20):
@@ -405,14 +399,16 @@ def _random_family_draw(rng) -> Tuple:
 def check_config_properties(cfg: SuiteConfig) -> CheckResult:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 9]))
     details: dict = {}
-    ok = True
 
     fam_i = NestedFamily(4, 0, [(frozenset({0, 1}), TYPE_I)])
     fam_j = NestedFamily(4, 0, [(frozenset({2, 3}), TYPE_I)])
     fam_ij = gcd_families(fam_i, fam_j)
     fam_k = NestedFamily(4, 0, [(frozenset({1, 2}), TYPE_I)])
-    assert fam_ij is not None
-    assert gcd_families(fam_i, fam_k) is None
+    # disjoint clusters have a gcd; crossing ones have none
+    gcd_found = fam_ij is not None
+    gcd_absent = gcd_families(fam_i, fam_k) is None
+    details["gcd_construction"] = {"disjoint_found": gcd_found, "crossing_absent": gcd_absent}
+    ok = gcd_found and gcd_absent
 
     mono_viol = 0
     mono_hits = 0
@@ -429,7 +425,7 @@ def check_config_properties(cfg: SuiteConfig) -> CheckResult:
                 mono_viol += 1
         if in_i and in_j:
             cont_hits += 1
-            if not chart_membership(c, fam_ij, 0.1):
+            if not (gcd_found and chart_membership(c, fam_ij, 0.1)):
                 cont_viol += 1
         if in_i and chart_membership(c, fam_k, 0.01):
             empty_viol += 1

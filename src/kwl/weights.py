@@ -135,6 +135,9 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
 def _check_budget(samples: int, seed: int) -> None:
     if samples <= 0:
         raise ValueError("sample budget must be positive")
+    if samples > BATCHES << qmc.BITS:
+        raise ValueError(f"sample budget {samples} exceeds {BATCHES} batches "
+                         f"of 2^{qmc.BITS} Sobol points")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
 
@@ -158,36 +161,34 @@ def _sobol_points(dim: int, seed: int, batch: int, n: int) -> np.ndarray:
     return sob.random(n)
 
 
-def _qmc_batches(func, dim: int, samples: int, seed: int,
-                 threads: Optional[int]) -> Tuple[complex, float, int, int]:
-    """Batched scrambled-QMC mean of ``func(U) -> (values, rejected)``.
+def qmc_mean(func, dim: int, samples: int, seed: int,
+             threads: Optional[int] = None) -> Tuple[complex, float, int, int]:
+    """Batched scrambled-QMC mean of ``func(U) -> (values, rejected)`` over
+    the ``dim``-dimensional unit hypercube.
 
     The budget is rounded up so the 16 batches are equal powers of two;
     batch ``b`` uses the Sobol stream seeded by ``(seed, b)``, and batches
-    share pool tasks up to ``TASK_ROWS`` rows.  Returns (value, stderr,
-    actual sample count, rejected sample count).
+    share pool tasks up to ``TASK_ROWS`` rows, for every thread count.
+    Returns (value, stderr, actual sample count, rejected sample count).
     """
-    per_batch = 1 << max(0, math.ceil(math.log2(samples / BATCHES)))
-    group = max(1, min(BATCHES, TASK_ROWS // per_batch))
-
-    def one(batch: int) -> Tuple[complex, int]:
-        # Sobol points can include exact zeros; nudge off the faces
-        U = np.clip(_sobol_points(dim, seed, batch, per_batch), 1e-15, 1.0 - 1e-15)
-        vals, rejected = func(U)
-        return complex(np.mean(vals)), rejected
-
-    def task(lo: int) -> list:
-        return [one(b) for b in range(lo, lo + group)]
-
+    _check_budget(samples, seed)
     nthreads = threads if threads is not None else default_threads()
     if nthreads < 1:
         raise ValueError(f"thread count must be at least 1, got {nthreads}")
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            futs = [ex.submit(task, lo) for lo in range(0, BATCHES, group)]
-            results = [r for f in futs for r in f.result()]
-    else:
-        results = [one(b) for b in range(BATCHES)]
+    per_batch = 1 << max(0, math.ceil(math.log2(samples / BATCHES)))
+    group = max(1, min(BATCHES, TASK_ROWS // per_batch))
+
+    def task(lo: int) -> list:
+        out = []
+        for batch in range(lo, lo + group):
+            # Sobol points can include exact zeros; nudge off the faces
+            U = np.clip(_sobol_points(dim, seed, batch, per_batch), 1e-15, 1.0 - 1e-15)
+            vals, rejected = func(U)
+            out.append((complex(np.mean(vals)), rejected))
+        return out
+
+    with ThreadPoolExecutor(max_workers=nthreads) as ex:
+        results = [r for part in ex.map(task, range(0, BATCHES, group)) for r in part]
 
     means = np.array([r[0] for r in results], dtype=complex)
     value = complex(means.mean())
@@ -237,21 +238,10 @@ def compute_weight(g: Graph, kind: str, samples: int, seed: int,
     exact = _exact_weight(g, kind, samples, seed)
     if exact is not None:
         return exact
-    value, stderr, total, rejected = _qmc_batches(
+    value, stderr, total, rejected = qmc_mean(
         lambda U: integrand_batch(g, kind, U), len(g.edges), samples, seed, threads)
     return WeightEstimate(value, stderr, total, seed, kind, encode_graph(g),
                           rejected=rejected)
-
-
-def qmc_mean(func, dim: int, samples: int, seed: int,
-             threads: Optional[int] = None) -> Tuple[complex, float, int]:
-    """Batched scrambled-QMC mean of ``func(U) -> values`` over the hypercube.
-
-    Same batching, seeding and reduction rules as :func:`compute_weight`;
-    returns (value, stderr, actual sample count).
-    """
-    _check_budget(samples, seed)
-    return _qmc_batches(lambda U: (func(U), 0), dim, samples, seed, threads)[:3]
 
 
 def cached_weight(g: Graph, kind: str, samples: int, seed: int,

@@ -92,6 +92,12 @@ def test_weight_bad_budget_or_seed_exit_2(capsys):
     for extra in (["--samples", "0"], ["--samples", "-5"], ["--seed", "-1"],
                   ["--threads", "0"], ["--threads", "-3"]):
         assert_usage_error(wedge + extra, capsys)
+    # above 16 batches of 2^30 Sobol points, rejected before any draw: a
+    # budget near that bound would take tens of GiB
+    for budget in (str(10 ** 400), str((16 << 30) + 1)):
+        for command in (wedge, ["verify-identity", "--graph", "2 1 ; a1>a2 a2>g1"]):
+            err = assert_usage_error(command + ["--samples", budget], capsys)
+            assert f"sample budget {budget} exceeds" in err
     # exact zero (degree mismatch) and exact one (empty graph) check the budget too
     assert_usage_error(["weight", "--graph", "1 2 ; a1>g1", "--samples", "0"], capsys)
     assert_usage_error(["weight", "--graph", "0 2 ;", "--samples", "-4"], capsys)
@@ -162,11 +168,14 @@ def _poly_json(monomial=(1, 0), coeff=1.0):
     ("--f", _poly_json(monomial=(1.5, 0))),
     ("--poisson", '{"dim": 2, "bivector": [{"i": 0, "j": 1, "monomial": [0, 0], "coeff": NaN}]}'),
     ("--f", '[{"monomial": [1, 0], "coeff": Infinity}]'),
+    ("--poisson", _bivector_json(coeff=10 ** 400)),
+    ("--f", _poly_json(coeff=10 ** 400)),
     ("--f", "{}"),
     ("--poisson", "[" * 100_000 + "]" * 100_000),
 ], ids=["list-bivector", "missing-file", "string-coeff-bivector", "string-coeff-poly",
         "negative-exponent-bivector", "negative-exponent-poly", "fractional-exponent",
-        "nan-coeff", "infinite-coeff", "object-poly", "deeply-nested"])
+        "nan-coeff", "infinite-coeff", "huge-int-coeff-bivector", "huge-int-coeff-poly",
+        "object-poly", "deeply-nested"])
 def test_bad_json_input_exit_2(command, flag, value, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = {"--poisson": _bivector_json(), "--f": _poly_json(), "--g": _poly_json((0, 1))}
@@ -178,6 +187,18 @@ def test_bad_json_input_exit_2(command, flag, value, tmp_path, monkeypatch, caps
         argv += [key, text]
     err = assert_usage_error(argv, capsys)
     assert "bad input" in err
+
+
+def test_non_finite_result_exit_2(capsys):
+    # products of 1e200 coefficients overflow: the residuals are NaN, which
+    # JSON cannot carry
+    pi = _bivector_json(monomial=(1, 0), coeff=1e200)
+    f = _poly_json(coeff=1e200)
+    code = main(["associativity", "--poisson", pi, "--f", f, "--g", f, "--h", f,
+                 "--order", "1", "--samples", "1000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: result is not finite") and len(err.splitlines()) == 1
 
 
 def test_empty_graph_weight_exactly_one(capsys):
@@ -330,6 +351,7 @@ def test_suite_rejects_removed_budget_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("line, word", [
     ("threads = 0", "thread count"), ("samples = 1e6", "line 1: samples"),
+    ("samples = 17179869185", "sample budget 17179869185 exceeds"),
     ("KWL_THREADS=abc", "KWL_THREADS"), ("KWL_THREADS=0", "KWL_THREADS")])
 def test_suite_rejects_bad_thread_or_sample_settings_before_any_report(
         line, word, tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kwl import suite
 from kwl.graphs import TYPE_I, TYPE_II, collapse_layout
 from kwl.halfplane import (NestedFamily, center_of_mass,
                            chart_membership, config_from_coords, coords_of_config,
@@ -181,6 +182,14 @@ def test_gcd_absent_when_crossing():
     i = NestedFamily(4, 0, [(frozenset({0, 1}), TYPE_I)])
     j = NestedFamily(4, 0, [(frozenset({1, 2}), TYPE_I)])
     assert gcd_families(i, j) is None
+
+
+@pytest.mark.parametrize("gcd, entry", [(lambda i, j: None, "disjoint_found"),
+                                        (lambda i, j: i, "crossing_absent")])
+def test_config_properties_check_fails_on_a_wrong_gcd(gcd, entry, monkeypatch):
+    monkeypatch.setattr(suite, "gcd_families", gcd)
+    res = suite.check_config_properties(suite.SuiteConfig())
+    assert not res.passed and res.details["gcd_construction"][entry] is False
 
 
 def test_gcd_with_top_is_identity():

@@ -83,7 +83,7 @@ def test_strata_are_built_once_per_slice(monkeypatch):
     monkeypatch.setattr(stokes, "_orient_cache", {})
     monkeypatch.setattr(stokes, "cached_weight",
                         lambda *args, **kwargs: types.SimpleNamespace(value=1.0, stderr=0.0))
-    idg = list(suite._identity_graphs())
+    idg = list(suite._swept_graphs(1))
     for g in idg:
         for kind in (ANGLE, LOG):
             verify_identity(g, kind, 1, 0)

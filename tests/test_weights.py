@@ -126,7 +126,7 @@ def test_thread_count_below_one_rejected(monkeypatch):
         with pytest.raises(ValueError, match="thread count"):
             compute_weight(WEDGE, ANGLE, 10, 1, threads=threads)
         with pytest.raises(ValueError, match="thread count"):
-            qmc_mean(lambda U: np.ones(len(U)), 2, 100, 1, threads=threads)
+            qmc_mean(lambda U: (np.ones(len(U)), 0), 2, 100, 1, threads=threads)
     monkeypatch.setenv("KWL_THREADS", "0")
     with pytest.raises(ValueError, match="thread count"):
         compute_weight(WEDGE, ANGLE, 10, 1)
@@ -296,15 +296,36 @@ def test_vanishing_check_examples():
 
 
 def test_qmc_mean_constant():
-    val, err, ns = qmc_mean(lambda U: np.full(len(U), 2.5), 3, 10 ** 4, 1)
+    # every batch of 2^k Sobol points puts exactly half its first
+    # coordinates below 1/2: the rejected counts of the 16 batches add up
+    val, err, ns, rejected = qmc_mean(
+        lambda U: (np.full(len(U), 2.5), int((U[:, 0] < 0.5).sum())), 3, 10 ** 4, 1)
     assert val == pytest.approx(2.5, abs=1e-12)
     assert err < 1e-12
-    assert ns >= 10 ** 4
+    assert ns == BATCHES * 1024
+    assert rejected == ns // 2
 
 
 def test_qmc_mean_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be nonnegative"):
-        qmc_mean(lambda U: np.ones(len(U)), 2, 100, -1)
+        qmc_mean(lambda U: (np.ones(len(U)), 0), 2, 100, -1)
+
+
+@pytest.mark.parametrize("samples", [10 ** 400, (BATCHES << qmc.BITS) + 1],
+                         ids=["10^400", "2^34+1"])
+def test_budget_above_the_sobol_streams_rejected_before_any_draw(samples, monkeypatch):
+    # never run a budget near the bound: one batch would take tens of GiB
+    builds = _counting_sobol(monkeypatch)
+    clear_weight_cache()
+    calls = []
+    estimators = (lambda: compute_weight(WEDGE, ANGLE, samples, 1),
+                  lambda: cached_weight(WEDGE, ANGLE, samples, 1),
+                  lambda: cached_weight(parse_graph("0 2 ;"), ANGLE, samples, 1),
+                  lambda: qmc_mean(lambda U: calls.append(U), 2, samples, 1))
+    for estimate in estimators:
+        with pytest.raises(ValueError, match=f"sample budget {samples} exceeds"):
+            estimate()
+    assert builds[0] == 0 and calls == []
 
 
 def test_weight_json_shape():
@@ -417,10 +438,12 @@ def _counting_sobol(monkeypatch, draw_delay=0.0):
 
 def test_batches_share_pool_tasks_up_to_task_rows(monkeypatch):
     counts = _counting_pool(monkeypatch)
+    # one thread runs the same schedule in a pool of one
     for samples, tasks in ((1 << 10, 1), (1 << 14, 1), (1 << 17, 8), (1 << 20, 16)):
-        counts.clear()
-        compute_weight(WEDGE, ANGLE, samples, seed=5, threads=2)
-        assert counts == [tasks], samples
+        for threads in (1, 2):
+            counts.clear()
+            compute_weight(WEDGE, ANGLE, samples, seed=5, threads=threads)
+            assert counts == [tasks], (samples, threads)
 
 
 def test_suite_determinism_check_compares_a_split_schedule(monkeypatch):
