@@ -14,7 +14,7 @@ from .graphs import (Graph, Contraction, make_graph, enumerate_graphs,
 from .halfplane import (Configuration, make_configuration, center_of_mass,
                         slice_columns, slice_map, sample_configuration,
                         gauge_dim, gauge_frame, coords_of_config,
-                        config_from_coords, regauge, NestedFamily,
+                        config_from_coords, NestedFamily,
                         chart_membership, gcd_families, torus_rotate,
                         degenerating_family)
 from .forms import (ANGLE, LOG, edge_function, pairing_matrices, pairing_scale,

@@ -217,33 +217,6 @@ def config_from_coords(n: int, m: int, q: Sequence[float]) -> Configuration:
     return make_configuration(aerial, ground)
 
 
-def regauge(aerial: Sequence[complex], ground: Sequence[float]) -> Configuration:
-    """Apply the unique scaling/translation putting raw points in gauge."""
-    n, m = len(aerial), len(ground)
-    gauge_dim(n, m)
-    if m >= 2:
-        shift = ground[0]
-        scale = ground[1] - ground[0]
-    elif m == 1:
-        shift = ground[0]
-        scale = abs(aerial[0] - ground[0])
-    else:
-        shift = aerial[0].real
-        scale = aerial[0].imag
-    if not scale > 0:
-        raise ValueError("degenerate configuration cannot be gauged")
-    new_aer = [(z - shift) / scale for z in aerial]
-    new_grd = [(g - shift) / scale for g in ground]
-    # remove roundoff on pinned points
-    if m >= 2:
-        new_grd[0], new_grd[1] = 0.0, 1.0
-    elif m == 1:
-        new_grd[0] = 0.0
-    else:
-        new_aer[0] = 1j
-    return make_configuration(new_aer, new_grd)
-
-
 # ---------------------------------------------------------------------------
 # nested families
 

@@ -15,8 +15,7 @@ weights of the inner and outer graphs of the stratum's contraction:
 
 Signs have two factors: the parity of sorting the edge list into
 inner-then-outer blocks, and the orientation of the stratum chart against
-the slice orientation, which is measured once per stratum shape as the
-sign of a numerical chart-map Jacobian.
+the slice orientation, a closed-form function of the stratum's layout.
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ import numpy as np
 from .forms import contracted_integrand, integrand
 from .graphs import (CollapseLayout, Contraction, Graph, TYPE_I, TYPE_II, collapse_layout,
                      contract, edge_sort_parity, encode_graph)
-from .halfplane import (coords_of_config, config_from_coords,
-                        degenerating_family, expand_cluster, gauge_dim,
-                        regauge, sample_configuration, slice_columns)
+from .halfplane import config_from_coords, degenerating_family, gauge_dim, slice_columns
 from .weights import cached_weight
 
 TWO_POINT_I = "two-point-I"
@@ -61,9 +58,8 @@ class BoundaryStratum:
         return f"{self.contraction.layout.label()}:{self.rule}"
 
 
-#: each slice's stratum table under (n, m), each stratum's orientation sign
-#: under its layout
-_orient_cache: Dict[tuple, object] = {}
+#: each slice's stratum table under (n, m)
+_orient_cache: Dict[Tuple[int, int], List[CollapseLayout]] = {}
 _orient_lock = threading.Lock()
 
 
@@ -125,100 +121,29 @@ def shuffle_sign(g: Graph, layout: CollapseLayout) -> int:
 
 
 # ---------------------------------------------------------------------------
-# stratum chart maps and orientation signs
-
-
-def _chart_map(layout: CollapseLayout):
-    """Map (r, inner coords, outer coords) -> full slice coordinates.
-
-    The inner and outer coordinates are the standard slice coordinates of
-    the factor configuration spaces; for an interior two-point collapse the
-    inner coordinate is the rotation angle of the pair.
-    """
-    if layout.kind == TYPE_I:
-        if len(layout.subset) != 2:
-            raise ValueError("chart map only needed for two-point interior collapses")
-        d_in = 1
-    else:
-        d_in = gauge_dim(layout.inner_n, layout.inner_m)
-
-    def phi(x: np.ndarray) -> np.ndarray:
-        r = x[0]
-        q_in = x[1:1 + d_in]
-        cfg_out = config_from_coords(layout.outer_n, layout.outer_m, x[1 + d_in:])
-        if layout.kind == TYPE_I:
-            offs = cmath.exp(1j * q_in[0]) / math.sqrt(2.0)
-            w = (offs, -offs)
-        else:
-            cfg_in = config_from_coords(layout.inner_n, layout.inner_m, q_in)
-            w = [cfg_in.point(v) for v in range(layout.inner_n + layout.inner_m)]
-        return coords_of_config(regauge(*expand_cluster(cfg_out, layout, w, r)))
-
-    return phi
+# orientation signs
 
 
 def orientation_sign(layout: CollapseLayout) -> int:
     """Sign comparing the stratum chart orientation with the slice orientation.
 
-    Measured as the sign of the Jacobian determinant of the chart map at
-    generic base points; the boundary term carries the opposite sign (the
-    outward normal is the decreasing collapse scale).
+    The stratum chart has coordinates ``(r, q_in, q_out)``: the collapse
+    scale, the inner factor's ``d_in`` slice coordinates (the rotation angle
+    of an interior pair, ``d_in = 1``) and the outer factor's.  The inner
+    block ``(r, q_in)`` of ``1 + d_in`` columns takes the place of the fresh
+    vertex's coordinate, so the sign is ``(-1)^((k + 1)(d_in + 1))`` with
+    ``k`` the fresh vertex's outer ground index: +1 for every interior pair
+    and every inner factor with an odd ``d_in``.  ``tests/chart_oracle.py``
+    checks the rule against chart-map Jacobians.  The boundary term carries
+    the opposite sign (the outward normal is the decreasing collapse scale).
     """
-    with _orient_lock:
-        hit = _orient_cache.get(layout)
-    if hit is not None:
-        return hit
-    phi = _chart_map(layout)
-    signs = []
-    raised = flat = 0
-    stable = [layout.n, len(layout.vertex_map) - layout.n, 1 if layout.kind == TYPE_II else 0,
-              0 if layout.position is None else layout.position + 1,
-              len(layout.subset), layout.subset[0]]
-    for attempt in range(6):
-        rng = np.random.default_rng(np.random.SeedSequence([101 + attempt] + stable))
-        u_out = rng.uniform(0.3, 0.7, gauge_dim(layout.outer_n, layout.outer_m))
-        cfg_out, _ = sample_configuration(layout.outer_n, layout.outer_m, u_out)
-        q_out = coords_of_config(cfg_out)
-        if layout.kind == TYPE_I:
-            q_in = np.array([rng.uniform(0.5, 5.5)])
-        else:
-            u_in = rng.uniform(0.3, 0.7, gauge_dim(layout.inner_n, layout.inner_m))
-            cfg_in, _ = sample_configuration(layout.inner_n, layout.inner_m, u_in)
-            q_in = coords_of_config(cfg_in)
-        x0 = np.concatenate([[0.01], q_in, q_out])
-        try:
-            J = _numeric_jacobian(phi, x0)
-        except ValueError:
-            raised += 1
-            continue
-        det = float(np.linalg.det(J))
-        # relative to the column norms: the collapse scale shrinks the inner
-        # columns, so |det| scales like r^d_in
-        if abs(det) > 1e-10 * float(np.prod(np.linalg.norm(J, axis=0))):
-            signs.append(1 if det > 0 else -1)
-        else:
-            flat += 1
-        if len(signs) >= 3:
-            break
-    if not signs or any(s != signs[0] for s in signs):
-        raise RuntimeError(
-            f"could not determine a stable orientation sign for {layout.label()}:"
-            f" the chart map raised in {raised} of {attempt + 1} attempts, {flat} Jacobians"
-            f" fell under the threshold, signs seen {signs}")
-    with _orient_lock:
-        _orient_cache[layout] = signs[0]
-    return signs[0]
-
-
-def _numeric_jacobian(phi, x0: np.ndarray) -> np.ndarray:
-    d = len(x0)
-    J = np.empty((d, d))
-    for k in range(d):
-        h = 1e-6 * max(1.0, abs(x0[k]))
-        xp = x0.copy(); xp[k] += h
-        xm = x0.copy(); xm[k] -= h
-        J[:, k] = (phi(xp) - phi(xm)) / (2.0 * h)
-    return J
+    if layout.kind == TYPE_I:
+        if len(layout.subset) != 2:
+            raise ValueError("orientation sign only needed for two-point interior collapses")
+        return 1
+    d_in = gauge_dim(layout.inner_n, layout.inner_m)
+    k = layout.new_vertex - layout.outer_n
+    return -1 if (k + 1) * (d_in + 1) % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from kwl.graphs import TYPE_I, TYPE_II, collapse_layout
 from kwl.halfplane import (NestedFamily, center_of_mass,
                            chart_membership, config_from_coords, coords_of_config,
                            degenerating_family, gauge_dim, gauge_frame,
-                           gcd_families, make_configuration, normalized_shape, regauge,
+                           gcd_families, make_configuration, normalized_shape,
                            sample_configuration, slice_map, torus_rotate)
 
 
@@ -99,16 +99,6 @@ def test_coords_round_trip():
         back = config_from_coords(n, m, q)
         assert max(abs(a - b) for a, b in zip(cfg.aerial, back.aerial)) < 1e-12 if n else True
         assert all(abs(a - b) < 1e-12 for a, b in zip(cfg.ground, back.ground))
-
-
-def test_regauge_restores_pins():
-    cfg = regauge([2 + 2j, 5 + 1j], [1.0, 3.0])
-    assert cfg.ground == (0.0, 1.0)
-    cfg1 = regauge([2 + 2j], [1.0])
-    assert cfg1.ground == (0.0,)
-    assert abs(abs(cfg1.aerial[0]) - 1) < 1e-12
-    cfg0 = regauge([2 + 2j, 4 + 1j], [])
-    assert cfg0.aerial[0] == 1j
 
 
 def test_frame_matches_dimension():

@@ -3,7 +3,6 @@ import itertools
 import math
 import types
 
-import numpy as np
 import pytest
 
 from kwl import forms, graphs, halfplane, stokes, suite
@@ -15,6 +14,8 @@ from kwl.stokes import (MULTI_POINT_I, TWO_POINT_I,
                         orientation_sign, richardson_limit, shuffle_sign,
                         verify_identity)
 from kwl.weights import cached_weight
+
+import chart_oracle
 
 EXAMPLE = parse_graph("2 1 ; a1>a2 a2>g1")
 
@@ -103,25 +104,25 @@ def test_orientation_sign_stable_from_five_vertices(enc, label):
     assert orientation_sign(st.contraction.layout) == -1
 
 
-def test_orientation_sign_failure_counts_its_attempts(monkeypatch):
-    # attempts: chart map raises, a flat Jacobian, then signs +1, -1, +1
-    outcomes = iter([None, np.zeros((3, 3)), np.eye(3), np.diag([-1.0, 1.0, 1.0]), np.eye(3)])
+@pytest.mark.parametrize("n, m", chart_oracle.slices(6))
+def test_orientation_sign_matches_chart_jacobians(n, m):
+    for layout in chart_oracle.signed_layouts(n, m):
+        assert orientation_sign(layout) == chart_oracle.measured_sign(layout), layout.label()
 
-    def jacobian(phi, x0):
-        J = next(outcomes)
-        if J is None:
-            raise ValueError("points coincide")
-        return J
 
-    monkeypatch.setattr(stokes, "_numeric_jacobian", jacobian)
-    monkeypatch.setattr(stokes, "_orient_cache", {})
-    layout = collapse_layout(2, 1, [0, 1], TYPE_I)
-    with pytest.raises(RuntimeError) as err:
-        orientation_sign(layout)
-    assert str(err.value) == (
-        "could not determine a stable orientation sign for I{0,1}: the chart map raised"
-        " in 1 of 5 attempts, 1 Jacobians fell under the threshold, signs seen [1, -1, 1]")
-    assert layout not in stokes._orient_cache
+def test_orientation_sign_needs_a_signed_stratum():
+    with pytest.raises(ValueError, match="two-point interior"):
+        orientation_sign(collapse_layout(3, 0, [0, 1, 2], TYPE_I))
+
+
+def test_regauge_restores_pins():
+    cfg = chart_oracle.regauge([2 + 2j, 5 + 1j], [1.0, 3.0])
+    assert cfg.ground == (0.0, 1.0)
+    cfg1 = chart_oracle.regauge([2 + 2j], [1.0])
+    assert cfg1.ground == (0.0,)
+    assert abs(abs(cfg1.aerial[0]) - 1) < 1e-12
+    cfg0 = chart_oracle.regauge([2 + 2j, 4 + 1j], [])
+    assert cfg0.aerial[0] == 1j
 
 
 def test_strata_need_identity_degree():
