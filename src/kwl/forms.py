@@ -9,17 +9,28 @@ matrix pairing each edge one-form with each slice coordinate direction, in
 the graph's fixed edge order.  :func:`pairing_matrices` is the one place
 these pairings are built, for one configuration or for a batch of rows;
 the QMC kernel, the collapse probes and the contour integral all call it.
+
+Each frame column moves one point, so row ``(s, t)`` of a slice pairing
+matrix is non-zero only in the columns that move ``s`` or ``t``, and its
+determinant is a signed sum over the bijections from edges to columns
+inside that support (the wedge of the edge one-forms).
+:func:`pairing_matchings` lists those bijections once per graph, and
+:func:`matching_det` sums them over a batch of rows; the QMC kernel takes
+its determinants this way on slices of dimension 4 and up, and with
+``np.linalg.det`` otherwise.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from typing import Dict, List, Sequence, Tuple
+import operator
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import TYPE_I, CollapseLayout, Graph
+from .graphs import TYPE_I, CollapseLayout, Graph, edge_sort_parity
 from .halfplane import Configuration, gauge_dim, gauge_frame, normalized_shape
 
 ANGLE = "angle"
@@ -85,6 +96,71 @@ def pairing_matrices(edges: Sequence[Tuple[int, int]], points: Sequence,
                 continue
             M[:, ei, ci] = entry.imag if angle else entry
     return M
+
+
+def pairing_matchings(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity],
+                      max_terms: int) -> Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
+    """Signed bijections from edges to frame columns inside the pairing support.
+
+    Entry ``(e, c)`` of :func:`pairing_matrices` can be non-zero only when
+    column ``c`` moves an endpoint of edge ``e``, so the determinant is the
+    sum over these bijections ``cols`` (edge ``e`` to column ``cols[e]``)
+    of their sign times the product of their entries.  Returns the pairs
+    ``(sign, cols)`` in lexicographic order of ``cols``, an empty tuple
+    when there are none (the determinant vanishes identically) and None
+    when there are more than ``max_terms``.  The bijections are counted
+    over column subsets first, so only complete ones are ever built.
+    """
+    d = len(frame)
+    if len(edges) != d:
+        raise ValueError(f"{len(edges)} edges against {d} frame columns")
+    support = [[c for c, col in enumerate(frame) if s in col or t in col] for s, t in edges]
+    # ways[k][used]: bijections from the first k edges onto the column set ``used``
+    ways: List[Dict[int, int]] = [{0: 1}]
+    for cols in support:
+        layer: Dict[int, int] = {}
+        for used, count in ways[-1].items():
+            for c in cols:
+                if not used >> c & 1:
+                    layer[used | 1 << c] = layer.get(used | 1 << c, 0) + count
+        ways.append(layer)
+    full = (1 << d) - 1
+    if ways[-1].get(full, 0) > max_terms:
+        return None
+    found: List[Tuple[int, ...]] = []
+
+    def assign_last(k: int, used: int, tail: Tuple[int, ...]) -> None:
+        if k == 0:
+            found.append(tail)
+            return
+        for c in support[k - 1]:
+            if used >> c & 1 and ways[k - 1].get(used & ~(1 << c)):
+                assign_last(k - 1, used & ~(1 << c), (c,) + tail)
+
+    assign_last(d, full, ())
+    return tuple((edge_sort_parity(cols), cols) for cols in sorted(found))
+
+
+def matching_det(M: np.ndarray, matchings) -> np.ndarray:
+    """Row determinants of ``M`` (rows, E, E) as the sum over ``matchings``
+    (from :func:`pairing_matchings`) of ``sign * prod_e M[:, e, cols[e]]``.
+
+    The entries the matchings use are copied out as contiguous rows first.
+    Terms are added in the given order, each product taken edge by edge,
+    and every row is reduced on its own, so a row's value does not depend
+    on the batch.
+    """
+    used = sorted({(e, c) for _, cols in matchings for e, c in enumerate(cols)})
+    picked = np.ascontiguousarray(M[:, [e for e, _ in used], [c for _, c in used]].T)
+    entry = dict(zip(used, picked))
+    det = np.zeros(len(M), dtype=M.dtype)
+    for sign, cols in matchings:
+        term = functools.reduce(operator.mul, [entry[ec] for ec in enumerate(cols)])
+        if sign > 0:
+            det += term
+        else:
+            det -= term
+    return det
 
 
 def pairing_scale(kind: str, num_edges: int) -> complex:

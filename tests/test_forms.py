@@ -1,17 +1,19 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from kwl.forms import (ANGLE, LOG, contracted_integrand, edge_function,
-                       integrand, pairing_matrices, pairing_scale,
-                       shape_tangent_basis)
-from kwl.graphs import TYPE_I, collapse_layout, contract, make_graph, parse_graph
-from kwl.halfplane import (degenerating_family, gauge_dim,
+                       integrand, matching_det, pairing_matchings,
+                       pairing_matrices, pairing_scale, shape_tangent_basis)
+from kwl.graphs import (TYPE_I, canonical_graph, canonical_key, collapse_layout,
+                        contract, enumerate_graphs, make_graph, parse_graph)
+from kwl.halfplane import (degenerating_family, gauge_dim, gauge_frame,
                            make_configuration, sample_configuration)
 
-from fd_pairing import fd_pairing, slice_points_and_frame
+from fd_pairing import fd_integrand, fd_pairing, slice_points_and_frame
 
 WEDGE = make_graph(1, 2, [(0, 1), (0, 2)])
 
@@ -199,3 +201,89 @@ def test_restricted_contraction_hits_outer_integrand():
     got = contracted_integrand(g, LOG, cfg, pair)
     want = integrand(con.outer, LOG, outer) / (2 * math.pi)
     assert abs(got - want) < 1e-4 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# determinants as sums over edge-to-column matchings
+
+
+def _top_classes():
+    """One graph per canonical top-degree class on at most four vertices."""
+    keys = {}
+    for n in range(1, 5):
+        for m in range(0, 5 - n):
+            d = gauge_dim(n, m)
+            if 0 < d <= n * (n + m - 1):
+                for g in enumerate_graphs(n, m, d):
+                    keys.setdefault(canonical_key(g)[0], None)
+    return [canonical_graph(key) for key in keys]
+
+
+TOP_CLASSES = _top_classes()
+
+
+def _support(g):
+    frame = gauge_frame(g.n, g.m, 1.0)
+    return np.array([[s in col or t in col for col in frame] for s, t in g.edges])
+
+
+def test_top_classes_on_four_vertices():
+    sizes = {}
+    for g in TOP_CLASSES:
+        sizes[g.n, g.m] = sizes.get((g.n, g.m), 0) + 1
+    assert (sizes[4, 0], sizes[3, 1], sizes[2, 2]) == (48, 24, 9)
+
+
+def test_matchings_are_the_support_bijections_in_order():
+    for g in TOP_CLASSES:
+        support = _support(g)
+        d = len(support)
+        want = [cols for cols in itertools.permutations(range(d))
+                if all(support[e, c] for e, c in enumerate(cols))]
+        terms = pairing_matchings(g.edges, gauge_frame(g.n, g.m, 1.0), 10 ** 6)
+        assert [cols for _, cols in terms] == want, g
+
+
+def test_matching_det_matches_dense_det_on_each_class_pattern():
+    # random entries on each class's support: every term is generic, so a
+    # flipped sign or a missing bijection moves the sum
+    rng = np.random.default_rng(20)
+    for g in TOP_CLASSES:
+        support = _support(g)
+        terms = pairing_matchings(g.edges, gauge_frame(g.n, g.m, 1.0), 10 ** 6)
+        for dtype in (float, complex):
+            M = rng.normal(size=(32,) + support.shape).astype(dtype)
+            if dtype is complex:
+                M = M + 1j * rng.normal(size=M.shape)
+            M *= support
+            scale = np.prod(np.abs(M).max(axis=2), axis=1)
+            got = matching_det(M, terms)
+            assert got.dtype == M.dtype
+            assert np.all(np.abs(got - np.linalg.det(M)) <= 1e-13 * scale), g
+
+
+def test_matching_det_matches_the_finite_difference_oracle():
+    rng = np.random.default_rng(21)
+    for g in TOP_CLASSES:
+        terms = pairing_matchings(g.edges, gauge_frame(g.n, g.m, 1.0), 10 ** 6)
+        for _ in range(2):
+            cfg, _ = sample_configuration(g.n, g.m, rng.uniform(0.1, 0.9, len(g.edges)))
+            points, frame = slice_points_and_frame(cfg)
+            for kind in (ANGLE, LOG):
+                M = pairing_matrices(g.edges, points, frame, kind)
+                got = matching_det(M, terms)[0] * pairing_scale(kind, len(g.edges))
+                want, bound = fd_integrand(g, kind, cfg)
+                assert abs(got - want) < 1e-8 * bound, (g, kind)
+
+
+def test_pairing_matchings_caps_and_shapes():
+    g = parse_graph("4 0 ; a1>a2 a1>a3 a2>a3 a2>a4 a3>a4 a4>a1")
+    frame = gauge_frame(4, 0, 1.0)
+    assert len(pairing_matchings(g.edges, frame, 16)) == 16
+    assert pairing_matchings(g.edges, frame, 15) is None
+    # no edge moves a4, so its two columns stay unmatched
+    empty = parse_graph("4 0 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>a1 a3>a2")
+    assert pairing_matchings(empty.edges, frame, 0) == ()
+    assert not matching_det(np.ones((3, 6, 6)), ()).any()
+    with pytest.raises(ValueError, match="frame columns"):
+        pairing_matchings(g.edges[:5], frame, 10)

@@ -13,13 +13,14 @@ from scipy.stats import qmc as scipy_qmc
 
 from kwl import forms, halfplane, qmc, suite, weights
 from kwl.forms import ANGLE, LOG
-from kwl.graphs import canonical_graph, canonical_key, enumerate_graphs, make_graph, parse_graph
+from kwl.graphs import (canonical_graph, canonical_key, encode_graph, enumerate_graphs,
+                        make_graph, parse_graph)
 from kwl.halfplane import gauge_dim
-from kwl.weights import (BATCHES, CHUNK_ROWS, COLLISION_EPS, NO_OUTGOING,
-                         ONE_IN_ONE_OUT, UNIVALENT, WHEEL, cached_weight,
-                         clear_weight_cache, compute_weight,
-                         detect_vanishing_pattern, integrand_batch, qmc_mean,
-                         vanishing_check)
+from kwl.weights import (BATCHES, CHUNK_ROWS, COLLISION_EPS, MIN_EXPANDED_DIM,
+                         NO_OUTGOING, ONE_IN_ONE_OUT, UNIVALENT, WHEEL,
+                         WeightEstimate, cached_weight, clear_weight_cache,
+                         compute_weight, detect_vanishing_pattern,
+                         integrand_batch, qmc_mean, vanishing_check)
 
 from fd_pairing import fd_integrand
 
@@ -263,6 +264,62 @@ def test_even_automorphism_keeps_the_weight():
     est = compute_weight(parse_graph("2 2 ; a1>g1 a1>g2 a2>g1 a2>g2"), ANGLE, 1 << 16, 5)
     assert not est.exact
     assert abs(est.value - 0.25) <= 3 * est.stderr
+
+
+def test_class_without_matching_is_an_exact_zero():
+    # no edge pairs with a4's two coordinates: the integrand vanishes
+    # identically, which the class rule reads off and sampling confirms
+    g = parse_graph("4 0 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>a1 a3>a4")
+    assert canonical_key(g)[1] != 0 and weights._matchings(*canonical_key(g)[0]) == ()
+    clear_weight_cache()
+    for kind in (ANGLE, LOG):
+        est = cached_weight(g, kind, 1 << 12, 5)
+        assert est.exact and est.value == 0 and est.stderr == 0
+        sampled = compute_weight(g, kind, 1 << 12, 5)
+        assert not sampled.exact and sampled.samples == 1 << 12
+        assert sampled.value == 0 and sampled.stderr == 0
+    assert not weights._cache
+
+
+def test_structural_vanishing_samples_only_undecided_classes(monkeypatch):
+    # 64 pattern-bearing classes at the default sweep: 7 have an odd
+    # automorphism and 9 more no matching, so 48 are left to sample
+    calls = []
+
+    def fake(g, kind, samples, seed, threads=None):
+        calls.append(g)
+        return WeightEstimate(0j, 0.0, samples, seed, kind, encode_graph(g))
+
+    monkeypatch.setattr(weights, "compute_weight", fake)
+    clear_weight_cache()
+    try:
+        report = suite.check_structural_vanishing(suite.SuiteConfig())
+    finally:
+        clear_weight_cache()
+    assert report.details["count"] == 64
+    assert len(calls) == len(set(calls)) == 48
+
+
+def test_pairing_roundoff_classes_stay_at_roundoff():
+    # both (2,2) classes have matchings, but their terms cancel sample by
+    # sample; single rows near a collision reach a few 1e-14 with the dense
+    # determinant too, so the bound is on the mean size of a sample
+    rng = np.random.default_rng(4)
+    U = rng.uniform(0.02, 0.98, size=(CHUNK_ROWS, 4))
+    for text in ("2 2 ; a1>a2 a1>g1 a2>a1 a2>g1", "2 2 ; a1>a2 a1>g2 a2>a1 a2>g2"):
+        g = parse_graph(text)
+        assert weights._matchings(g.n, g.m, g.edges)
+        for kind in (ANGLE, LOG):
+            vals, _ = integrand_batch(g, kind, U)
+            assert np.abs(vals).mean() < 1e-15, (text, kind)
+            assert abs(compute_weight(g, kind, 1 << 14, 5).value) < 1e-15, (text, kind)
+
+
+def test_expanded_weight_bit_identical_across_threads():
+    assert len(G40.edges) >= MIN_EXPANDED_DIM
+    a = compute_weight(G40, LOG, 1 << 16, seed=3, threads=1)
+    b = compute_weight(G40, LOG, 1 << 16, seed=3, threads=2)
+    assert (a.value, a.stderr, a.rejected) == (b.value, b.stderr, b.rejected)
 
 
 def test_pattern_detection():
