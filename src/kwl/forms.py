@@ -6,31 +6,30 @@ propagator, its logarithm for the ``log`` propagator, both normalized so a
 source circling a real target picks up one unit.  The integrand of a graph
 whose edge count matches the slice dimension is the determinant of the
 matrix pairing each edge one-form with each slice coordinate direction, in
-the graph's fixed edge order.  :func:`pairing_matrices` is the one place
-these pairings are built, for one configuration or for a batch of rows;
-the QMC kernel, the collapse probes and the contour integral all call it.
+the graph's fixed edge order.  :func:`pairing_entry` is the one formula
+for these pairings; :func:`pairing_matrices` assembles them for one
+configuration or a batch of rows, for the collapse probes, the contour
+integral and the QMC kernel's small slices.
 
-Each frame column moves one point, so row ``(s, t)`` of a slice pairing
-matrix is non-zero only in the columns that move ``s`` or ``t``, and its
-determinant is a signed sum over the bijections from edges to columns
-inside that support (the wedge of the edge one-forms).
-:func:`pairing_matchings` lists those bijections once per graph, and
-:func:`matching_det` sums them over a batch of rows; the QMC kernel takes
+Each frame column of a gauge slice moves one point, so row ``(s, t)`` of
+a slice pairing matrix is non-zero only in the columns that move ``s`` or
+``t``.  :func:`pairing_plan` turns that sparsity into a column-subset
+recursion for the determinant, built once per graph, and
+:func:`plan_det` evaluates it on a batch of rows straight from the edge
+terms of :func:`edge_terms`, with no pairing matrix; the QMC kernel takes
 its determinants this way on slices of dimension 4 and up, and with
-``np.linalg.det`` otherwise.
+``np.linalg.det`` below.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import operator
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import TYPE_I, CollapseLayout, Graph, edge_sort_parity
+from .graphs import TYPE_I, CollapseLayout, Graph
 from .halfplane import Configuration, gauge_dim, gauge_frame, normalized_shape
 
 ANGLE = "angle"
@@ -63,104 +62,108 @@ def edge_function(kind: str, z: complex, w: complex) -> complex:
     return cmath.log(ratio) / (2j * math.pi)
 
 
+def edge_terms(zs, zt):
+    """Terms ``a = 1/(zs - zt)`` and ``b = 1/(conj(zs) - zt)`` of an edge
+    ``(s, t)``, whose pairings combine them (:func:`pairing_entry`)."""
+    return 1.0 / (zs - zt), 1.0 / (zs.conjugate() - zt)
+
+
+def pairing_entry(a, b, vs, vt):
+    """Pairing of the one-form of an edge with terms ``a``, ``b`` with the
+    frame vector moving its source by ``vs`` and target by ``vt`` (None if
+    fixed, not both): ``-vt*(a - b) + vs*a - conj(vs)*b``.  A ground target
+    moves with real velocity; the angle kind keeps the imaginary part."""
+    if vt is None:
+        return vs * a - vs.conjugate() * b
+    entry = -vt * (a - b)
+    return entry if vs is None else entry + vs * a - vs.conjugate() * b
+
+
 def pairing_matrices(edges: Sequence[Tuple[int, int]], points: Sequence,
                      frame: Sequence[Velocity], kind: str) -> np.ndarray:
     """Unscaled pairings of edge one-forms with frame vectors, shape (rows, E, d).
 
     ``points[v]`` is the position of vertex ``v`` and each frame column a
     sparse ``{vertex: velocity}`` map; positions and velocities are scalars
-    or row arrays.  Moving the edge ``(s, t)`` with velocities ``vs`` and
-    ``vt`` pairs to ``-vt*(a - b) + vs*a - conj(vs)*b``, where
-    ``a = 1/(zs - zt)`` and ``b = 1/(conj(zs) - zt)``; a ground target must
-    carry a real velocity.  The angle kind keeps only the imaginary parts,
-    as a real matrix.  Multiply determinants by :func:`pairing_scale`.
+    or row arrays.  Entries come from :func:`pairing_entry`; the angle kind
+    keeps only their imaginary parts, as a real matrix.  Multiply
+    determinants by :func:`pairing_scale`.
     """
     check_kind(kind)
     angle = kind == ANGLE
     rows = max((len(p) for p in points if isinstance(p, np.ndarray)), default=1)
     M = np.zeros((rows, len(edges), len(frame)), dtype=float if angle else complex)
     for ei, (s, t) in enumerate(edges):
-        zs, zt = points[s], points[t]
-        a = 1.0 / (zs - zt)
-        b = 1.0 / (zs.conjugate() - zt)
-        diff = a - b
+        a, b = edge_terms(points[s], points[t])
         for ci, col in enumerate(frame):
             vs, vt = col.get(s), col.get(t)
-            if vt is not None:
-                entry = -vt * diff
-                if vs is not None:
-                    entry = entry + vs * a - vs.conjugate() * b
-            elif vs is not None:
-                entry = vs * a - vs.conjugate() * b
-            else:
-                continue
-            M[:, ei, ci] = entry.imag if angle else entry
+            if vs is not None or vt is not None:
+                entry = pairing_entry(a, b, vs, vt)
+                M[:, ei, ci] = entry.imag if angle else entry
     return M
 
 
-def pairing_matchings(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity],
-                      max_terms: int) -> Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
-    """Signed bijections from edges to frame columns inside the pairing support.
+def pairing_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) -> tuple:
+    """Column-subset recursion for the determinant of :func:`pairing_matrices`.
 
-    Entry ``(e, c)`` of :func:`pairing_matrices` can be non-zero only when
-    column ``c`` moves an endpoint of edge ``e``, so the determinant is the
-    sum over these bijections ``cols`` (edge ``e`` to column ``cols[e]``)
-    of their sign times the product of their entries.  Returns the pairs
-    ``(sign, cols)`` in lexicographic order of ``cols``, an empty tuple
-    when there are none (the determinant vanishes identically) and None
-    when there are more than ``max_terms``.  The bijections are counted
-    over column subsets first, so only complete ones are ever built.
+    Entry ``(e, c)`` can be non-zero only when column ``c`` moves an
+    endpoint of edge ``e``.  The minor of the first ``k + 1`` rows on the
+    columns ``T`` (a bit mask) sums, over ``c`` in ``T``, the minor of the
+    first ``k`` rows on ``T - {c}`` times entry ``(k, c)``, negated when
+    an odd number of columns of ``T - {c}`` lie right of ``c``.  Returns,
+    per edge, the links ``(T, T - {c}, c, negative)`` between sets that
+    earlier edges can fill and later ones complete, in a fixed order; ``()``
+    when no bijection from edges to columns exists (a zero determinant).
     """
     d = len(frame)
     if len(edges) != d:
         raise ValueError(f"{len(edges)} edges against {d} frame columns")
     support = [[c for c, col in enumerate(frame) if s in col or t in col] for s, t in edges]
-    # ways[k][used]: bijections from the first k edges onto the column set ``used``
-    ways: List[Dict[int, int]] = [{0: 1}]
+    filled = [{0}]
     for cols in support:
-        layer: Dict[int, int] = {}
-        for used, count in ways[-1].items():
-            for c in cols:
-                if not used >> c & 1:
-                    layer[used | 1 << c] = layer.get(used | 1 << c, 0) + count
-        ways.append(layer)
-    full = (1 << d) - 1
-    if ways[-1].get(full, 0) > max_terms:
-        return None
-    found: List[Tuple[int, ...]] = []
-
-    def assign_last(k: int, used: int, tail: Tuple[int, ...]) -> None:
-        if k == 0:
-            found.append(tail)
-            return
-        for c in support[k - 1]:
-            if used >> c & 1 and ways[k - 1].get(used & ~(1 << c)):
-                assign_last(k - 1, used & ~(1 << c), (c,) + tail)
-
-    assign_last(d, full, ())
-    return tuple((edge_sort_parity(cols), cols) for cols in sorted(found))
+        filled.append({used | 1 << c for used in filled[-1] for c in cols
+                       if not used >> c & 1})
+    plan: List[tuple] = []
+    targets = {(1 << d) - 1} & filled[-1]
+    for k in reversed(range(d)):
+        plan.insert(0, tuple((target, target & ~(1 << c), c, (target >> c).bit_count() % 2 == 0)
+                             for target in sorted(targets) for c in support[k]
+                             if target >> c & 1 and target & ~(1 << c) in filled[k]))
+        targets = {source for _, source, _, _ in plan[0]}
+    return tuple(plan) if targets else ()
 
 
-def matching_det(M: np.ndarray, matchings) -> np.ndarray:
-    """Row determinants of ``M`` (rows, E, E) as the sum over ``matchings``
-    (from :func:`pairing_matchings`) of ``sign * prod_e M[:, e, cols[e]]``.
-
-    The entries the matchings use are copied out as contiguous rows first.
-    Terms are added in the given order, each product taken edge by edge,
-    and every row is reduced on its own, so a row's value does not depend
-    on the batch.
-    """
-    used = sorted({(e, c) for _, cols in matchings for e, c in enumerate(cols)})
-    picked = np.ascontiguousarray(M[:, [e for e, _ in used], [c for _, c in used]].T)
-    entry = dict(zip(used, picked))
-    det = np.zeros(len(M), dtype=M.dtype)
-    for sign, cols in matchings:
-        term = functools.reduce(operator.mul, [entry[ec] for ec in enumerate(cols)])
-        if sign > 0:
-            det += term
-        else:
-            det -= term
-    return det
+def plan_det(plan, edges: Sequence[Tuple[int, int]], points: Sequence,
+             frame: Sequence[Velocity], kind: str) -> np.ndarray:
+    """Row determinants of :func:`pairing_matrices` (row arrays ``points``)
+    by a :func:`pairing_plan`: each used entry comes once from
+    :func:`pairing_entry`, and links are summed in the plan's order row by
+    row, so a row's value does not depend on the batch.  An empty plan
+    gives exact zeros."""
+    check_kind(kind)
+    angle = kind == ANGLE
+    if not plan:
+        return np.zeros(len(points[0]), dtype=float if angle else complex)
+    minors: Dict[int, np.ndarray] = {}
+    for (s, t), links in zip(edges, plan):
+        a, b = edge_terms(points[s], points[t])
+        entries: Dict[int, np.ndarray] = {}
+        level: Dict[int, np.ndarray] = {}
+        for target, source, c, negative in links:
+            x = entries.get(c)
+            if x is None:
+                x = pairing_entry(a, b, frame[c].get(s), frame[c].get(t))
+                x = entries[c] = x.imag if angle else x
+            term = minors[source] * x if source else x
+            acc = level.get(target)
+            if acc is None:
+                level[target] = -term if negative else term
+            elif negative:
+                acc -= term
+            else:
+                acc += term
+        minors = level
+    return minors[(1 << len(frame)) - 1]
 
 
 def pairing_scale(kind: str, num_edges: int) -> complex:

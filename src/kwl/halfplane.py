@@ -131,15 +131,17 @@ def slice_map(n: int, m: int, U: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np
     Returns aerial points ``(B, n)``, ground points ``(B, m)`` and the
     (positive) Jacobians ``(B,)``, so that integrating ``integrand *
     jacobian`` over the hypercube equals the integral of the integrand over
-    the slice in its coordinate orientation.
+    the slice in its coordinate orientation.  ``U`` is read and the points
+    are stored column-major, so the values do not depend on ``U``'s layout.
     """
     cols = slice_columns(n, m)
     B, d = U.shape
     if d != len(cols):
         raise ValueError(f"expected {len(cols)} hypercube coordinates per row, got {d}")
+    U = np.asfortranarray(U)
     aerial, ground = _pinned_points(n, m)
-    Z = np.empty((B, n), dtype=complex)
-    G = np.empty((B, m), dtype=float)
+    Z = np.empty((B, n), dtype=complex, order="F")
+    G = np.empty((B, m), dtype=float, order="F")
     Z[:] = aerial
     G[:] = ground
     jac = np.ones(B, dtype=float)

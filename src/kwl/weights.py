@@ -16,11 +16,12 @@ with the linear matrix scramble and digital shift of
 it is built once and shared by every later weight, in any thread, until
 ``clear_weight_cache``; drawing from an engine does not change it.
 
-The integrand's pairing determinant is a signed sum over the graph's
-edge-to-column matchings (:func:`forms.pairing_matchings`, listed once per
-graph and kept until ``clear_weight_cache``) on slices of dimension
-``MIN_EXPANDED_DIM`` or more, up to ``MAX_TERMS`` matchings, and
-``np.linalg.det`` otherwise.  A class with no matching weighs an exact
+On slices of dimension ``MIN_EXPANDED_DIM`` or more the integrand's
+pairing determinant comes from the graph's column-subset recursion
+(:func:`forms.pairing_plan`, built once per graph and kept until
+``clear_weight_cache``), evaluated on the edge terms of each chunk with
+no pairing matrix; smaller slices go to ``np.linalg.det``.  A class whose
+plan is empty (no bijection from edges to frame columns) weighs an exact
 zero in :func:`cached_weight`.
 """
 
@@ -37,32 +38,27 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import qmc
-from .forms import (ANGLE, check_kind, matching_det, pairing_matchings, pairing_matrices,
-                    pairing_scale)
+from .forms import (ANGLE, check_kind, pairing_matrices, pairing_plan, pairing_scale,
+                    plan_det)
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
 from .halfplane import gauge_dim, gauge_frame, slice_map
 
 BATCHES = 16
 COLLISION_EPS = 1e-12
-# rows per pairing-matrix chunk in integrand_batch; per-row values do not
-# depend on it.  A chunk of 6 x 6 complex matrices is 2.4 MB.  On 65,536-row
-# (4,0) and (3,1) batches of either kind 2k-4k-row chunks ran fastest; 1k
-# and 8k chunks took 9-29 % longer, 16k 29-46 % and whole batches 1.7-2.3x
-CHUNK_ROWS = 4096
+# rows per determinant chunk in integrand_batch; per-row values do not
+# depend on it.  On 65,536-row (4,0) and (3,1) batches of either kind,
+# 8k-row chunks ran 8-20 % faster than 4k at two threads and within 4 % at
+# one; 2k were slowest, and 16k ran 2-13 % faster than 8k at two threads
+# but 2-7 % slower at one
+CHUNK_ROWS = 8192
 #: rows per pool task: consecutive batches share a task up to this many
 #: rows, since two threads on small batches ran slower than one
 TASK_ROWS = 1 << 14
-#: slices of at least this dimension take pairing determinants as a sum
-#: over edge-to-column matchings (:func:`forms.matching_det`); smaller
-#: ones, and classes with more than ``MAX_TERMS`` matchings, go to
-#: ``np.linalg.det`` (the benchmark tracer's ``weights.det`` span times
-#: the one- to three-edge weights of small identities there)
+#: slices of at least this dimension take pairing determinants from the
+#: graph's column-subset recursion (:func:`forms.plan_det`); smaller ones
+#: go to ``np.linalg.det`` (the benchmark tracer's ``weights.det`` span
+#: times the one- to three-edge weights of small identities there)
 MIN_EXPANDED_DIM = 4
-#: on 4,096-row chunks of five-vertex classes the sum took as long as
-#: ``np.linalg.det`` at about 90 matchings for (3,2) angle graphs, 96 for
-#: (5,0) angle graphs and 100-130 for the other slices and kinds (2 cores,
-#: numpy 2.4.6); classes on at most four vertices have at most 24
-MAX_TERMS = 80
 #: absolute floor of the bound on a measured weight's distance from its
 #: exact value (zero for the vanishing patterns)
 VANISHING_TOL = 5e-3
@@ -115,18 +111,16 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
 
     Returns (values, rejected) where values already include the sampling
     Jacobian and samples within ``COLLISION_EPS`` of a collision are zeroed.
-    Pairing matrices are built and reduced ``CHUNK_ROWS`` rows at a time, so
-    their memory does not grow with the batch; chunk boundaries depend only
-    on the row index.  On a slice of dimension ``MIN_EXPANDED_DIM`` or more
-    a class with at most ``MAX_TERMS`` edge-to-column matchings has its
-    determinants summed over them (:func:`forms.matching_det`, in a fixed
-    term order); every other chunk goes to ``np.linalg.det``.
+    The batch is worked ``CHUNK_ROWS`` rows at a time (temporaries do not
+    grow with it; chunk boundaries depend only on the row index).  Slices of
+    dimension ``MIN_EXPANDED_DIM`` or more take determinants from the
+    graph's plan (:func:`forms.plan_det`), smaller ones ``np.linalg.det``.
     """
     n, m = g.n, g.m
-    Z, G, jac = slice_map(n, m, U)
+    Z, G, jac = slice_map(n, m, U)  # column-major: each point is contiguous
     B = U.shape[0]
     E = len(g.edges)
-    terms = _matchings(n, m, g.edges) if E >= MIN_EXPANDED_DIM else None
+    plan = _plan(n, m, g.edges) if E >= MIN_EXPANDED_DIM else None
 
     point = [Z[:, v] if v < n else G[:, v - n] for v in range(n + m)]
 
@@ -136,20 +130,21 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
         if E:
             for lo in range(0, B, CHUNK_ROWS):
                 rows = slice(lo, lo + CHUNK_ROWS)
-                frame = gauge_frame(n, m, Z[rows, 0])
-                M = pairing_matrices(g.edges, [p[rows] for p in point], frame, kind)
-                vals[rows] = np.linalg.det(M) if terms is None else matching_det(M, terms)
+                points = [p[rows] for p in point]
+                frame = gauge_frame(n, m, points[0])
+                vals[rows] = (np.linalg.det(pairing_matrices(g.edges, points, frame, kind))
+                              if plan is None else plan_det(plan, g.edges, points, frame, kind))
         vals *= pairing_scale(kind, E)
         vals *= jac
 
     # guard integrable singularities: zero out samples at near-collisions
+    # (a mirror image conj(z_i) is never closer to z_j than z_i is)
     mind = np.full(B, np.inf)
     for i in range(n):
         for j in range(i + 1, n):
-            mind = np.minimum(mind, np.abs(Z[:, i] - Z[:, j]))
-            mind = np.minimum(mind, np.abs(np.conj(Z[:, i]) - Z[:, j]))
+            np.minimum(mind, np.abs(Z[:, i] - Z[:, j]), out=mind)
         for k in range(m):
-            mind = np.minimum(mind, np.abs(Z[:, i] - G[:, k]))
+            np.minimum(mind, np.abs(Z[:, i] - G[:, k]), out=mind)
     mask = (mind < COLLISION_EPS) | ~np.isfinite(vals)
     rejected = int(mask.sum())
     if rejected:
@@ -168,10 +163,10 @@ def _check_budget(samples: int, seed: int) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _matchings(n: int, m: int, edges: tuple):
-    """:func:`forms.pairing_matchings` of a top-degree graph on its slice
-    frame, capped at ``MAX_TERMS``; emptied by ``clear_weight_cache``."""
-    return pairing_matchings(edges, gauge_frame(n, m, 1.0), MAX_TERMS)
+def _plan(n: int, m: int, edges: tuple):
+    """:func:`forms.pairing_plan` of a top-degree graph on its slice frame;
+    emptied by ``clear_weight_cache``."""
+    return pairing_plan(edges, gauge_frame(n, m, 1.0))
 
 
 _cache: Dict[tuple, WeightEstimate] = {}
@@ -284,16 +279,16 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
     Degree-decided weights are returned before any canonical search.  A
     class of parity 0 (:func:`graphs.canonical_key`: it has an odd
     automorphism) weighs an exact zero, and so does a class with no
-    edge-to-column matching (:func:`forms.pairing_matchings`: its
-    integrand vanishes identically).  Only this class-level entry point
-    applies these rules; :func:`compute_weight` estimates every graph it is
-    given.
+    bijection from edges to frame columns (an empty
+    :func:`forms.pairing_plan`: its integrand vanishes identically).  Only
+    this class-level entry point applies these rules;
+    :func:`compute_weight` estimates every graph it is given.
     """
     exact = _exact_weight(g, kind, samples, seed)
     if exact is not None:
         return exact
     key, parity = canonical_key(g)
-    if parity == 0 or _matchings(*key) == ():
+    if parity == 0 or not _plan(*key):
         return _exact(0.0 + 0j, g, kind, seed)
     cache_key = (key, kind, samples, seed)
     with _cache_lock:
@@ -310,11 +305,11 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
 
 
 def clear_weight_cache() -> None:
-    """Empty the weight cache, the Sobol engine store and the matchings."""
+    """Empty the weight cache, the Sobol engine store and the plans."""
     with _cache_lock:
         _cache.clear()
         _engines.clear()
-    _matchings.cache_clear()
+    _plan.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from kwl.forms import (ANGLE, LOG, contracted_integrand, edge_function,
-                       integrand, matching_det, pairing_matchings,
-                       pairing_matrices, pairing_scale, shape_tangent_basis)
+                       integrand, pairing_matrices, pairing_plan, pairing_scale,
+                       plan_det, shape_tangent_basis)
 from kwl.graphs import (TYPE_I, canonical_graph, canonical_key, collapse_layout,
-                        contract, enumerate_graphs, make_graph, parse_graph)
+                        contract, edge_sort_parity, enumerate_graphs, make_graph,
+                        parse_graph)
 from kwl.halfplane import (degenerating_family, gauge_dim, gauge_frame,
                            make_configuration, sample_configuration)
 
@@ -204,7 +205,7 @@ def test_restricted_contraction_hits_outer_integrand():
 
 
 # ---------------------------------------------------------------------------
-# determinants as sums over edge-to-column matchings
+# determinants by the column-subset recursion
 
 
 def _top_classes():
@@ -220,11 +221,30 @@ def _top_classes():
 
 
 TOP_CLASSES = _top_classes()
+#: the five-vertex classes with the most bijections (80) and the most links (103)
+HEAVY_CLASSES = [parse_graph("5 0 ; a1>a2 a1>a3 a2>a3 a2>a4 a3>a4 a3>a5 a4>a5 a5>a4"),
+                 parse_graph("4 1 ; a1>a2 a1>a3 a1>a4 a2>a3 a2>a4 a3>a2 a4>a3")]
+
+
+def _plan(g):
+    return pairing_plan(g.edges, gauge_frame(g.n, g.m, 1.0))
 
 
 def _support(g):
     frame = gauge_frame(g.n, g.m, 1.0)
     return np.array([[s in col or t in col for col in frame] for s, t in g.edges])
+
+
+def _plan_paths(plan):
+    """Every path through the plan, as (negated, column of each edge)."""
+    paths = {0: [(False, ())]} if plan else {}
+    for links in plan:
+        level = {}
+        for target, source, c, negative in links:
+            level.setdefault(target, []).extend(
+                (neg != negative, cols + (c,)) for neg, cols in paths[source])
+        paths = level
+    return [path for tails in paths.values() for path in tails]
 
 
 def test_top_classes_on_four_vertices():
@@ -234,56 +254,65 @@ def test_top_classes_on_four_vertices():
     assert (sizes[4, 0], sizes[3, 1], sizes[2, 2]) == (48, 24, 9)
 
 
-def test_matchings_are_the_support_bijections_in_order():
-    for g in TOP_CLASSES:
+def test_plan_paths_are_the_signed_support_bijections():
+    for g in TOP_CLASSES + HEAVY_CLASSES:
         support = _support(g)
         d = len(support)
-        want = [cols for cols in itertools.permutations(range(d))
+        want = [(edge_sort_parity(cols) < 0, cols)
+                for cols in itertools.permutations(range(d))
                 if all(support[e, c] for e, c in enumerate(cols))]
-        terms = pairing_matchings(g.edges, gauge_frame(g.n, g.m, 1.0), 10 ** 6)
-        assert [cols for _, cols in terms] == want, g
+        assert sorted(_plan_paths(_plan(g)), key=lambda p: p[1]) == want, g
+    counts = [(len(_plan_paths(_plan(g))), sum(map(len, _plan(g)))) for g in HEAVY_CLASSES]
+    assert counts == [(80, 50), (64, 103)]
 
 
-def test_matching_det_matches_dense_det_on_each_class_pattern():
-    # random entries on each class's support: every term is generic, so a
-    # flipped sign or a missing bijection moves the sum
+def _random_frame(g, rng, rows):
+    """The slice frame's sparsity with random complex velocities per row,
+    so every term of the determinant is generic."""
+    return [{v: rng.normal(size=rows) + 1j * rng.normal(size=rows) for v in col}
+            for col in gauge_frame(g.n, g.m, 1.0)]
+
+
+def test_plan_matches_dense_det_on_each_class_pattern():
+    # a flipped link sign or a dropped link moves a generic sum
     rng = np.random.default_rng(20)
-    for g in TOP_CLASSES:
-        support = _support(g)
-        terms = pairing_matchings(g.edges, gauge_frame(g.n, g.m, 1.0), 10 ** 6)
-        for dtype in (float, complex):
-            M = rng.normal(size=(32,) + support.shape).astype(dtype)
-            if dtype is complex:
-                M = M + 1j * rng.normal(size=M.shape)
-            M *= support
+    rows = 16
+    for g in TOP_CLASSES + HEAVY_CLASSES:
+        plan = _plan(g)
+        points = [rng.normal(size=rows) + 1j * rng.uniform(0.1, 2.0, rows)
+                  for _ in range(g.n + g.m)]
+        frame = _random_frame(g, rng, rows)
+        for kind in (ANGLE, LOG):
+            M = pairing_matrices(g.edges, points, frame, kind)
             scale = np.prod(np.abs(M).max(axis=2), axis=1)
-            got = matching_det(M, terms)
-            assert got.dtype == M.dtype
-            assert np.all(np.abs(got - np.linalg.det(M)) <= 1e-13 * scale), g
+            got = plan_det(plan, g.edges, points, frame, kind)
+            assert got.dtype == M.dtype and got.shape == (rows,)
+            assert np.all(np.abs(got - np.linalg.det(M)) <= 1e-13 * scale), (g, kind)
 
 
-def test_matching_det_matches_the_finite_difference_oracle():
+def test_plan_matches_the_finite_difference_oracle():
     rng = np.random.default_rng(21)
     for g in TOP_CLASSES:
-        terms = pairing_matchings(g.edges, gauge_frame(g.n, g.m, 1.0), 10 ** 6)
+        plan = _plan(g)
         for _ in range(2):
             cfg, _ = sample_configuration(g.n, g.m, rng.uniform(0.1, 0.9, len(g.edges)))
             points, frame = slice_points_and_frame(cfg)
+            points = [np.array([z]) for z in points]
             for kind in (ANGLE, LOG):
-                M = pairing_matrices(g.edges, points, frame, kind)
-                got = matching_det(M, terms)[0] * pairing_scale(kind, len(g.edges))
+                got = plan_det(plan, g.edges, points, frame, kind)[0]
+                got *= pairing_scale(kind, len(g.edges))
                 want, bound = fd_integrand(g, kind, cfg)
                 assert abs(got - want) < 1e-8 * bound, (g, kind)
 
 
-def test_pairing_matchings_caps_and_shapes():
-    g = parse_graph("4 0 ; a1>a2 a1>a3 a2>a3 a2>a4 a3>a4 a4>a1")
-    frame = gauge_frame(4, 0, 1.0)
-    assert len(pairing_matchings(g.edges, frame, 16)) == 16
-    assert pairing_matchings(g.edges, frame, 15) is None
+def test_empty_plan_gives_zeros_of_the_kind_dtype():
     # no edge moves a4, so its two columns stay unmatched
-    empty = parse_graph("4 0 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>a1 a3>a2")
-    assert pairing_matchings(empty.edges, frame, 0) == ()
-    assert not matching_det(np.ones((3, 6, 6)), ()).any()
+    g = parse_graph("4 0 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>a1 a3>a2")
+    frame = gauge_frame(4, 0, 1.0)
+    assert pairing_plan(g.edges, frame) == ()
+    points = [np.full(3, 1j * (v + 1)) for v in range(4)]
+    for kind, dtype in ((ANGLE, float), (LOG, complex)):
+        got = plan_det((), g.edges, points, frame, kind)
+        assert got.dtype == dtype and got.shape == (3,) and not got.any()
     with pytest.raises(ValueError, match="frame columns"):
-        pairing_matchings(g.edges[:5], frame, 10)
+        pairing_plan(g.edges[:5], frame)

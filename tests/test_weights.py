@@ -91,10 +91,10 @@ def test_determinism_bit_identical_across_threads():
 
 
 def test_determinism_bit_identical_across_threads_multi_chunk():
-    # 2^17 samples are 8,192-row batches, more than one kernel chunk each
+    # 2^18 samples are 16,384-row batches, more than one kernel chunk each
     for kind in (ANGLE, LOG):
-        a = compute_weight(G31, kind, 1 << 17, seed=9, threads=1)
-        b = compute_weight(G31, kind, 1 << 17, seed=9, threads=2)
+        a = compute_weight(G31, kind, 1 << 18, seed=9, threads=1)
+        b = compute_weight(G31, kind, 1 << 18, seed=9, threads=2)
         assert a.samples // 16 > CHUNK_ROWS
         assert (a.value, a.stderr, a.rejected) == (b.value, b.stderr, b.rejected)
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
@@ -186,6 +186,56 @@ def test_kernel_zeroes_near_collision_rows():
         _assert_rows_match_fd(G31, kind, U, vals, [bad - 1, bad + 1])
 
 
+def _mask_with_mirror_distances(g, U):
+    """The collision mask as the kernel once computed it, with the distance
+    from each aerial point's mirror image to the other aerial points."""
+    Z, G, _ = halfplane.slice_map(g.n, g.m, U)
+    mind = np.full(len(U), np.inf)
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            mind = np.minimum(mind, np.abs(Z[:, i] - Z[:, j]))
+            mind = np.minimum(mind, np.abs(np.conj(Z[:, i]) - Z[:, j]))
+        for k in range(g.m):
+            mind = np.minimum(mind, np.abs(Z[:, i] - G[:, k]))
+    return mind < COLLISION_EPS
+
+
+def test_kernel_mask_needs_no_mirror_distances():
+    # planted rows of G31 (a1 on the circle; a2 and a3 free; g1 at 0):
+    # columns 1-2 place a2, columns 3-4 place a3
+    rng = np.random.default_rng(6)
+    U = rng.uniform(0.1, 0.9, size=(64, 5))
+    x03 = math.atan(0.3) / math.pi + 0.5  # x = 0.3
+    planted = {
+        1: [0.5, 0.01], 2: [0.5, 0.02],                        # a2 on g1
+        3: [0.4, 0.6, 0.4, 0.6], 4: [0.4, 0.6, 0.4, 0.6 + 1e-14],  # a2 on a3
+        5: [x03, 0.01, x03, 0.0101],                           # both near the line
+        6: [0.4, 0.6, 0.4, 0.6 + 1e-10],                       # close, not colliding
+        7: [x03, 0.05, x03, 0.06],                             # close near the line
+    }
+    for row, cols in planted.items():
+        U[row, 1:1 + len(cols)] = cols
+    old = _mask_with_mirror_distances(G31, U)
+    assert list(np.flatnonzero(old)) == [1, 2, 3, 4, 5]
+    for kind in (ANGLE, LOG):
+        vals, rejected = integrand_batch(G31, kind, U)
+        assert rejected == old.sum()
+        assert list(np.flatnonzero(vals == 0)) == list(np.flatnonzero(old))
+
+
+def test_slice_map_and_kernel_ignore_the_layout_of_U():
+    rng = np.random.default_rng(7)
+    for g in (G40, G31, parse_graph("2 1 ; a1>a2 a1>g1 a2>g1")):
+        U = rng.uniform(0.05, 0.95, size=(CHUNK_ROWS + 7, len(g.edges)))
+        F = np.asfortranarray(U)
+        assert U.flags.c_contiguous and F.flags.f_contiguous
+        for c, f in zip(halfplane.slice_map(g.n, g.m, U), halfplane.slice_map(g.n, g.m, F)):
+            assert c.shape == f.shape and c.tobytes() == f.tobytes()
+        for kind in (ANGLE, LOG):
+            (vc, rc), (vf, rf) = integrand_batch(g, kind, U), integrand_batch(g, kind, F)
+            assert rc == rf and vc.tobytes() == vf.tobytes()
+
+
 def test_cached_weight_consistent_under_relabelling():
     clear_weight_cache()
     g = parse_graph("3 1 ; a1>a2 a1>a3 a2>a3 a2>g1 a3>g1")
@@ -270,7 +320,7 @@ def test_class_without_matching_is_an_exact_zero():
     # no edge pairs with a4's two coordinates: the integrand vanishes
     # identically, which the class rule reads off and sampling confirms
     g = parse_graph("4 0 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>a1 a3>a4")
-    assert canonical_key(g)[1] != 0 and weights._matchings(*canonical_key(g)[0]) == ()
+    assert canonical_key(g)[1] != 0 and weights._plan(*canonical_key(g)[0]) == ()
     clear_weight_cache()
     for kind in (ANGLE, LOG):
         est = cached_weight(g, kind, 1 << 12, 5)
@@ -301,14 +351,14 @@ def test_structural_vanishing_samples_only_undecided_classes(monkeypatch):
 
 
 def test_pairing_roundoff_classes_stay_at_roundoff():
-    # both (2,2) classes have matchings, but their terms cancel sample by
+    # both (2,2) classes have plans, but their terms cancel sample by
     # sample; single rows near a collision reach a few 1e-14 with the dense
     # determinant too, so the bound is on the mean size of a sample
     rng = np.random.default_rng(4)
     U = rng.uniform(0.02, 0.98, size=(CHUNK_ROWS, 4))
     for text in ("2 2 ; a1>a2 a1>g1 a2>a1 a2>g1", "2 2 ; a1>a2 a1>g2 a2>a1 a2>g2"):
         g = parse_graph(text)
-        assert weights._matchings(g.n, g.m, g.edges)
+        assert weights._plan(g.n, g.m, g.edges)
         for kind in (ANGLE, LOG):
             vals, _ = integrand_batch(g, kind, U)
             assert np.abs(vals).mean() < 1e-15, (text, kind)
