@@ -7,23 +7,22 @@ source circling a real target picks up one unit.  The integrand of a graph
 whose edge count matches the slice dimension is the determinant of the
 matrix pairing each edge one-form with each slice coordinate direction, in
 the graph's fixed edge order.  :func:`pairing_entry` is the one formula
-for these pairings; :func:`pairing_matrices` assembles them for one
-configuration or a batch of rows, for the collapse probes, the contour
-integral and the QMC kernel's small slices.
+for these pairings.
 
-Each frame column of a gauge slice moves one point, so row ``(s, t)`` of
-a slice pairing matrix is non-zero only in the columns that move ``s`` or
-``t``.  :func:`pairing_plan` turns that sparsity into a column-subset
-recursion for the determinant, built once per graph, and
-:func:`plan_det` evaluates it on a batch of rows straight from the edge
-terms of :func:`edge_terms`, with no pairing matrix; the QMC kernel takes
-its determinants this way on slices of dimension 4 and up, and with
-``np.linalg.det`` below.
+Row ``(s, t)`` of a pairing matrix is non-zero only in the frame columns
+that move ``s`` or ``t``.  :func:`pairing_plan` turns that sparsity into a
+column-subset recursion, and :func:`plan_det` evaluates it on scalars or
+row arrays straight from :func:`edge_terms`, with no pairing matrix.  This
+is the one determinant: :func:`frame_integrand` takes it on gauge slices,
+cluster frames and the contour of :mod:`kwl.operators`, with plans cached
+until :func:`clear_plans`.  Only the QMC kernel's slices below dimension 4
+still take a dense determinant of :func:`pairing_matrices`.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -113,11 +112,14 @@ def pairing_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) ->
     an odd number of columns of ``T - {c}`` lie right of ``c``.  Returns,
     per edge, the links ``(T, T - {c}, c, negative)`` between sets that
     earlier edges can fill and later ones complete, in a fixed order; ``()``
-    when no bijection from edges to columns exists (a zero determinant).
+    when no bijection from edges to columns exists (a zero determinant), and
+    for no edges on no columns (a determinant of one).  A frame column may
+    be any container of the vertices it moves.
     """
     d = len(frame)
     if len(edges) != d:
-        raise ValueError(f"{len(edges)} edges against {d} frame columns")
+        raise ValueError(f"{len(edges)} edges against {d} frame columns: the form"
+                         " degree must be the frame dimension")
     support = [[c for c, col in enumerate(frame) if s in col or t in col] for s, t in edges]
     filled = [{0}]
     for cols in support:
@@ -134,16 +136,17 @@ def pairing_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) ->
 
 
 def plan_det(plan, edges: Sequence[Tuple[int, int]], points: Sequence,
-             frame: Sequence[Velocity], kind: str) -> np.ndarray:
-    """Row determinants of :func:`pairing_matrices` (row arrays ``points``)
-    by a :func:`pairing_plan`: each used entry comes once from
+             frame: Sequence[Velocity], kind: str):
+    """Determinants of :func:`pairing_matrices` by a :func:`pairing_plan`,
+    for scalar or row-array ``points``: each used entry comes once from
     :func:`pairing_entry`, and links are summed in the plan's order row by
     row, so a row's value does not depend on the batch.  An empty plan
-    gives exact zeros."""
+    gives exact zeros, or ones when there are no edges."""
     check_kind(kind)
     angle = kind == ANGLE
     if not plan:
-        return np.zeros(len(points[0]), dtype=float if angle else complex)
+        shape = next((p.shape for p in points if isinstance(p, np.ndarray)), ())
+        return np.full(shape, 0.0 if edges else 1.0, dtype=float if angle else complex)
     minors: Dict[int, np.ndarray] = {}
     for (s, t), links in zip(edges, plan):
         a, b = edge_terms(points[s], points[t])
@@ -158,10 +161,8 @@ def plan_det(plan, edges: Sequence[Tuple[int, int]], points: Sequence,
             acc = level.get(target)
             if acc is None:
                 level[target] = -term if negative else term
-            elif negative:
-                acc -= term
             else:
-                acc += term
+                level[target] = acc - term if negative else acc + term
         minors = level
     return minors[(1 << len(frame)) - 1]
 
@@ -172,27 +173,34 @@ def pairing_scale(kind: str, num_edges: int) -> complex:
     return TWO_PI ** -num_edges if kind == ANGLE else (2j * math.pi) ** -num_edges
 
 
-def _frame_integrand(g: Graph, kind: str, cfg: Configuration,
-                     frame: Sequence[Velocity]) -> complex:
-    points = [cfg.point(v) for v in range(cfg.n + cfg.m)]
-    det = np.linalg.det(pairing_matrices(g.edges, points, frame, kind))[0]
-    return complex(det * pairing_scale(kind, len(g.edges)))
+_plan = functools.lru_cache(maxsize=None)(pairing_plan)
 
 
-def _check_degree(g: Graph, kind: str) -> None:
-    check_kind(kind)
-    d = gauge_dim(g.n, g.m)
-    if len(g.edges) != d:
-        raise ValueError(f"graph has {len(g.edges)} edges but needs {d}"
-                         f" on a slice of dimension {d}")
+def frame_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) -> tuple:
+    """:func:`pairing_plan` cached on the edges and the vertices each frame
+    column moves, until :func:`clear_plans`."""
+    return _plan(tuple(edges), tuple(tuple(col) for col in frame))
+
+
+def clear_plans() -> None:
+    _plan.cache_clear()
+
+
+def frame_integrand(edges: Sequence[Tuple[int, int]], points: Sequence,
+                    frame: Sequence[Velocity], kind: str):
+    """Normalized pairing determinant of ``edges`` with ``frame``: the
+    :func:`plan_det` of their :func:`frame_plan` times :func:`pairing_scale`,
+    for scalar or row-array ``points`` and any sparse frame columns."""
+    det = plan_det(frame_plan(edges, frame), edges, points, frame, kind)
+    return det * pairing_scale(kind, len(edges))
 
 
 def integrand(g: Graph, kind: str, cfg: Configuration) -> complex:
     """Top-degree integrand: determinant of edge pairings with the slice frame."""
-    _check_degree(g, kind)
     if (cfg.n, cfg.m) != (g.n, g.m):
         raise ValueError("configuration does not match the graph")
-    return _frame_integrand(g, kind, cfg, gauge_frame(cfg.n, cfg.m, cfg.point(0)))
+    points = [cfg.point(v) for v in range(cfg.n + cfg.m)]
+    return complex(frame_integrand(g.edges, points, gauge_frame(g.n, g.m, points[0]), kind))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +280,8 @@ def contracted_integrand(g: Graph, kind: str, cfg: Configuration,
     integrand at the collapsed configuration, up to the edge-reordering
     sign.
     """
-    check_kind(kind)
-    d = gauge_dim(g.n, g.m)
-    if len(g.edges) not in (d, d - 1):
-        raise ValueError(f"graph degree {len(g.edges)} must be the slice dimension"
-                         f" {d} or one less")
     columns = cluster_frames(cfg, layout)
-    if len(g.edges) < d:
+    if len(g.edges) < gauge_dim(g.n, g.m):
         del columns[1]  # the radial direction
-    return _frame_integrand(g, kind, cfg, columns)
+    points = [cfg.point(v) for v in range(cfg.n + cfg.m)]
+    return complex(frame_integrand(g.edges, points, columns, kind))

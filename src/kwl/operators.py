@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .forms import LOG, check_kind, pairing_matrices, pairing_scale
+from .forms import LOG, check_kind, frame_integrand
 from .graphs import Graph, edge_sort_parity, enumerate_graphs, encode_graph
 from .halfplane import gauge_frame
 from .weights import cached_weight, detect_vanishing_pattern, qmc_mean, vanishing_check
@@ -567,8 +567,7 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
         z = x + 1j * (t / (1.0 - t))
         # z is vertex 0 and moves like the free point of a (1, 2) slice;
         # u (vertex 1) -> z and z -> v (vertex 2)
-        M = pairing_matrices([(1, 0), (0, 2)], [z, u, v], gauge_frame(1, 2, z), LOG)
-        return np.linalg.det(M) * pairing_scale(LOG, 2) * jac, 0
+        return frame_integrand([(1, 0), (0, 2)], [z, u, v], gauge_frame(1, 2, z), LOG) * jac, 0
 
     return qmc_mean(func, 2, samples, seed, threads)[:3]
 

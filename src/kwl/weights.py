@@ -16,18 +16,17 @@ with the linear matrix scramble and digital shift of
 it is built once and shared by every later weight, in any thread, until
 ``clear_weight_cache``; drawing from an engine does not change it.
 
-On slices of dimension ``MIN_EXPANDED_DIM`` or more the integrand's
-pairing determinant comes from the graph's column-subset recursion
-(:func:`forms.pairing_plan`, built once per graph and kept until
-``clear_weight_cache``), evaluated on the edge terms of each chunk with
-no pairing matrix; smaller slices go to ``np.linalg.det``.  A class whose
-plan is empty (no bijection from edges to frame columns) weighs an exact
-zero in :func:`cached_weight`.
+On slices of dimension ``MIN_EXPANDED_DIM`` or more the integrand is
+:func:`forms.frame_integrand`, the graph's column-subset recursion on the
+edge terms of each chunk; smaller slices keep ``np.linalg.det`` only for
+the benchmark tracer's ``weights.det`` span, until ROADMAP item 1.  A
+class whose plan is empty (no bijection from edges to frame columns)
+weighs an exact zero in :func:`cached_weight`.  ``clear_weight_cache``
+empties the plans of :mod:`kwl.forms` too.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -38,8 +37,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import qmc
-from .forms import (ANGLE, check_kind, pairing_matrices, pairing_plan, pairing_scale,
-                    plan_det)
+from .forms import (ANGLE, check_kind, clear_plans, frame_integrand, frame_plan,
+                    pairing_matrices, pairing_scale)
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
 from .halfplane import gauge_dim, gauge_frame, slice_map
 
@@ -54,10 +53,10 @@ CHUNK_ROWS = 8192
 #: rows per pool task: consecutive batches share a task up to this many
 #: rows, since two threads on small batches ran slower than one
 TASK_ROWS = 1 << 14
-#: slices of at least this dimension take pairing determinants from the
-#: graph's column-subset recursion (:func:`forms.plan_det`); smaller ones
-#: go to ``np.linalg.det`` (the benchmark tracer's ``weights.det`` span
-#: times the one- to three-edge weights of small identities there)
+#: slices of at least this dimension take :func:`forms.frame_integrand`;
+#: smaller ones keep ``np.linalg.det`` only for the benchmark tracer's
+#: ``weights.det`` span (it times the one- to three-edge weights of small
+#: identities there), until the tracer reads kwl's own spans (ROADMAP item 1)
 MIN_EXPANDED_DIM = 4
 #: absolute floor of the bound on a measured weight's distance from its
 #: exact value (zero for the vanishing patterns)
@@ -113,14 +112,13 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
     Jacobian and samples within ``COLLISION_EPS`` of a collision are zeroed.
     The batch is worked ``CHUNK_ROWS`` rows at a time (temporaries do not
     grow with it; chunk boundaries depend only on the row index).  Slices of
-    dimension ``MIN_EXPANDED_DIM`` or more take determinants from the
-    graph's plan (:func:`forms.plan_det`), smaller ones ``np.linalg.det``.
+    dimension ``MIN_EXPANDED_DIM`` or more take :func:`forms.frame_integrand`,
+    smaller ones ``np.linalg.det``.
     """
     n, m = g.n, g.m
     Z, G, jac = slice_map(n, m, U)  # column-major: each point is contiguous
     B = U.shape[0]
     E = len(g.edges)
-    plan = _plan(n, m, g.edges) if E >= MIN_EXPANDED_DIM else None
 
     point = [Z[:, v] if v < n else G[:, v - n] for v in range(n + m)]
 
@@ -132,9 +130,9 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
                 rows = slice(lo, lo + CHUNK_ROWS)
                 points = [p[rows] for p in point]
                 frame = gauge_frame(n, m, points[0])
-                vals[rows] = (np.linalg.det(pairing_matrices(g.edges, points, frame, kind))
-                              if plan is None else plan_det(plan, g.edges, points, frame, kind))
-        vals *= pairing_scale(kind, E)
+                vals[rows] = (frame_integrand(g.edges, points, frame, kind)
+                              if E >= MIN_EXPANDED_DIM else pairing_scale(kind, E)
+                              * np.linalg.det(pairing_matrices(g.edges, points, frame, kind)))
         vals *= jac
 
     # guard integrable singularities: zero out samples at near-collisions
@@ -160,13 +158,6 @@ def _check_budget(samples: int, seed: int) -> None:
                          f"of 2^{qmc.BITS} Sobol points")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-
-
-@functools.lru_cache(maxsize=None)
-def _plan(n: int, m: int, edges: tuple):
-    """:func:`forms.pairing_plan` of a top-degree graph on its slice frame;
-    emptied by ``clear_weight_cache``."""
-    return pairing_plan(edges, gauge_frame(n, m, 1.0))
 
 
 _cache: Dict[tuple, WeightEstimate] = {}
@@ -280,7 +271,7 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
     class of parity 0 (:func:`graphs.canonical_key`: it has an odd
     automorphism) weighs an exact zero, and so does a class with no
     bijection from edges to frame columns (an empty
-    :func:`forms.pairing_plan`: its integrand vanishes identically).  Only
+    :func:`forms.frame_plan`: its integrand vanishes identically).  Only
     this class-level entry point applies these rules;
     :func:`compute_weight` estimates every graph it is given.
     """
@@ -288,7 +279,7 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
     if exact is not None:
         return exact
     key, parity = canonical_key(g)
-    if parity == 0 or not _plan(*key):
+    if parity == 0 or not frame_plan(key[2], gauge_frame(key[0], key[1], 1.0)):
         return _exact(0.0 + 0j, g, kind, seed)
     cache_key = (key, kind, samples, seed)
     with _cache_lock:
@@ -309,7 +300,7 @@ def clear_weight_cache() -> None:
     with _cache_lock:
         _cache.clear()
         _engines.clear()
-    _plan.cache_clear()
+    clear_plans()
 
 
 # ---------------------------------------------------------------------------

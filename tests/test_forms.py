@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from kwl.forms import (ANGLE, LOG, contracted_integrand, edge_function,
-                       integrand, pairing_matrices, pairing_plan, pairing_scale,
-                       plan_det, shape_tangent_basis)
+from kwl.forms import (ANGLE, LOG, cluster_frames, contracted_integrand, edge_function,
+                       frame_integrand, integrand, pairing_matrices, pairing_plan,
+                       pairing_scale, plan_det, shape_tangent_basis)
 from kwl.graphs import (TYPE_I, canonical_graph, canonical_key, collapse_layout,
                         contract, edge_sort_parity, enumerate_graphs, make_graph,
                         parse_graph)
@@ -316,3 +316,67 @@ def test_empty_plan_gives_zeros_of_the_kind_dtype():
         assert got.dtype == dtype and got.shape == (3,) and not got.any()
     with pytest.raises(ValueError, match="frame columns"):
         pairing_plan(g.edges[:5], frame)
+
+
+def test_no_edges_on_no_columns_is_a_determinant_of_one():
+    assert pairing_plan((), []) == ()
+    points = [np.zeros(3), np.ones(3)]
+    for kind, dtype in ((ANGLE, float), (LOG, complex)):
+        got = frame_integrand((), points, [], kind)
+        assert got.dtype == dtype and got.shape == (3,) and np.all(got == 1)
+        assert frame_integrand((), [0.0, 1.0], [], kind) == 1
+    cfg = make_configuration([], [0.0, 1.0])
+    assert integrand(parse_graph("0 2 ;"), ANGLE, cfg) == 1
+
+
+def _dense_agrees(edges, points, frame, kind, got):
+    """``got`` is the determinant of the (one-configuration) pairing matrix
+    within 1e-13 of the product of its row maxima."""
+    M = pairing_matrices(edges, points, frame, kind)[0]
+    scale = np.prod(np.abs(M).max(axis=1))
+    return abs(got - np.linalg.det(M)) <= 1e-13 * scale
+
+
+def test_scalar_points_match_one_row_arrays_and_the_dense_det():
+    # scalar sums must accumulate into their level like row arrays do
+    rng = np.random.default_rng(23)
+    for g in TOP_CLASSES + HEAVY_CLASSES:
+        cfg, _ = sample_configuration(g.n, g.m, rng.uniform(0.1, 0.9, len(g.edges)))
+        points, frame = slice_points_and_frame(cfg)
+        rows = [np.array([z]) for z in points]
+        for kind in (ANGLE, LOG):
+            scalar = plan_det(_plan(g), g.edges, points, frame, kind)
+            row = plan_det(_plan(g), g.edges, rows, frame, kind)
+            assert np.shape(scalar) == () and row.shape == (1,)
+            assert _dense_agrees(g.edges, points, frame, kind, scalar), (g, kind)
+            assert _dense_agrees(g.edges, points, frame, kind, row[0]), (g, kind)
+
+
+def _cluster_cases():
+    """(graph, configuration, layout) for every top class on at most four
+    vertices and every type I layout, the cluster at scale 1e-3."""
+    rng = np.random.default_rng(22)
+    for g in TOP_CLASSES:
+        for size in range(2, g.n + 1):
+            for B in itertools.combinations(range(g.n), size):
+                layout = collapse_layout(g.n, g.m, B, TYPE_I)
+                outer = probe_family(layout.outer_n, layout.outer_m, int(rng.integers(1 << 31)))
+                raw = rng.normal(size=size) + 1j * rng.normal(size=size)
+                raw -= raw.mean()
+                shape = tuple(raw / np.linalg.norm(raw))
+                yield g, degenerating_family(outer, layout, shape, 1e-3), layout
+
+
+def test_plan_matches_dense_det_on_cluster_frames():
+    # cluster columns move several points at once; one degree below the
+    # top the radial column goes, as in contracted_integrand
+    cases = 0
+    for g, cfg, layout in _cluster_cases():
+        points = [cfg.point(v) for v in range(cfg.n + cfg.m)]
+        columns = cluster_frames(cfg, layout)
+        for edges, frame in ((g.edges, columns), (g.edges[:-1], columns[:1] + columns[2:])):
+            for kind in (ANGLE, LOG):
+                got = plan_det(pairing_plan(edges, frame), edges, points, frame, kind)
+                assert _dense_agrees(edges, points, frame, kind, got), (g, layout.subset, kind)
+                cases += 1
+    assert cases == 4 * 652

@@ -12,10 +12,10 @@ from scipy import integrate
 from scipy.stats import qmc as scipy_qmc
 
 from kwl import forms, halfplane, qmc, suite, weights
-from kwl.forms import ANGLE, LOG
+from kwl.forms import ANGLE, LOG, frame_plan
 from kwl.graphs import (canonical_graph, canonical_key, encode_graph, enumerate_graphs,
                         make_graph, parse_graph)
-from kwl.halfplane import gauge_dim
+from kwl.halfplane import gauge_dim, gauge_frame
 from kwl.weights import (BATCHES, CHUNK_ROWS, COLLISION_EPS, MIN_EXPANDED_DIM,
                          NO_OUTGOING, ONE_IN_ONE_OUT, UNIVALENT, WHEEL,
                          WeightEstimate, cached_weight, clear_weight_cache,
@@ -320,7 +320,7 @@ def test_class_without_matching_is_an_exact_zero():
     # no edge pairs with a4's two coordinates: the integrand vanishes
     # identically, which the class rule reads off and sampling confirms
     g = parse_graph("4 0 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>a1 a3>a4")
-    assert canonical_key(g)[1] != 0 and weights._plan(*canonical_key(g)[0]) == ()
+    assert canonical_key(g)[1] != 0 and frame_plan(g.edges, gauge_frame(4, 0, 1.0)) == ()
     clear_weight_cache()
     for kind in (ANGLE, LOG):
         est = cached_weight(g, kind, 1 << 12, 5)
@@ -329,6 +329,16 @@ def test_class_without_matching_is_an_exact_zero():
         assert not sampled.exact and sampled.samples == 1 << 12
         assert sampled.value == 0 and sampled.stderr == 0
     assert not weights._cache
+
+
+def test_clear_weight_cache_empties_the_plan_cache():
+    # the kernel and the class rule share the plans of kwl.forms, so a
+    # cold cache rebuilds them
+    clear_weight_cache()
+    compute_weight(G40, LOG, 1 << 10, 5)
+    assert forms._plan.cache_info().currsize == 1
+    clear_weight_cache()
+    assert forms._plan.cache_info().currsize == 0
 
 
 def test_structural_vanishing_samples_only_undecided_classes(monkeypatch):
@@ -358,7 +368,7 @@ def test_pairing_roundoff_classes_stay_at_roundoff():
     U = rng.uniform(0.02, 0.98, size=(CHUNK_ROWS, 4))
     for text in ("2 2 ; a1>a2 a1>g1 a2>a1 a2>g1", "2 2 ; a1>a2 a1>g2 a2>a1 a2>g2"):
         g = parse_graph(text)
-        assert weights._plan(g.n, g.m, g.edges)
+        assert frame_plan(g.edges, gauge_frame(g.n, g.m, 1.0))
         for kind in (ANGLE, LOG):
             vals, _ = integrand_batch(g, kind, U)
             assert np.abs(vals).mean() < 1e-15, (text, kind)
