@@ -163,7 +163,19 @@ def _check_budget(samples: int, seed: int) -> None:
 _cache: Dict[tuple, WeightEstimate] = {}
 #: scrambled Sobol engines by (dim, seed, batch)
 _engines: Dict[Tuple[int, int, int], qmc.Sobol] = {}
+#: tables of data on graphs and classes, by name (see :func:`class_store`)
+_stores: Dict[str, dict] = {}
 _cache_lock = threading.Lock()
+
+
+def class_store(name: str) -> dict:
+    """The table ``name``, which :func:`clear_weight_cache` empties."""
+    with _cache_lock:
+        return _stores.setdefault(name, {})
+
+
+#: the representative of each estimated class found, by class key
+_classes = class_store("estimated classes")
 
 
 def _sobol_points(dim: int, seed: int, batch: int, n: int) -> np.ndarray:
@@ -223,39 +235,56 @@ def _exact(value: complex, g: Graph, kind: str, seed: int) -> WeightEstimate:
     return WeightEstimate(value, 0.0, 0, seed, kind, encode_graph(g), exact=True)
 
 
-def _exact_weight(g: Graph, kind: str, samples: int, seed: int) -> Optional[WeightEstimate]:
-    """The weight the degree decides, after checking the arguments.
-
-    A graph whose edge count differs from its slice dimension weighs
-    exactly zero (the integral of a non-top form) and the empty top-degree
-    graph exactly one; None means the weight must be estimated.  Raises on
-    a bad kind or budget, a graph with no gauge slice, and a top-degree
-    slice of more than ``qmc.MAX_DIM`` dimensions.
-    """
+def check_request(kind: str, samples: int, seed: int) -> None:
+    """Raise on a bad kind, sample budget or seed, as every weight does."""
     check_kind(kind)
     _check_budget(samples, seed)
+
+
+def _degree_weight(g: Graph) -> Optional[complex]:
+    """Exactly zero when the edge count is not the slice dimension (a
+    non-top form), exactly one for the empty top-degree graph, else None.
+    Raises on a top-degree slice of more than ``qmc.MAX_DIM`` dimensions."""
     dim = gauge_dim(g.n, g.m)
     if len(g.edges) != dim:
-        return _exact(0.0 + 0j, g, kind, seed)
+        return 0.0 + 0j
     if dim == 0:
-        return _exact(1.0 + 0j, g, kind, seed)
+        return 1.0 + 0j
     if dim > qmc.MAX_DIM:
         raise ValueError(f"the slice of a ({g.n},{g.m}) graph has {dim} dimensions; "
                          f"the Sobol table stops at {qmc.MAX_DIM}")
     return None
 
 
+def weight_class(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
+    """``(value, None, 0)`` for a weight exact at any kind, budget and seed,
+    else ``(None, representative, parity)``: the class's canonical graph and
+    the sign carrying its weight to ``g``.  Besides the degree, parity 0
+    (:func:`graphs.canonical_key`: an odd automorphism) and an empty
+    :func:`forms.frame_plan` (the integrand vanishes identically) decide
+    an exact zero."""
+    value = _degree_weight(g)
+    if value is not None:
+        return value, None, 0
+    key, parity = canonical_key(g)
+    if parity == 0 or not frame_plan(key[2], gauge_frame(key[0], key[1], 1.0)):
+        return 0.0 + 0j, None, 0
+    rep = _classes.get(key) or _classes.setdefault(key, canonical_graph(key))
+    return None, rep, parity
+
+
 def compute_weight(g: Graph, kind: str, samples: int, seed: int,
                    threads: Optional[int] = None) -> WeightEstimate:
     """Estimate the weight of a graph.
 
-    Degree-decided weights are exact (:func:`_exact_weight`).  Otherwise
+    Degree-decided weights are exact (:func:`_degree_weight`).  Otherwise
     the value is the deterministic QMC estimate at the requested sample
     budget, rounded up so the 16 batches are balanced powers of two.
     """
-    exact = _exact_weight(g, kind, samples, seed)
+    check_request(kind, samples, seed)
+    exact = _degree_weight(g)
     if exact is not None:
-        return exact
+        return _exact(exact, g, kind, seed)
     value, stderr, total, rejected = qmc_mean(
         lambda U: integrand_batch(g, kind, U), len(g.edges), samples, seed, threads)
     return WeightEstimate(value, stderr, total, seed, kind, encode_graph(g),
@@ -267,39 +296,37 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
     """Weight estimate deduplicated across graphs isomorphic up to aerial
     relabelling and edge reordering (sign restored from the edge parity).
 
-    Degree-decided weights are returned before any canonical search.  A
-    class of parity 0 (:func:`graphs.canonical_key`: it has an odd
-    automorphism) weighs an exact zero, and so does a class with no
-    bijection from edges to frame columns (an empty
-    :func:`forms.frame_plan`: its integrand vanishes identically).  Only
-    this class-level entry point applies these rules;
-    :func:`compute_weight` estimates every graph it is given.
+    A representative :func:`weight_class` has kept is found with no
+    search.  Only this class-level entry point applies the class's exact
+    values: :func:`compute_weight` estimates every graph it is given.
     """
-    exact = _exact_weight(g, kind, samples, seed)
-    if exact is not None:
-        return exact
-    key, parity = canonical_key(g)
-    if parity == 0 or not frame_plan(key[2], gauge_frame(key[0], key[1], 1.0)):
-        return _exact(0.0 + 0j, g, kind, seed)
+    check_request(kind, samples, seed)
+    rep, parity = _classes.get((g.n, g.m, g.edges)), 1
+    if rep is None:
+        exact, rep, parity = weight_class(g)
+        if exact is not None:
+            return _exact(exact, g, kind, seed)
+    key = (rep.n, rep.m, rep.edges)
     cache_key = (key, kind, samples, seed)
     with _cache_lock:
         hit = _cache.get(cache_key)
     if hit is None:
-        hit = replace(compute_weight(canonical_graph(key), kind, samples, seed, threads),
-                      class_key=key)
+        hit = replace(compute_weight(rep, kind, samples, seed, threads), class_key=key)
         with _cache_lock:
             _cache[cache_key] = hit
-    if g.edges == key[2]:  # the canonical graph itself
+    if g.edges == rep.edges:  # the canonical graph itself
         return hit
     value = hit.value if parity == 1 or hit.value == 0 else -hit.value  # no -0.0
     return replace(hit, value=value, graph=encode_graph(g))
 
 
 def clear_weight_cache() -> None:
-    """Empty the weight cache, the Sobol engine store and the plans."""
+    """Empty the weights, the Sobol engines, the class stores and the plans."""
     with _cache_lock:
         _cache.clear()
         _engines.clear()
+        for store in _stores.values():
+            store.clear()
     clear_plans()
 
 

@@ -5,10 +5,10 @@ import types
 
 import pytest
 
-from kwl import forms, graphs, halfplane, stokes, suite
+from kwl import forms, graphs, halfplane, stokes, suite, weights
 from kwl.forms import ANGLE, LOG
-from kwl.graphs import (TYPE_I, TYPE_II, collapse_fault, collapse_layout, enumerate_graphs,
-                        make_graph, parse_graph)
+from kwl.graphs import (TYPE_I, TYPE_II, collapse_fault, collapse_layout, contract,
+                        enumerate_graphs, make_graph, parse_graph)
 from kwl.stokes import (MULTI_POINT_I, TWO_POINT_I,
                         ZERO_BY_FLAG, boundary_strata, counterterm_probe,
                         orientation_sign, richardson_limit, shuffle_sign,
@@ -16,6 +16,7 @@ from kwl.stokes import (MULTI_POINT_I, TWO_POINT_I,
 from kwl.weights import cached_weight
 
 import chart_oracle
+import identity_oracle
 
 EXAMPLE = parse_graph("2 1 ; a1>a2 a2>g1")
 
@@ -310,3 +311,91 @@ def test_counterterm_probe_rejects_scales_without_one_ratio():
             counterterm_probe(g, [0, 1], LOG, scales=scales)
     rep = counterterm_probe(g, [0, 1], LOG, scales=[4e-3, 2e-3, 1e-3, 5e-4])
     assert rep.deviation <= 1e-3 * abs(rep.expected)
+
+
+def test_identity_rows_match_the_term_by_term_oracle():
+    # every swept identity graph and kind: a cold row, the warm row, a row
+    # rebuilt after clearing and the oracle print the same report (repr
+    # keeps the sign of a zero)
+    samples, seed = 1 << 10, 3
+    weights.clear_weight_cache()
+    first = {}
+    for g in suite._swept_graphs(1):
+        for kind in (ANGLE, LOG):
+            text = repr(verify_identity(g, kind, samples, seed).to_json_dict())
+            assert repr(verify_identity(g, kind, samples, seed).to_json_dict()) == text
+            first[g, kind] = text
+    assert len(first) == 2 * 973
+    weights.clear_weight_cache()
+    for (g, kind), text in first.items():
+        assert repr(verify_identity(g, kind, samples, seed).to_json_dict()) == text, g
+        oracle = identity_oracle.verify_identity(g, kind, samples, seed)
+        assert repr(oracle.to_json_dict()) == text, g
+
+
+
+def test_identity_rows_keep_the_sign_of_zero_weights(monkeypatch):
+    # classes estimated at exactly zero: an odd relabelling keeps +0.0 in
+    # the rows as in the oracle, which repr tells from -0.0
+    monkeypatch.setattr(weights, "compute_weight", lambda h, kind, samples, seed, threads: (
+        weights.WeightEstimate(0.0 + 0j, 0.0, samples, seed, kind, graphs.encode_graph(h))))
+    weights.clear_weight_cache()
+    for g in suite._swept_graphs(1):
+        text = repr(verify_identity(g, LOG, 1 << 10, 3).to_json_dict())
+        assert repr(identity_oracle.verify_identity(g, LOG, 1 << 10, 3).to_json_dict()) == text
+    weights.clear_weight_cache()
+
+def test_identity_rejects_bad_arguments_on_cold_and_warm_rows(monkeypatch):
+    # a warm row may need no weight, so verify_identity checks the
+    # arguments itself, with cached_weight's errors
+    idg = list(suite._swept_graphs(1))
+    bad = [("area", 1 << 10, 5), (ANGLE, 0, 5), (LOG, 1 << 10, -1)]
+    expected = []
+    for args in bad:
+        with pytest.raises(ValueError) as err:
+            cached_weight(EXAMPLE, *args)
+        expected.append(str(err.value))
+    weights.clear_weight_cache()
+    for warm in (False, True):
+        for g in idg:
+            assert (g in stokes._rows) == warm
+            for args, message in zip(bad, expected):
+                with pytest.raises(ValueError) as err:
+                    verify_identity(g, *args)
+                assert str(err.value) == message
+        with monkeypatch.context() as m:  # build every row without weighing
+            m.setattr(stokes, "cached_weight",
+                      lambda *args, **kwargs: types.SimpleNamespace(value=1.0, stderr=0.0))
+            for g in idg:
+                verify_identity(g, ANGLE, 1, 0)
+    weights.clear_weight_cache()
+
+
+def test_warm_identity_contracts_and_searches_nothing(monkeypatch):
+    g = parse_graph("2 2 ; a1>a2 a2>g1 a2>g2")  # estimated weights
+    calls = collections.Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    weights.clear_weight_cache()
+    rep = verify_identity(g, LOG, 1 << 10, 5)
+    for module, name in [(graphs, "contract"), (stokes, "contract"),
+                         (weights, "canonical_key"), (stokes, "boundary_strata")]:
+        counted(module, name)
+    again = verify_identity(g, LOG, 1 << 10, 5)
+    verify_identity(g, ANGLE, 1 << 10, 7)  # another kind and seed weigh afresh
+    assert calls == {}
+    assert repr(again.to_json_dict()) == repr(rep.to_json_dict())
+    weights.clear_weight_cache()
+    rebuilt = verify_identity(g, LOG, 1 << 10, 5)
+    assert calls["boundary_strata"] == 1
+    assert calls["contract"] == len(rep.terms) and calls["canonical_key"] > 0
+    assert repr(rebuilt.to_json_dict()) == repr(rep.to_json_dict())
+    for st, _, _ in rep.terms:
+        assert (st.graph, st.contraction) == (g, contract(g, st.layout))

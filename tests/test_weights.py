@@ -309,6 +309,30 @@ def test_degree_decided_weights_skip_the_canonical_search(monkeypatch):
     assert calls == [WEDGE]
 
 
+
+def test_class_representative_skips_the_canonical_search(monkeypatch):
+    g = parse_graph("2 1 ; a2>g1 a2>a1 a1>a2")
+    key, parity = canonical_key(g)
+    rep = canonical_graph(key)
+    assert parity == -1 and rep.edges == key[2]
+    calls = []
+    search = weights.canonical_key
+    monkeypatch.setattr(weights, "canonical_key", lambda g: calls.append(g) or search(g))
+    clear_weight_cache()
+    ref = cached_weight(rep, LOG, 1 << 10, 5)
+    assert calls == [rep] and not ref.exact and ref.class_key == key
+    assert cached_weight(rep, LOG, 1 << 10, 5) is ref
+    assert calls == [rep]  # found as its own class key
+    est = cached_weight(g, LOG, 1 << 10, 5)
+    assert calls == [rep, g]
+    assert (est.value, est.stderr, est.graph) == (-ref.value, ref.stderr, encode_graph(g))
+    # a class estimated at exactly zero keeps +0.0 under an odd relabelling
+    monkeypatch.setattr(weights, "compute_weight", lambda h, kind, samples, seed, threads: (
+        WeightEstimate(0.0 + 0j, 0.0, samples, seed, kind, encode_graph(h))))
+    zero = cached_weight(g, LOG, 1 << 10, 6)
+    assert repr(zero.value) == "0j" and repr(cached_weight(rep, LOG, 1 << 10, 6).value) == "0j"
+    clear_weight_cache()
+
 def test_even_automorphism_keeps_the_weight():
     # swapping a1 and a2 permutes the edges evenly; the weight is 1/2 squared
     est = compute_weight(parse_graph("2 2 ; a1>g1 a1>g2 a2>g1 a2>g2"), ANGLE, 1 << 16, 5)
