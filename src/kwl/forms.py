@@ -46,6 +46,17 @@ def check_kind(kind: str) -> None:
         raise ValueError(f"unknown propagator kind {kind!r}")
 
 
+def kinds_of(kind) -> Tuple[str, ...]:
+    """The non-empty tuple of kinds given, or ``(kind,)`` for one kind;
+    raises on an unknown kind."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not kinds:
+        raise ValueError("no propagator kind given")
+    for k in kinds:
+        check_kind(k)
+    return kinds
+
+
 def edge_function(kind: str, z: complex, w: complex) -> complex:
     """Value of the edge potential at source ``z`` (aerial) and target ``w``.
 
@@ -136,35 +147,45 @@ def pairing_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) ->
 
 
 def plan_det(plan, edges: Sequence[Tuple[int, int]], points: Sequence,
-             frame: Sequence[Velocity], kind: str):
+             frame: Sequence[Velocity], kind):
     """Determinants of :func:`pairing_matrices` by a :func:`pairing_plan`,
     for scalar or row-array ``points``: each used entry comes once from
     :func:`pairing_entry`, and links are summed in the plan's order row by
     row, so a row's value does not depend on the batch.  An empty plan
-    gives exact zeros, or ones when there are no edges."""
-    check_kind(kind)
-    angle = kind == ANGLE
+    gives exact zeros, or ones when there are no edges.
+
+    ``kind`` is one kind, or a tuple of kinds (:func:`kinds_of`) that one
+    pass evaluates together, giving a tuple of determinants: the kinds
+    share each used entry, the angle kind reading its imaginary part, and
+    each kind sums its own links in plan order, so each value equals its
+    one-kind pass bit for bit."""
+    kinds = kinds_of(kind)
     if not plan:
         shape = next((p.shape for p in points if isinstance(p, np.ndarray)), ())
-        return np.full(shape, 0.0 if edges else 1.0, dtype=float if angle else complex)
-    minors: Dict[int, np.ndarray] = {}
+        dets = tuple(np.full(shape, 0.0 if edges else 1.0,
+                             dtype=float if k == ANGLE else complex) for k in kinds)
+        return dets if isinstance(kind, tuple) else dets[0]
+    minors: List[Dict[int, np.ndarray]] = [{} for _ in kinds]
     for (s, t), links in zip(edges, plan):
         a, b = edge_terms(points[s], points[t])
         entries: Dict[int, np.ndarray] = {}
-        level: Dict[int, np.ndarray] = {}
-        for target, source, c, negative in links:
-            x = entries.get(c)
-            if x is None:
-                x = pairing_entry(a, b, frame[c].get(s), frame[c].get(t))
-                x = entries[c] = x.imag if angle else x
-            term = minors[source] * x if source else x
-            acc = level.get(target)
-            if acc is None:
-                level[target] = -term if negative else term
-            else:
-                level[target] = acc - term if negative else acc + term
-        minors = level
-    return minors[(1 << len(frame)) - 1]
+        for i, k in enumerate(kinds):
+            prev, level = minors[i], {}
+            for target, source, c, negative in links:
+                x = entries.get(c)
+                if x is None:
+                    x = entries[c] = pairing_entry(a, b, frame[c].get(s), frame[c].get(t))
+                if k == ANGLE:
+                    x = x.imag
+                term = prev[source] * x if source else x
+                acc = level.get(target)
+                if acc is None:
+                    level[target] = -term if negative else term
+                else:
+                    level[target] = acc - term if negative else acc + term
+            minors[i] = level
+    dets = tuple(level[(1 << len(frame)) - 1] for level in minors)
+    return dets if isinstance(kind, tuple) else dets[0]
 
 
 def pairing_scale(kind: str, num_edges: int) -> complex:
@@ -187,12 +208,15 @@ def clear_plans() -> None:
 
 
 def frame_integrand(edges: Sequence[Tuple[int, int]], points: Sequence,
-                    frame: Sequence[Velocity], kind: str):
+                    frame: Sequence[Velocity], kind):
     """Normalized pairing determinant of ``edges`` with ``frame``: the
     :func:`plan_det` of their :func:`frame_plan` times :func:`pairing_scale`,
-    for scalar or row-array ``points`` and any sparse frame columns."""
+    for scalar or row-array ``points`` and any sparse frame columns; a
+    tuple of them for a tuple of kinds."""
     det = plan_det(frame_plan(edges, frame), edges, points, frame, kind)
-    return det * pairing_scale(kind, len(edges))
+    if not isinstance(kind, tuple):
+        return det * pairing_scale(kind, len(edges))
+    return tuple(d * pairing_scale(k, len(edges)) for d, k in zip(det, kind))
 
 
 def integrand(g: Graph, kind: str, cfg: Configuration) -> complex:

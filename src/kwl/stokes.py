@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .forms import contracted_integrand, integrand
+from .forms import KINDS, contracted_integrand, integrand
 from .graphs import (CollapseLayout, Contraction, Graph, TYPE_I, TYPE_II, collapse_layout,
                      contract, edge_sort_parity, encode_graph)
 from .halfplane import config_from_coords, degenerating_family, gauge_dim, slice_columns
@@ -209,7 +209,9 @@ def verify_identity(g: Graph, kind: str, samples: int, seed: int,
     Passes when |residual| <= 3 * combined stderr + IDENTITY_TOL.  Terms
     sharing a cached weight estimate carry fully correlated errors, so
     their sensitivities are summed before the independent pieces are
-    combined in quadrature.
+    combined in quadrature.  A class missing from the cache is estimated
+    under both kinds in one kernel pass, so the other kind's identity at
+    this budget and seed weighs nothing.
     """
     check_request(kind, samples, seed)  # a warm row may need no weight
     row = _rows.get(g)
@@ -222,7 +224,7 @@ def verify_identity(g: Graph, kind: str, samples: int, seed: int,
     for i, shuffle, *factors in weighted:
         ws = []  # (value, stderr, estimate) of the inner and the outer factor
         for exact, rep, parity in factors:
-            w = None if rep is None else cached_weight(rep, kind, samples, seed, threads)
+            w = None if rep is None else cached_weight(rep, kind, samples, seed, threads, KINDS)
             ws.append((exact, 0.0, w) if w is None else  # parity never makes a -0.0
                       (w.value if parity == 1 or w.value == 0 else -w.value, w.stderr, w))
         (v_in, e_in, w_in), (v_out, e_out, w_out) = ws

@@ -23,6 +23,16 @@ the benchmark tracer's ``weights.det`` span, until ROADMAP item 1.  A
 class whose plan is empty (no bijection from edges to frame columns)
 weighs an exact zero in :func:`cached_weight`.  ``clear_weight_cache``
 empties the plans of :mod:`kwl.forms` too.
+
+One kernel pass can estimate several kinds: :func:`integrand_batch`,
+:func:`qmc_mean` and :func:`compute_weight` take a tuple of kinds, share
+everything but each kind's link sums, scale, Jacobian product and mean,
+and give each kind the value of its one-kind pass bit for bit.  An
+estimate's ``rejected`` counts the rows of its pass that are near a
+collision or non-finite in any of the pass's kinds.  On a miss,
+:func:`cached_weight` estimates ``kind`` together with the ``kinds`` it
+is asked for and lacks: :func:`stokes.verify_identity` asks for both
+kinds, :func:`vanishing_check` and ``operators.u_n`` for none.
 """
 
 from __future__ import annotations
@@ -37,8 +47,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import qmc
-from .forms import (ANGLE, check_kind, clear_plans, frame_integrand, frame_plan,
-                    pairing_matrices, pairing_scale)
+from .forms import (ANGLE, LOG, check_kind, clear_plans, frame_integrand, frame_plan,
+                    kinds_of, pairing_matrices, pairing_scale)
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
 from .halfplane import gauge_dim, gauge_frame, slice_map
 
@@ -98,14 +108,16 @@ def default_threads() -> int:
         if threads < 1:
             raise ValueError(f"KWL_THREADS must be a thread count of at least 1, got {env!r}")
         return threads
-    return min(4, os.cpu_count() or 1)
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    return min(4, usable)
 
 
 # ---------------------------------------------------------------------------
 # vectorized integrand evaluation
 
 
-def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int]:
+def integrand_batch(g: Graph, kind, U: np.ndarray) -> Tuple[np.ndarray, int]:
     """Hypercube integrand values for a batch of sample points.
 
     Returns (values, rejected) where values already include the sampling
@@ -114,7 +126,15 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
     grow with it; chunk boundaries depend only on the row index).  Slices of
     dimension ``MIN_EXPANDED_DIM`` or more take :func:`forms.frame_integrand`,
     smaller ones ``np.linalg.det``.
+
+    For a tuple of kinds, values is a tuple of arrays from one pass, which
+    shares the slice map, each chunk's frame, the collision distances, the
+    edge terms and each complex pairing entry; the link sums, scale and
+    Jacobian product are per kind, so each array equals its one-kind pass
+    bit for bit.  ``rejected`` counts one mask for the pass: a row near a
+    collision or non-finite in any of the kinds, zeroed in all of them.
     """
+    kinds = kinds_of(kind)
     n, m = g.n, g.m
     Z, G, jac = slice_map(n, m, U)  # column-major: each point is contiguous
     B = U.shape[0]
@@ -122,7 +142,7 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
 
     point = [Z[:, v] if v < n else G[:, v - n] for v in range(n + m)]
 
-    vals = np.ones(B, dtype=float if kind == ANGLE else complex)
+    vals = [np.ones(B, dtype=float if k == ANGLE else complex) for k in kinds]
     # near-collision samples may overflow here; they are zeroed by the mask
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if E:
@@ -130,10 +150,16 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
                 rows = slice(lo, lo + CHUNK_ROWS)
                 points = [p[rows] for p in point]
                 frame = gauge_frame(n, m, points[0])
-                vals[rows] = (frame_integrand(g.edges, points, frame, kind)
-                              if E >= MIN_EXPANDED_DIM else pairing_scale(kind, E)
-                              * np.linalg.det(pairing_matrices(g.edges, points, frame, kind)))
-        vals *= jac
+                if E >= MIN_EXPANDED_DIM:
+                    dets = frame_integrand(g.edges, points, frame, kinds)
+                else:  # the angle matrix is the imaginary part of the log one
+                    M = pairing_matrices(g.edges, points, frame, LOG)
+                    dets = [pairing_scale(k, E) * np.linalg.det(M.imag if k == ANGLE else M)
+                            for k in kinds]
+                for v, det in zip(vals, dets):
+                    v[rows] = det
+        for v in vals:
+            v *= jac
 
     # guard integrable singularities: zero out samples at near-collisions
     # (a mirror image conj(z_i) is never closer to z_j than z_i is)
@@ -143,11 +169,13 @@ def integrand_batch(g: Graph, kind: str, U: np.ndarray) -> Tuple[np.ndarray, int
             np.minimum(mind, np.abs(Z[:, i] - Z[:, j]), out=mind)
         for k in range(m):
             np.minimum(mind, np.abs(Z[:, i] - G[:, k]), out=mind)
-    mask = (mind < COLLISION_EPS) | ~np.isfinite(vals)
+    mask = mind < COLLISION_EPS
+    for v in vals:
+        mask |= ~np.isfinite(v)
     rejected = int(mask.sum())
     if rejected:
-        vals = np.where(mask, 0.0, vals)
-    return vals, rejected
+        vals = [np.where(mask, 0.0, v) for v in vals]
+    return (tuple(vals) if isinstance(kind, tuple) else vals[0]), rejected
 
 
 def _check_budget(samples: int, seed: int) -> None:
@@ -200,6 +228,8 @@ def qmc_mean(func, dim: int, samples: int, seed: int,
     batch ``b`` uses the Sobol stream seeded by ``(seed, b)``, and batches
     share pool tasks up to ``TASK_ROWS`` rows, for every thread count.
     Returns (value, stderr, actual sample count, rejected sample count).
+    When ``values`` is a tuple of arrays, each is averaged on its own and
+    value and stderr are tuples of theirs.
     """
     _check_budget(samples, seed)
     nthreads = threads if threads is not None else default_threads()
@@ -214,17 +244,23 @@ def qmc_mean(func, dim: int, samples: int, seed: int,
             # Sobol points can include exact zeros; nudge off the faces
             U = np.clip(_sobol_points(dim, seed, batch, per_batch), 1e-15, 1.0 - 1e-15)
             vals, rejected = func(U)
-            out.append((complex(np.mean(vals)), rejected))
+            out.append((tuple(complex(np.mean(v)) for v in vals) if isinstance(vals, tuple)
+                        else complex(np.mean(vals)), rejected))
         return out
 
     with ThreadPoolExecutor(max_workers=nthreads) as ex:
         results = [r for part in ex.map(task, range(0, BATCHES, group)) for r in part]
 
-    means = np.array([r[0] for r in results], dtype=complex)
-    value = complex(means.mean())
-    var = float(np.sum(np.abs(means - value) ** 2)) / (BATCHES - 1)
-    return (value, math.sqrt(var / BATCHES), per_batch * BATCHES,
-            sum(r[1] for r in results))
+    batch_means = [r[0] for r in results]
+    several = isinstance(batch_means[0], tuple)
+    stats = []
+    for column in zip(*batch_means) if several else [batch_means]:
+        means = np.array(column, dtype=complex)  # one kind: its own summation order
+        value = complex(means.mean())
+        var = float(np.sum(np.abs(means - value) ** 2)) / (BATCHES - 1)
+        stats.append((value, math.sqrt(var / BATCHES)))
+    value, stderr = zip(*stats) if several else stats[0]
+    return value, stderr, per_batch * BATCHES, sum(r[1] for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -273,32 +309,41 @@ def weight_class(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
     return None, rep, parity
 
 
-def compute_weight(g: Graph, kind: str, samples: int, seed: int,
-                   threads: Optional[int] = None) -> WeightEstimate:
+def compute_weight(g: Graph, kind, samples: int, seed: int,
+                   threads: Optional[int] = None):
     """Estimate the weight of a graph.
 
     Degree-decided weights are exact (:func:`_degree_weight`).  Otherwise
     the value is the deterministic QMC estimate at the requested sample
     budget, rounded up so the 16 batches are balanced powers of two.
+
+    For a tuple of kinds one kernel pass (:func:`integrand_batch`) gives a
+    tuple of estimates, each bit-identical to its one-kind estimate save
+    ``rejected``, which counts the rows rejected in any of the kinds.
     """
-    check_request(kind, samples, seed)
+    kinds = kinds_of(kind)
+    _check_budget(samples, seed)
     exact = _degree_weight(g)
     if exact is not None:
-        return _exact(exact, g, kind, seed)
-    value, stderr, total, rejected = qmc_mean(
-        lambda U: integrand_batch(g, kind, U), len(g.edges), samples, seed, threads)
-    return WeightEstimate(value, stderr, total, seed, kind, encode_graph(g),
-                          rejected=rejected)
+        ests = tuple(_exact(exact, g, k, seed) for k in kinds)
+    else:
+        values, stderrs, total, rejected = qmc_mean(
+            lambda U: integrand_batch(g, kinds, U), len(g.edges), samples, seed, threads)
+        ests = tuple(WeightEstimate(v, e, total, seed, k, encode_graph(g), rejected=rejected)
+                     for v, e, k in zip(values, stderrs, kinds))
+    return ests if isinstance(kind, tuple) else ests[0]
 
 
 def cached_weight(g: Graph, kind: str, samples: int, seed: int,
-                  threads: Optional[int] = None) -> WeightEstimate:
+                  threads: Optional[int] = None, kinds: Tuple[str, ...] = ()) -> WeightEstimate:
     """Weight estimate deduplicated across graphs isomorphic up to aerial
     relabelling and edge reordering (sign restored from the edge parity).
 
     A representative :func:`weight_class` has kept is found with no
     search.  Only this class-level entry point applies the class's exact
-    values: :func:`compute_weight` estimates every graph it is given.
+    values: :func:`compute_weight` estimates every graph it is given.  On
+    a miss, ``kind`` and whichever of ``kinds`` the cache lacks at this
+    budget and seed are estimated in one kernel pass and all are kept.
     """
     check_request(kind, samples, seed)
     rep, parity = _classes.get((g.n, g.m, g.edges)), 1
@@ -311,9 +356,14 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
     with _cache_lock:
         hit = _cache.get(cache_key)
     if hit is None:
-        hit = replace(compute_weight(rep, kind, samples, seed, threads), class_key=key)
         with _cache_lock:
-            _cache[cache_key] = hit
+            together = (kind,) + tuple(k for k in kinds if k != kind
+                                       and (key, k, samples, seed) not in _cache)
+        ests = compute_weight(rep, together, samples, seed, threads)
+        with _cache_lock:
+            for k, est in zip(together, ests):
+                _cache[key, k, samples, seed] = replace(est, class_key=key)
+            hit = _cache[cache_key]
     if g.edges == rep.edges:  # the canonical graph itself
         return hit
     value = hit.value if parity == 1 or hit.value == 0 else -hit.value  # no -0.0

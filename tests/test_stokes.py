@@ -337,8 +337,9 @@ def test_identity_rows_match_the_term_by_term_oracle():
 def test_identity_rows_keep_the_sign_of_zero_weights(monkeypatch):
     # classes estimated at exactly zero: an odd relabelling keeps +0.0 in
     # the rows as in the oracle, which repr tells from -0.0
-    monkeypatch.setattr(weights, "compute_weight", lambda h, kind, samples, seed, threads: (
-        weights.WeightEstimate(0.0 + 0j, 0.0, samples, seed, kind, graphs.encode_graph(h))))
+    monkeypatch.setattr(weights, "compute_weight", lambda h, kinds, samples, seed, threads: tuple(
+        weights.WeightEstimate(0.0 + 0j, 0.0, samples, seed, kind, graphs.encode_graph(h))
+        for kind in kinds))
     weights.clear_weight_cache()
     for g in suite._swept_graphs(1):
         text = repr(verify_identity(g, LOG, 1 << 10, 3).to_json_dict())
@@ -399,3 +400,51 @@ def test_warm_identity_contracts_and_searches_nothing(monkeypatch):
     assert repr(rebuilt.to_json_dict()) == repr(rep.to_json_dict())
     for st, _, _ in rep.terms:
         assert (st.graph, st.contraction) == (g, contract(g, st.layout))
+
+
+def _weighed_classes(monkeypatch, kind, samples, seed):
+    """``(graph, kinds)`` of every ``compute_weight`` call one
+    ``verify_identity`` pass over the swept graphs makes."""
+    calls = []
+    compute = weights.compute_weight
+
+    def counted(g, kinds, *args):
+        calls.append((g, kinds))
+        return compute(g, kinds, *args)
+    with monkeypatch.context() as m:
+        m.setattr(weights, "compute_weight", counted)
+        for g in suite._swept_graphs(1):
+            verify_identity(g, kind, samples, seed)
+    return calls
+
+
+def test_identity_checks_weigh_both_kinds_in_one_pass(monkeypatch):
+    # the angle pass estimates each missing class under both kinds, so the
+    # log pass at the same budget and seed weighs nothing
+    weights.clear_weight_cache()
+    angle = _weighed_classes(monkeypatch, ANGLE, 1 << 10, 3)
+    assert len(angle) == len({g for g, _ in angle}) == 39
+    assert {kinds for _, kinds in angle} == {(ANGLE, LOG)}
+    assert _weighed_classes(monkeypatch, LOG, 1 << 10, 3) == []
+    # a one-kind check pays for its kind alone
+    weights.clear_weight_cache()
+    assert weights.vanishing_check(parse_graph("2 1 ; a1>a2 a2>a1 a1>g1"), LOG, 1 << 10, 3)[0]
+    assert weights._cache and {kind for _, kind, _, _ in weights._cache} == {LOG}
+    weights.clear_weight_cache()
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_shared_pass_matches_one_kind_estimates(monkeypatch, seed):
+    # every class the sweep estimates: each kind of a two-kind pass equals
+    # its own one-kind estimate bit for bit, rejected rows included
+    weights.clear_weight_cache()
+    classes = [g for g, _ in _weighed_classes(monkeypatch, LOG, 1 << 10, seed)]
+    weights.clear_weight_cache()
+    assert len(classes) == 39
+    for threads in (1, 2):
+        for g in classes:
+            both = weights.compute_weight(g, (ANGLE, LOG), 1 << 10, seed, threads)
+            for kind, est in zip((ANGLE, LOG), both):
+                one = weights.compute_weight(g, kind, 1 << 10, seed, threads)
+                assert ((repr(est.value), repr(est.stderr), est.samples, est.rejected, est.kind)
+                        == (repr(one.value), repr(one.stderr), one.samples, one.rejected, kind)), g

@@ -134,8 +134,23 @@ def test_thread_count_below_one_rejected(monkeypatch):
 
 
 def test_unknown_kind_rejected():
+    for kind in ("harmonic", (ANGLE, "harmonic"), ()):
+        with pytest.raises(ValueError, match="kind"):
+            compute_weight(WEDGE, kind, 10, 1)
+    clear_weight_cache()  # the kinds estimated with ``kind`` are checked on a miss
     with pytest.raises(ValueError, match="kind"):
-        compute_weight(WEDGE, "harmonic", 10, 1)
+        cached_weight(WEDGE, ANGLE, 10, 1, kinds=("harmonic",))
+
+
+def test_default_threads_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("KWL_THREADS", raising=False)
+    monkeypatch.setattr(weights.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(weights.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert weights.default_threads() == 1
+    monkeypatch.setattr(weights.os, "sched_getaffinity", lambda pid: set(range(6)))
+    assert weights.default_threads() == 4
+    monkeypatch.delattr(weights.os, "sched_getaffinity")  # platforms without it
+    assert weights.default_threads() == 4
 
 
 def _assert_rows_match_fd(g, kind, U, vals, rows):
@@ -327,8 +342,8 @@ def test_class_representative_skips_the_canonical_search(monkeypatch):
     assert calls == [rep, g]
     assert (est.value, est.stderr, est.graph) == (-ref.value, ref.stderr, encode_graph(g))
     # a class estimated at exactly zero keeps +0.0 under an odd relabelling
-    monkeypatch.setattr(weights, "compute_weight", lambda h, kind, samples, seed, threads: (
-        WeightEstimate(0.0 + 0j, 0.0, samples, seed, kind, encode_graph(h))))
+    monkeypatch.setattr(weights, "compute_weight", lambda h, kinds, samples, seed, threads: tuple(
+        WeightEstimate(0.0 + 0j, 0.0, samples, seed, kind, encode_graph(h)) for kind in kinds))
     zero = cached_weight(g, LOG, 1 << 10, 6)
     assert repr(zero.value) == "0j" and repr(cached_weight(rep, LOG, 1 << 10, 6).value) == "0j"
     clear_weight_cache()
@@ -368,11 +383,13 @@ def test_clear_weight_cache_empties_the_plan_cache():
 def test_structural_vanishing_samples_only_undecided_classes(monkeypatch):
     # 64 pattern-bearing classes at the default sweep: 7 have an odd
     # automorphism and 9 more no matching, so 48 are left to sample
-    calls = []
+    calls, asked = [], set()
 
-    def fake(g, kind, samples, seed, threads=None):
+    def fake(g, kinds, samples, seed, threads=None):
         calls.append(g)
-        return WeightEstimate(0j, 0.0, samples, seed, kind, encode_graph(g))
+        asked.add(kinds)
+        return tuple(WeightEstimate(0j, 0.0, samples, seed, kind, encode_graph(g))
+                     for kind in kinds)
 
     monkeypatch.setattr(weights, "compute_weight", fake)
     clear_weight_cache()
@@ -382,6 +399,7 @@ def test_structural_vanishing_samples_only_undecided_classes(monkeypatch):
         clear_weight_cache()
     assert report.details["count"] == 64
     assert len(calls) == len(set(calls)) == 48
+    assert asked == {(LOG,)}  # the check pays for the log kind alone
 
 
 def test_pairing_roundoff_classes_stay_at_roundoff():
