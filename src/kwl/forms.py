@@ -90,26 +90,24 @@ def pairing_entry(a, b, vs, vt):
 
 
 def pairing_matrices(edges: Sequence[Tuple[int, int]], points: Sequence,
-                     frame: Sequence[Velocity], kind: str) -> np.ndarray:
-    """Unscaled pairings of edge one-forms with frame vectors, shape (rows, E, d).
+                     frame: Sequence[Velocity]) -> np.ndarray:
+    """Unscaled complex pairings of edge one-forms with frame vectors,
+    shape (rows, E, d).
 
     ``points[v]`` is the position of vertex ``v`` and each frame column a
     sparse ``{vertex: velocity}`` map; positions and velocities are scalars
-    or row arrays.  Entries come from :func:`pairing_entry`; the angle kind
-    keeps only their imaginary parts, as a real matrix.  Multiply
+    or row arrays.  Entries come from :func:`pairing_entry`: the log kind's
+    matrix, whose imaginary part is the angle kind's.  Multiply
     determinants by :func:`pairing_scale`.
     """
-    check_kind(kind)
-    angle = kind == ANGLE
     rows = max((len(p) for p in points if isinstance(p, np.ndarray)), default=1)
-    M = np.zeros((rows, len(edges), len(frame)), dtype=float if angle else complex)
+    M = np.zeros((rows, len(edges), len(frame)), dtype=complex)
     for ei, (s, t) in enumerate(edges):
         a, b = edge_terms(points[s], points[t])
         for ci, col in enumerate(frame):
             vs, vt = col.get(s), col.get(t)
             if vs is not None or vt is not None:
-                entry = pairing_entry(a, b, vs, vt)
-                M[:, ei, ci] = entry.imag if angle else entry
+                M[:, ei, ci] = pairing_entry(a, b, vs, vt)
     return M
 
 

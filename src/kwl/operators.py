@@ -10,7 +10,6 @@ star products for polynomial bivector fields.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -24,7 +23,8 @@ import numpy as np
 from .forms import LOG, check_kind, frame_integrand
 from .graphs import Graph, edge_sort_parity, enumerate_graphs, encode_graph
 from .halfplane import gauge_frame
-from .weights import cached_weight, detect_vanishing_pattern, qmc_mean, vanishing_check
+from .weights import (cached_weight, class_store, detect_vanishing_pattern, qmc_mean,
+                      vanishing_check)
 
 Monomial = Tuple[int, ...]
 Poly = Dict[Monomial, object]  # exponent tuple -> int | Fraction | float | complex
@@ -547,18 +547,26 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
 # globalization checks
 
 
-# memoized: the angle and log globalization checks measure the same integrals
-@functools.lru_cache(maxsize=64)
+#: one_in_one_out_integral's values by (u, v, samples, seed): the angle and
+#: log globalization checks measure the same integrals
+_contours = class_store("contour integrals")
+
+
 def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
                             threads: Optional[int] = None) -> Tuple[complex, float, int]:
     """Two-dimensional integral of the log form chain through a middle point.
 
     Integrates d log((u-z)/(conj u - z)) wedge d log((z-v)/(conj z - v))
     over the middle point z in the upper half-plane, with the standard
-    1/(2 pi i) normalization per factor; the exact value is zero.
+    1/(2 pi i) normalization per factor; the exact value is zero.  Values
+    do not depend on ``threads`` and are kept until ``clear_weight_cache``.
     """
     if not (u.imag > 0 and v.imag > 0):
         raise ValueError("endpoints must lie in the upper half-plane")
+    key = (u, v, samples, seed)
+    hit = _contours.get(key)
+    if hit is not None:
+        return hit
 
     def func(U: np.ndarray) -> Tuple[np.ndarray, int]:
         x = np.tan(math.pi * (U[:, 0] - 0.5))
@@ -569,7 +577,7 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
         # u (vertex 1) -> z and z -> v (vertex 2)
         return frame_integrand([(1, 0), (0, 2)], [z, u, v], gauge_frame(1, 2, z), LOG) * jac, 0
 
-    return qmc_mean(func, 2, samples, seed, threads)[:3]
+    return _contours.setdefault(key, qmc_mean(func, 2, samples, seed, threads)[:3])
 
 
 def contour_check(u: complex, v: complex, samples: int, seed: int,

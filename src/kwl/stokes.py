@@ -19,17 +19,18 @@ the slice orientation, a closed-form function of the stratum's layout.
 
 The strata, their rules and their factors' weight classes depend on the
 graph alone: :func:`verify_identity` keeps them in an identity row per graph.
+A stratum is a plain ``(layout, rule)`` record, kept once per value in a
+class store, so rows and reports share it and a warm call builds none.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,17 +52,11 @@ FIBER_POINTS = 16
 IDENTITY_TOL = PROBE_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class BoundaryStratum:
+class BoundaryStratum(NamedTuple):
     """A stratum of a graph: its layout and the term's rule."""
 
-    graph: Graph
     layout: CollapseLayout
     rule: str
-
-    @functools.cached_property
-    def contraction(self) -> Contraction:
-        return contract(self.graph, self.layout)
 
     def describe(self) -> str:
         return f"{self.layout.label()}:{self.rule}"
@@ -70,6 +65,7 @@ class BoundaryStratum:
 #: each slice's stratum table under (n, m) (the benchmark clears it by name)
 _orient_cache: Dict[Tuple[int, int], List[CollapseLayout]] = {}
 _orient_lock = threading.Lock()
+_strata = class_store("stokes strata")  # each BoundaryStratum value, kept once
 _rows = class_store("stokes identity rows")  # by labelled graph, see _identity_row
 
 
@@ -98,11 +94,12 @@ def _strata_table(n: int, m: int) -> List[CollapseLayout]:
     return table
 
 
-def boundary_strata(g: Graph) -> List[BoundaryStratum]:
-    """All codimension-one strata of the configuration space of ``g``.
+def boundary_strata(g: Graph) -> List[Tuple[BoundaryStratum, Contraction]]:
+    """All codimension-one strata of the configuration space of ``g``, each
+    with its contraction of ``g``.
 
     Requires the identity degree (one edge less than the slice dimension).
-    The strata come from the (n, m) slice's table, built once per slice
+    The layouts come from the (n, m) slice's table, built once per slice
     and kept in ``_orient_cache``; the graph only splits its edges.
     """
     if len(g.edges) != gauge_dim(g.n, g.m) - 1:
@@ -111,7 +108,7 @@ def boundary_strata(g: Graph) -> List[BoundaryStratum]:
         if (g.n, g.m) not in _orient_cache:
             _orient_cache[g.n, g.m] = _strata_table(g.n, g.m)
         table = _orient_cache[g.n, g.m]
-    out: List[BoundaryStratum] = []
+    out = []
     for layout in table:
         con = contract(g, layout)
         if layout.kind == TYPE_I and len(layout.subset) > 2:
@@ -120,8 +117,8 @@ def boundary_strata(g: Graph) -> List[BoundaryStratum]:
             rule = ZERO_BY_FLAG
         else:
             rule = TWO_POINT_I if layout.kind == TYPE_I else TYPE_II_PRODUCT
-        out.append(BoundaryStratum(g, layout, rule))
-        vars(out[-1])["contraction"] = con  # fill the cached property
+        st = BoundaryStratum(layout, rule)
+        out.append((_strata.setdefault(st, st), con))
     return out
 
 
@@ -162,14 +159,12 @@ def orientation_sign(layout: CollapseLayout) -> int:
 
 
 def _identity_row(g: Graph):
-    """The slice's stratum table, each stratum's rule and, per stratum
-    whose term takes weights, its index, :func:`shuffle_sign` and the
-    :func:`weights.weight_class` of its inner and outer factors.  A row
-    holds no contraction."""
-    strata = boundary_strata(g)
+    """The graph's strata and, per stratum whose term takes weights, its
+    index, :func:`shuffle_sign` and the :func:`weights.weight_class` of its
+    inner and outer factors.  A row holds no contraction."""
+    pairs = boundary_strata(g)
     weighted = []
-    for i, st in enumerate(strata):
-        con = st.contraction
+    for i, (st, con) in enumerate(pairs):
         if st.rule == TYPE_II_PRODUCT:
             inner = weight_class(con.inner)
         elif st.rule == TWO_POINT_I and len(con.inner.edges) == 1:
@@ -177,7 +172,7 @@ def _identity_row(g: Graph):
         else:  # flagged, three or more points, or an edgeless or doubly-edged pair
             continue
         weighted.append((i, shuffle_sign(g, st.layout), inner, weight_class(con.outer)))
-    return _orient_cache[g.n, g.m], tuple(st.rule for st in strata), tuple(weighted)
+    return tuple(st for st, _ in pairs), tuple(weighted)
 
 
 @dataclass(frozen=True)
@@ -207,35 +202,35 @@ def verify_identity(g: Graph, kind: str, samples: int, seed: int,
     """Sum the regularized boundary terms; the residual must vanish.
 
     Passes when |residual| <= 3 * combined stderr + IDENTITY_TOL.  Terms
-    sharing a cached weight estimate carry fully correlated errors, so
-    their sensitivities are summed before the independent pieces are
-    combined in quadrature.  A class missing from the cache is estimated
-    under both kinds in one kernel pass, so the other kind's identity at
-    this budget and seed weighs nothing.
+    sharing a class's weight estimate carry fully correlated errors, so
+    their sensitivities are summed per class representative before the
+    independent pieces are combined in quadrature.  A class missing from
+    the cache is estimated under both kinds in one kernel pass, so the
+    other kind's identity at this budget and seed weighs nothing.
     """
     check_request(kind, samples, seed)  # a warm row may need no weight
     row = _rows.get(g)
-    if row is None or row[0] is not _orient_cache.get((g.n, g.m)):  # cold, or a new table
+    if row is None:
         row = _rows[g] = _identity_row(g)
-    table, rules, weighted = row
-    terms = [(BoundaryStratum(g, lay, rule), 0.0 + 0j, 0.0) for lay, rule in zip(table, rules)]
-    coeff_by_key: Dict[tuple, float] = {}
-    err_by_key: Dict[tuple, float] = {}
+    strata, weighted = row
+    terms = [(st, 0.0 + 0j, 0.0) for st in strata]
+    coeff_by_key: Dict[Graph, float] = {}
+    err_by_key: Dict[Graph, float] = {}
     for i, shuffle, *factors in weighted:
-        ws = []  # (value, stderr, estimate) of the inner and the outer factor
+        ws = []  # (value, stderr, representative) of the inner and the outer factor
         for exact, rep, parity in factors:
             w = None if rep is None else cached_weight(rep, kind, samples, seed, threads, KINDS)
-            ws.append((exact, 0.0, w) if w is None else  # parity never makes a -0.0
-                      (w.value if parity == 1 or w.value == 0 else -w.value, w.stderr, w))
-        (v_in, e_in, w_in), (v_out, e_out, w_out) = ws
-        value = shuffle * (-orientation_sign(table[i])) * v_in * v_out
+            ws.append((exact, 0.0, None) if w is None else  # parity never makes a -0.0
+                      (w.value if parity == 1 or w.value == 0 else -w.value, w.stderr, rep))
+        (v_in, e_in, rep_in), (v_out, e_out, rep_out) = ws
+        value = shuffle * (-orientation_sign(strata[i].layout)) * v_in * v_out
         err = abs(v_in) * e_out + abs(v_out) * e_in + e_in * e_out
-        sens = {}  # class key -> (|d term / d weight|, stderr of the weight)
+        sens = {}  # representative -> (|d term / d weight|, stderr of the weight)
         if e_in:
-            sens[w_in.class_key] = (abs(v_out) + e_out, e_in)
+            sens[rep_in] = (abs(v_out) + e_out, e_in)
         if e_out:
-            sens[w_out.class_key] = (abs(v_in) + e_in, e_out)
-        terms[i] = (terms[i][0], value, err)
+            sens[rep_out] = (abs(v_in) + e_in, e_out)
+        terms[i] = (strata[i], value, err)
         for key, (coef, werr) in sens.items():
             coeff_by_key[key] = coeff_by_key.get(key, 0.0) + coef
             err_by_key[key] = werr

@@ -22,7 +22,9 @@ edge terms of each chunk; smaller slices keep ``np.linalg.det`` only for
 the benchmark tracer's ``weights.det`` span, until ROADMAP item 1.  A
 class whose plan is empty (no bijection from edges to frame columns)
 weighs an exact zero in :func:`cached_weight`.  ``clear_weight_cache``
-empties the plans of :mod:`kwl.forms` too.
+empties the plans of :mod:`kwl.forms` too, and every :func:`class_store`
+table: the class representatives, the stratum records and identity rows
+of :mod:`kwl.stokes` and the contour integrals of :mod:`kwl.operators`.
 
 One kernel pass can estimate several kinds: :func:`integrand_batch`,
 :func:`qmc_mean` and :func:`compute_weight` take a tuple of kinds, share
@@ -41,13 +43,13 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from . import qmc
-from .forms import (ANGLE, LOG, check_kind, clear_plans, frame_integrand, frame_plan,
+from .forms import (ANGLE, check_kind, clear_plans, frame_integrand, frame_plan,
                     kinds_of, pairing_matrices, pairing_scale)
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
 from .halfplane import gauge_dim, gauge_frame, slice_map
@@ -75,12 +77,7 @@ VANISHING_TOL = 5e-3
 
 @dataclass(frozen=True)
 class WeightEstimate:
-    """QMC weight estimate with batch-based statistical error.
-
-    ``class_key`` is the canonical class key of an estimate that
-    :func:`cached_weight` looked up (None otherwise); it takes no part in
-    equality or JSON.
-    """
+    """QMC weight estimate with batch-based statistical error."""
 
     value: complex
     stderr: float
@@ -90,7 +87,6 @@ class WeightEstimate:
     graph: str
     rejected: int = 0
     exact: bool = False
-    class_key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {"graph": self.graph, "kind": self.kind, "samples": self.samples,
@@ -153,7 +149,7 @@ def integrand_batch(g: Graph, kind, U: np.ndarray) -> Tuple[np.ndarray, int]:
                 if E >= MIN_EXPANDED_DIM:
                     dets = frame_integrand(g.edges, points, frame, kinds)
                 else:  # the angle matrix is the imaginary part of the log one
-                    M = pairing_matrices(g.edges, points, frame, LOG)
+                    M = pairing_matrices(g.edges, points, frame)
                     dets = [pairing_scale(k, E) * np.linalg.det(M.imag if k == ANGLE else M)
                             for k in kinds]
                 for v, det in zip(vals, dets):
@@ -362,7 +358,7 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
         ests = compute_weight(rep, together, samples, seed, threads)
         with _cache_lock:
             for k, est in zip(together, ests):
-                _cache[key, k, samples, seed] = replace(est, class_key=key)
+                _cache[key, k, samples, seed] = est
             hit = _cache[cache_key]
     if g.edges == rep.edges:  # the canonical graph itself
         return hit

@@ -1,11 +1,14 @@
-"""What the benchmark's tracer reads of kwl, checked on kwl's side.
+"""What the benchmark reads of kwl, checked on kwl's side.
 
 ``bench/tracer.py`` times ``integrand_batch(g, kind(s), U)`` by its
 positional arguments and reads ``result[1]`` as the rejected-row count;
 ``bench/run.py`` turns the spans into the per-layer metrics.  A two-kind
-identity pass must still give it finite numbers.
+identity pass must still give it finite numbers.  ``bench/workloads.py``
+starts every round from ``clear_caches()``, which must leave no identity
+row or stratum record behind.
 """
 
+import collections
 import json
 import math
 import threading
@@ -66,3 +69,20 @@ def test_layer_metrics_of_a_traced_two_kind_identity_pass(bench):
     assert stats["weights.det"].calls > 0 and metrics["weights.cache_hit_ratio"] > 0
     notes = [s.note for s in traced_run.spans if s.name == "weights.integrand_batch"]
     assert all(type(note["rejected"]) is int for note in notes)
+
+
+def test_cleared_caches_start_a_cold_identity_round(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    _, first, _ = _identity_pass(2)
+    assert stokes._rows and stokes._strata
+    workloads.clear_caches()
+    assert not stokes._rows and not stokes._strata
+    calls = collections.Counter()
+    strata = stokes.boundary_strata
+    monkeypatch.setattr(stokes, "boundary_strata", lambda g: calls.update([g]) or strata(g))
+    reports = [stokes.verify_identity(g, kind, 1 << 10, 5, threads=2)
+               for kind in KINDS for g in GRAPHS]
+    weights.clear_weight_cache()
+    assert calls == {g: 1 for g in GRAPHS}
+    assert repr([r.to_json_dict() for r in reports]) == first

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kwl import operators
 from kwl.forms import ANGLE, LOG
 from kwl.graphs import make_graph, parse_graph
 from kwl.operators import (MultiDiffOperator, PolyMultivector, _poly_key, bivector,
@@ -14,6 +15,7 @@ from kwl.operators import (MultiDiffOperator, PolyMultivector, _poly_key, bivect
                            p_add, p_diff, p_diff_multi, p_int, p_max_abs, p_mul, p_sub,
                            poly_from_json_list, poly_from_terms, star_product,
                            u_n, vector_field)
+from kwl.weights import clear_weight_cache
 
 WEDGE = make_graph(1, 2, [(0, 1), (0, 2)])
 PI_CONST = bivector(2, [(0, 1, (0, 0), 1)])
@@ -513,6 +515,25 @@ def test_one_in_one_out_integral_vanishes():
     val, err, _ = one_in_one_out_integral(0.3 + 1.1j, -0.4 + 0.8j, 2 * 10 ** 5, 3)
     assert abs(val) < max(1e-2, 3 * err)
     assert contour_check(0.3 + 1.1j, -0.4 + 0.8j, 2 * 10 ** 5, 3)[:3] == (True, val, err)
+
+
+def test_one_in_one_out_integral_is_kept_until_the_cache_is_cleared(monkeypatch):
+    # values do not depend on the thread count, so thread counts share an entry
+    calls = []
+    mean = operators.qmc_mean
+    monkeypatch.setattr(operators, "qmc_mean", lambda *args: calls.append(args[1:]) or mean(*args))
+    u, v = 0.3 + 1.1j, -0.4 + 0.8j
+    clear_weight_cache()
+    one = one_in_one_out_integral(u, v, 1 << 10, 3, threads=1)
+    assert one_in_one_out_integral(u, v, 1 << 10, 3, threads=2) is one
+    assert len(calls) == 1 and len(operators._contours) == 1
+    one_in_one_out_integral(u, v, 1 << 10, 4, threads=1)  # another seed
+    assert len(calls) == 2
+    clear_weight_cache()
+    assert not operators._contours
+    assert one_in_one_out_integral(u, v, 1 << 10, 3, threads=2) == one
+    assert len(calls) == 3
+    clear_weight_cache()
 
 
 def test_globalization_log():

@@ -7,7 +7,7 @@ import pytest
 
 from kwl import forms, graphs, halfplane, stokes, suite, weights
 from kwl.forms import ANGLE, LOG
-from kwl.graphs import (TYPE_I, TYPE_II, collapse_fault, collapse_layout, contract,
+from kwl.graphs import (TYPE_I, TYPE_II, collapse_fault, collapse_layout,
                         enumerate_graphs, make_graph, parse_graph)
 from kwl.stokes import (MULTI_POINT_I, TWO_POINT_I,
                         ZERO_BY_FLAG, boundary_strata, counterterm_probe,
@@ -23,9 +23,9 @@ EXAMPLE = parse_graph("2 1 ; a1>a2 a2>g1")
 
 def test_strata_enumeration_example():
     strata = boundary_strata(EXAMPLE)
-    labels = {st.describe() for st in strata}
+    labels = {st.describe() for st, _ in strata}
     assert "I{0,1}:two-point-I" in labels
-    layouts = [st.contraction.layout for st in strata]
+    layouts = [con.layout for _, con in strata]
     assert any(lay.kind == TYPE_II and lay.subset == (1, 2) for lay in layouts)
     assert any(lay.kind == TYPE_II and lay.subset == (0,) for lay in layouts)
     # the full vertex set never bounds a stratum
@@ -33,8 +33,7 @@ def test_strata_enumeration_example():
 
 
 def test_strata_edge_additivity():
-    for st in boundary_strata(EXAMPLE):
-        con = st.contraction
+    for _, con in boundary_strata(EXAMPLE):
         assert len(con.inner.edges) + len(con.outer.edges) == len(EXAMPLE.edges)
 
 
@@ -42,8 +41,8 @@ def test_type_i_pair_count():
     for n, m, e in [(2, 1, 2), (3, 0, 3), (3, 1, 4)]:
         g = next(iter(enumerate_graphs(n, m, e)))
         strata = boundary_strata(g)
-        pairs = [st for st in strata if st.contraction.layout.kind == TYPE_I
-                 and len(st.contraction.layout.subset) == 2]
+        pairs = [st for st, con in strata if con.layout.kind == TYPE_I
+                 and len(con.layout.subset) == 2]
         assert len(pairs) == math.comb(n, 2)
 
 
@@ -82,6 +81,7 @@ def test_strata_are_built_once_per_slice(monkeypatch):
 
     monkeypatch.setattr(graphs, "collapse_fault", counted("fault", graphs.collapse_fault))
     monkeypatch.setattr(stokes, "collapse_layout", counted("layout", collapse_layout))
+    weights.clear_weight_cache()  # no identity row left from earlier tests
     monkeypatch.setattr(stokes, "_orient_cache", {})
     monkeypatch.setattr(stokes, "cached_weight",
                         lambda *args, **kwargs: types.SimpleNamespace(value=1.0, stderr=0.0))
@@ -101,8 +101,8 @@ def test_strata_are_built_once_per_slice(monkeypatch):
 def test_orientation_sign_stable_from_five_vertices(enc, label):
     # the chart Jacobian scales like r^d_in, below any absolute threshold here
     g = parse_graph(enc)
-    (st,) = [st for st in boundary_strata(g) if st.describe().startswith(label + ":")]
-    assert orientation_sign(st.contraction.layout) == -1
+    (con,) = [con for st, con in boundary_strata(g) if st.describe().startswith(label + ":")]
+    assert orientation_sign(con.layout) == -1
 
 
 @pytest.mark.parametrize("n, m", chart_oracle.slices(6))
@@ -155,7 +155,8 @@ def test_two_point_term_magnitude_matches_outer_weight():
              if t[0].rule == TWO_POINT_I]
     assert len(terms) == 1
     st, value, err = terms[0]
-    ref = cached_weight(st.contraction.outer, ANGLE, 10 ** 4, 5)
+    (con,) = [con for s, con in boundary_strata(g) if s == st]
+    ref = cached_weight(con.outer, ANGLE, 10 ** 4, 5)
     assert abs(abs(value) - abs(ref.value)) < 1e-12
     assert err == ref.stderr
 
@@ -219,7 +220,7 @@ def test_relabelled_identities_agree_up_to_parity(kind):
 def test_identity_fails_on_a_flipped_or_dropped_term(enc, label, kind, monkeypatch):
     g = parse_graph(enc)
     rep = verify_identity(g, kind, 1 << 12, 5)
-    term = {st.contraction.layout.label(): v for st, v, _ in rep.terms}[label]
+    term = {st.layout.label(): v for st, v, _ in rep.terms}[label]
     assert rep.passed and abs(term) > 0.4
     true_sign = stokes.orientation_sign
     for factor in (-1, 0):  # a wrong orientation sign, then a lost term
@@ -398,8 +399,19 @@ def test_warm_identity_contracts_and_searches_nothing(monkeypatch):
     assert calls["boundary_strata"] == 1
     assert calls["contract"] == len(rep.terms) and calls["canonical_key"] > 0
     assert repr(rebuilt.to_json_dict()) == repr(rep.to_json_dict())
-    for st, _, _ in rep.terms:
-        assert (st.graph, st.contraction) == (g, contract(g, st.layout))
+    assert [st for st, _, _ in rep.terms] == [st for st, _ in boundary_strata(g)]
+
+
+@pytest.mark.parametrize("kind", [ANGLE, LOG])
+@pytest.mark.parametrize("seed", [5, 7])
+def test_warm_identity_reuses_the_stratum_records(kind, seed):
+    # the row's records are the report's: a warm call builds no stratum
+    g = parse_graph("2 2 ; a1>a2 a2>g1 a2>g2")
+    rep = verify_identity(g, kind, 1 << 10, seed)
+    again = verify_identity(g, kind, 1 << 10, seed)
+    assert len(again.terms) == len(rep.terms) > 0
+    for i in range(len(rep.terms)):
+        assert rep.terms[i][0] is again.terms[i][0]
 
 
 def _weighed_classes(monkeypatch, kind, samples, seed):

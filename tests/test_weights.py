@@ -284,10 +284,7 @@ def test_cached_weight_reports_the_input_graph(text, parity):
     ref = cached_weight(canon, ANGLE, 2 ** 10, 5)
     assert est.graph == text
     assert est.value == parity * ref.value
-    # the class key rides along but takes no part in equality or JSON
-    assert est.class_key == ref.class_key == canonical_key(g)[0]
     direct = compute_weight(canon, ANGLE, 2 ** 10, 5)
-    assert direct.class_key is None
     assert ref == direct and ref.to_json_dict() == direct.to_json_dict()
 
 
@@ -335,7 +332,7 @@ def test_class_representative_skips_the_canonical_search(monkeypatch):
     monkeypatch.setattr(weights, "canonical_key", lambda g: calls.append(g) or search(g))
     clear_weight_cache()
     ref = cached_weight(rep, LOG, 1 << 10, 5)
-    assert calls == [rep] and not ref.exact and ref.class_key == key
+    assert calls == [rep] and not ref.exact
     assert cached_weight(rep, LOG, 1 << 10, 5) is ref
     assert calls == [rep]  # found as its own class key
     est = cached_weight(g, LOG, 1 << 10, 5)
