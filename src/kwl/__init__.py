@@ -12,12 +12,11 @@ from .graphs import (Graph, Contraction, make_graph, enumerate_graphs,
                      contract, canonical_key, canonical_graph, encode_graph,
                      parse_graph, CollapseLayout, collapse_layout, TYPE_I, TYPE_II)
 from .halfplane import (Configuration, make_configuration, center_of_mass,
-                        slice_columns, slice_map, sample_configuration,
-                        gauge_dim, gauge_frame, coords_of_config,
+                        slice_columns, slice_map, gauge_dim, gauge_frame,
                         config_from_coords, NestedFamily,
                         chart_membership, gcd_families, torus_rotate,
                         degenerating_family)
-from .forms import (ANGLE, LOG, edge_function, pairing_matrices, pairing_scale,
+from .forms import (ANGLE, LOG, pairing_matrices, pairing_scale,
                     integrand, contracted_integrand)
 from .weights import (WeightEstimate, compute_weight, cached_weight, qmc_mean,
                       vanishing_check, detect_vanishing_pattern)

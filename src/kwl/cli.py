@@ -3,9 +3,10 @@
 Subcommands: enumerate, weight, vanish, verify-identity, star,
 associativity, globalization, counterterm, suite.  Exit codes: 0 success,
 1 check failure, 2 usage or parse error: argparse's usage errors and every
-ValueError or OSError a command raises become one ``error:`` line and
-exit 2.  KWL_THREADS sets the default worker count; an explicit
-``--threads`` or suite ``threads`` value wins over it.
+ValueError, OverflowError (an exponent too large for a float) or OSError a
+command raises become one ``error:`` line and exit 2.  KWL_THREADS sets
+the default worker count; an explicit ``--threads`` or suite ``threads``
+value wins over it.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         return _fail_usage(str(exc))
 
 

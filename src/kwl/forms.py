@@ -12,16 +12,16 @@ for these pairings.
 Row ``(s, t)`` of a pairing matrix is non-zero only in the frame columns
 that move ``s`` or ``t``.  :func:`pairing_plan` turns that sparsity into a
 column-subset recursion, and :func:`plan_det` evaluates it on scalars or
-row arrays straight from :func:`edge_terms`, with no pairing matrix.  This
-is the one determinant: :func:`frame_integrand` takes it on gauge slices,
-cluster frames and the contour of :mod:`kwl.operators`, with plans cached
-until :func:`clear_plans`.  Only the QMC kernel's slices below dimension 4
-still take a dense determinant of :func:`pairing_matrices`.
+row arrays straight from :func:`edge_terms`, with no pairing matrix, for a
+tuple of kinds in one pass.  This is the one determinant:
+:func:`frame_integrand` takes it on gauge slices, cluster frames and the
+contour of :mod:`kwl.operators`, with plans cached until
+:func:`clear_plans`.  Only the QMC kernel's slices below dimension 4 still
+take a dense determinant of :func:`pairing_matrices`.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from typing import Dict, List, Sequence, Tuple
@@ -44,32 +44,6 @@ Velocity = Dict[int, complex]
 def check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown propagator kind {kind!r}")
-
-
-def kinds_of(kind) -> Tuple[str, ...]:
-    """The non-empty tuple of kinds given, or ``(kind,)`` for one kind;
-    raises on an unknown kind."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not kinds:
-        raise ValueError("no propagator kind given")
-    for k in kinds:
-        check_kind(k)
-    return kinds
-
-
-def edge_function(kind: str, z: complex, w: complex) -> complex:
-    """Value of the edge potential at source ``z`` (aerial) and target ``w``.
-
-    ``angle``: arg((z-w)/(conj(z)-w)) / 2pi with the argument in (-pi, pi].
-    ``log``:   principal log of the same ratio, divided by 2*pi*i.
-    """
-    check_kind(kind)
-    if abs(z - w) < 1e-15:
-        raise ValueError("coincident points")
-    ratio = (z - w) / (z.conjugate() - w)
-    if kind == ANGLE:
-        return complex(cmath.phase(ratio) / TWO_PI, 0.0)
-    return cmath.log(ratio) / (2j * math.pi)
 
 
 def edge_terms(zs, zt):
@@ -145,24 +119,18 @@ def pairing_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) ->
 
 
 def plan_det(plan, edges: Sequence[Tuple[int, int]], points: Sequence,
-             frame: Sequence[Velocity], kind):
+             frame: Sequence[Velocity], kinds: Tuple[str, ...]) -> tuple:
     """Determinants of :func:`pairing_matrices` by a :func:`pairing_plan`,
-    for scalar or row-array ``points``: each used entry comes once from
-    :func:`pairing_entry`, and links are summed in the plan's order row by
-    row, so a row's value does not depend on the batch.  An empty plan
-    gives exact zeros, or ones when there are no edges.
-
-    ``kind`` is one kind, or a tuple of kinds (:func:`kinds_of`) that one
-    pass evaluates together, giving a tuple of determinants: the kinds
-    share each used entry, the angle kind reading its imaginary part, and
-    each kind sums its own links in plan order, so each value equals its
-    one-kind pass bit for bit."""
-    kinds = kinds_of(kind)
+    one per kind in ``kinds``, for scalar or row-array ``points``.  One
+    pass takes each used entry once from :func:`pairing_entry`, the angle
+    kind reading its imaginary part, and each kind sums its links in the
+    plan's order row by row, so a row's value depends neither on the batch
+    nor on the other kinds.  An empty plan gives exact zeros, or ones when
+    there are no edges."""
     if not plan:
         shape = next((p.shape for p in points if isinstance(p, np.ndarray)), ())
-        dets = tuple(np.full(shape, 0.0 if edges else 1.0,
+        return tuple(np.full(shape, 0.0 if edges else 1.0,
                              dtype=float if k == ANGLE else complex) for k in kinds)
-        return dets if isinstance(kind, tuple) else dets[0]
     minors: List[Dict[int, np.ndarray]] = [{} for _ in kinds]
     for (s, t), links in zip(edges, plan):
         a, b = edge_terms(points[s], points[t])
@@ -182,8 +150,7 @@ def plan_det(plan, edges: Sequence[Tuple[int, int]], points: Sequence,
                 else:
                     level[target] = acc - term if negative else acc + term
             minors[i] = level
-    dets = tuple(level[(1 << len(frame)) - 1] for level in minors)
-    return dets if isinstance(kind, tuple) else dets[0]
+    return tuple(level[(1 << len(frame)) - 1] for level in minors)
 
 
 def pairing_scale(kind: str, num_edges: int) -> complex:
@@ -206,23 +173,22 @@ def clear_plans() -> None:
 
 
 def frame_integrand(edges: Sequence[Tuple[int, int]], points: Sequence,
-                    frame: Sequence[Velocity], kind):
-    """Normalized pairing determinant of ``edges`` with ``frame``: the
-    :func:`plan_det` of their :func:`frame_plan` times :func:`pairing_scale`,
-    for scalar or row-array ``points`` and any sparse frame columns; a
-    tuple of them for a tuple of kinds."""
-    det = plan_det(frame_plan(edges, frame), edges, points, frame, kind)
-    if not isinstance(kind, tuple):
-        return det * pairing_scale(kind, len(edges))
-    return tuple(d * pairing_scale(k, len(edges)) for d, k in zip(det, kind))
+                    frame: Sequence[Velocity], kinds: Tuple[str, ...]) -> tuple:
+    """Normalized pairing determinants of ``edges`` with ``frame``, one per
+    kind in ``kinds``: the :func:`plan_det` of their :func:`frame_plan`
+    times :func:`pairing_scale`, for scalar or row-array ``points`` and any
+    sparse frame columns."""
+    dets = plan_det(frame_plan(edges, frame), edges, points, frame, kinds)
+    return tuple(d * pairing_scale(k, len(edges)) for d, k in zip(dets, kinds))
 
 
 def integrand(g: Graph, kind: str, cfg: Configuration) -> complex:
     """Top-degree integrand: determinant of edge pairings with the slice frame."""
+    check_kind(kind)
     if (cfg.n, cfg.m) != (g.n, g.m):
         raise ValueError("configuration does not match the graph")
     points = [cfg.point(v) for v in range(cfg.n + cfg.m)]
-    return complex(frame_integrand(g.edges, points, gauge_frame(g.n, g.m, points[0]), kind))
+    return complex(frame_integrand(g.edges, points, gauge_frame(g.n, g.m, points[0]), (kind,))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +268,9 @@ def contracted_integrand(g: Graph, kind: str, cfg: Configuration,
     integrand at the collapsed configuration, up to the edge-reordering
     sign.
     """
+    check_kind(kind)
     columns = cluster_frames(cfg, layout)
     if len(g.edges) < gauge_dim(g.n, g.m):
         del columns[1]  # the radial direction
     points = [cfg.point(v) for v in range(cfg.n + cfg.m)]
-    return complex(frame_integrand(g.edges, points, columns, kind))
+    return complex(frame_integrand(g.edges, points, columns, (kind,))[0])

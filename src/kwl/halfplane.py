@@ -165,21 +165,7 @@ def slice_map(n: int, m: int, U: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np
     return Z, G, jac
 
 
-def sample_configuration(n: int, m: int, u: Sequence[float]) -> Tuple[Configuration, float]:
-    """One point of :func:`slice_map`: configuration and Jacobian."""
-    d = gauge_dim(n, m)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (d,):
-        raise ValueError(f"expected {d} hypercube coordinates, got shape {u.shape}")
-    if d and (u.min() <= 0.0 or u.max() >= 1.0):
-        raise ValueError("hypercube point must be strictly interior")
-    Z, G, jac = slice_map(n, m, u[None, :])
-    return make_configuration(Z[0], G[0]), float(jac[0])
-
-
 _VELOCITY = {"x": 1.0 + 0j, "y": 1j, "g": 1.0 + 0j}
-_COORDINATE = {"phi": cmath.phase, "x": lambda z: z.real, "y": lambda z: z.imag,
-               "g": lambda z: z.real}
 
 
 def gauge_frame(n: int, m: int, z0) -> List[Dict[int, complex]]:
@@ -194,14 +180,9 @@ def gauge_frame(n: int, m: int, z0) -> List[Dict[int, complex]]:
             for v, mode in slice_columns(n, m)]
 
 
-def coords_of_config(cfg: Configuration) -> np.ndarray:
-    """Slice coordinate values of an in-gauge configuration."""
-    return np.array([_COORDINATE[mode](cfg.point(v))
-                     for v, mode in slice_columns(cfg.n, cfg.m)], dtype=float)
-
-
 def config_from_coords(n: int, m: int, q: Sequence[float]) -> Configuration:
-    """Inverse of :func:`coords_of_config`."""
+    """The in-gauge configuration whose slice coordinates, in
+    :func:`slice_columns` order, take the values ``q``."""
     cols = slice_columns(n, m)
     q = np.asarray(q, dtype=float)
     if q.shape != (len(cols),):

@@ -568,16 +568,18 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
     if hit is not None:
         return hit
 
-    def func(U: np.ndarray) -> Tuple[np.ndarray, int]:
+    def func(U: np.ndarray) -> Tuple[Tuple[np.ndarray], int]:
         x = np.tan(math.pi * (U[:, 0] - 0.5))
         t = U[:, 1]
         jac = math.pi * (1.0 + x * x) / (1.0 - t) ** 2
         z = x + 1j * (t / (1.0 - t))
         # z is vertex 0 and moves like the free point of a (1, 2) slice;
         # u (vertex 1) -> z and z -> v (vertex 2)
-        return frame_integrand([(1, 0), (0, 2)], [z, u, v], gauge_frame(1, 2, z), LOG) * jac, 0
+        (det,) = frame_integrand([(1, 0), (0, 2)], [z, u, v], gauge_frame(1, 2, z), (LOG,))
+        return (det * jac,), 0
 
-    return _contours.setdefault(key, qmc_mean(func, 2, samples, seed, threads)[:3])
+    (value,), (stderr,), total, _ = qmc_mean(func, 2, samples, seed, threads)
+    return _contours.setdefault(key, (value, stderr, total))
 
 
 def contour_check(u: complex, v: complex, samples: int, seed: int,

@@ -96,8 +96,7 @@ def _c(z: complex) -> List[float]:
 
 def check_wedge_weight(cfg: SuiteConfig) -> CheckResult:
     wedge = make_graph(1, 2, [(0, 1), (0, 2)])
-    ang = compute_weight(wedge, ANGLE, cfg.samples, cfg.seed, cfg.threads)
-    log = compute_weight(wedge, LOG, cfg.samples, cfg.seed, cfg.threads)
+    ang, log = compute_weight(wedge, (ANGLE, LOG), cfg.samples, cfg.seed, cfg.threads)
     tol = max(VANISHING_TOL, 3.0 * ang.stderr)
     ok_angle = abs(ang.value - 0.5) <= tol
     ok_log = abs(log.value - ang.value) <= 3.0 * (ang.stderr + log.stderr) + 1e-12

@@ -26,12 +26,12 @@ empties the plans of :mod:`kwl.forms` too, and every :func:`class_store`
 table: the class representatives, the stratum records and identity rows
 of :mod:`kwl.stokes` and the contour integrals of :mod:`kwl.operators`.
 
-One kernel pass can estimate several kinds: :func:`integrand_batch`,
-:func:`qmc_mean` and :func:`compute_weight` take a tuple of kinds, share
-everything but each kind's link sums, scale, Jacobian product and mean,
-and give each kind the value of its one-kind pass bit for bit.  An
-estimate's ``rejected`` counts the rows of its pass that are near a
-collision or non-finite in any of the pass's kinds.  On a miss,
+One kernel pass estimates a tuple of kinds: :func:`integrand_batch` and
+:func:`qmc_mean` give one entry per kind, sharing everything but each
+kind's link sums, scale, Jacobian product and mean, so each kind gets the
+value of its one-kind pass bit for bit; :func:`compute_weight` also takes
+one kind.  An estimate's ``rejected`` counts the rows of its pass that are
+near a collision or non-finite in any of the pass's kinds.  On a miss,
 :func:`cached_weight` estimates ``kind`` together with the ``kinds`` it
 is asked for and lacks: :func:`stokes.verify_identity` asks for both
 kinds, :func:`vanishing_check` and ``operators.u_n`` for none.
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import qmc
 from .forms import (ANGLE, check_kind, clear_plans, frame_integrand, frame_plan,
-                    kinds_of, pairing_matrices, pairing_scale)
+                    pairing_matrices, pairing_scale)
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
 from .halfplane import gauge_dim, gauge_frame, slice_map
 
@@ -113,8 +113,8 @@ def default_threads() -> int:
 # vectorized integrand evaluation
 
 
-def integrand_batch(g: Graph, kind, U: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Hypercube integrand values for a batch of sample points.
+def integrand_batch(g: Graph, kinds: Tuple[str, ...], U: np.ndarray) -> Tuple[tuple, int]:
+    """Hypercube integrand values of a batch of sample points, one per kind.
 
     Returns (values, rejected) where values already include the sampling
     Jacobian and samples within ``COLLISION_EPS`` of a collision are zeroed.
@@ -123,14 +123,12 @@ def integrand_batch(g: Graph, kind, U: np.ndarray) -> Tuple[np.ndarray, int]:
     dimension ``MIN_EXPANDED_DIM`` or more take :func:`forms.frame_integrand`,
     smaller ones ``np.linalg.det``.
 
-    For a tuple of kinds, values is a tuple of arrays from one pass, which
-    shares the slice map, each chunk's frame, the collision distances, the
-    edge terms and each complex pairing entry; the link sums, scale and
-    Jacobian product are per kind, so each array equals its one-kind pass
-    bit for bit.  ``rejected`` counts one mask for the pass: a row near a
-    collision or non-finite in any of the kinds, zeroed in all of them.
+    The kinds share the slice map, each chunk's frame, the collision
+    distances, the edge terms and each complex pairing entry; the link
+    sums, scale and Jacobian product are per kind, so each array equals its
+    one-kind pass bit for bit.  ``rejected`` counts one mask for the pass:
+    a row near a collision or non-finite in any kind, zeroed in all.
     """
-    kinds = kinds_of(kind)
     n, m = g.n, g.m
     Z, G, jac = slice_map(n, m, U)  # column-major: each point is contiguous
     B = U.shape[0]
@@ -171,7 +169,7 @@ def integrand_batch(g: Graph, kind, U: np.ndarray) -> Tuple[np.ndarray, int]:
     rejected = int(mask.sum())
     if rejected:
         vals = [np.where(mask, 0.0, v) for v in vals]
-    return (tuple(vals) if isinstance(kind, tuple) else vals[0]), rejected
+    return tuple(vals), rejected
 
 
 def _check_budget(samples: int, seed: int) -> None:
@@ -216,16 +214,15 @@ def _sobol_points(dim: int, seed: int, batch: int, n: int) -> np.ndarray:
 
 
 def qmc_mean(func, dim: int, samples: int, seed: int,
-             threads: Optional[int] = None) -> Tuple[complex, float, int, int]:
-    """Batched scrambled-QMC mean of ``func(U) -> (values, rejected)`` over
-    the ``dim``-dimensional unit hypercube.
+             threads: Optional[int] = None) -> Tuple[tuple, tuple, int, int]:
+    """Batched scrambled-QMC means of ``func(U) -> (values, rejected)`` over
+    the ``dim``-dimensional unit hypercube, ``values`` a tuple of arrays.
 
     The budget is rounded up so the 16 batches are equal powers of two;
     batch ``b`` uses the Sobol stream seeded by ``(seed, b)``, and batches
     share pool tasks up to ``TASK_ROWS`` rows, for every thread count.
-    Returns (value, stderr, actual sample count, rejected sample count).
-    When ``values`` is a tuple of arrays, each is averaged on its own and
-    value and stderr are tuples of theirs.
+    Returns (values, stderrs, actual sample count, rejected sample count),
+    one value and stderr per array, each averaged on its own.
     """
     _check_budget(samples, seed)
     nthreads = threads if threads is not None else default_threads()
@@ -240,22 +237,19 @@ def qmc_mean(func, dim: int, samples: int, seed: int,
             # Sobol points can include exact zeros; nudge off the faces
             U = np.clip(_sobol_points(dim, seed, batch, per_batch), 1e-15, 1.0 - 1e-15)
             vals, rejected = func(U)
-            out.append((tuple(complex(np.mean(v)) for v in vals) if isinstance(vals, tuple)
-                        else complex(np.mean(vals)), rejected))
+            out.append((tuple(complex(np.mean(v)) for v in vals), rejected))
         return out
 
     with ThreadPoolExecutor(max_workers=nthreads) as ex:
         results = [r for part in ex.map(task, range(0, BATCHES, group)) for r in part]
 
-    batch_means = [r[0] for r in results]
-    several = isinstance(batch_means[0], tuple)
     stats = []
-    for column in zip(*batch_means) if several else [batch_means]:
+    for column in zip(*(r[0] for r in results)):
         means = np.array(column, dtype=complex)  # one kind: its own summation order
         value = complex(means.mean())
         var = float(np.sum(np.abs(means - value) ** 2)) / (BATCHES - 1)
         stats.append((value, math.sqrt(var / BATCHES)))
-    value, stderr = zip(*stats) if several else stats[0]
+    value, stderr = zip(*stats)
     return value, stderr, per_batch * BATCHES, sum(r[1] for r in results)
 
 
@@ -313,12 +307,16 @@ def compute_weight(g: Graph, kind, samples: int, seed: int,
     the value is the deterministic QMC estimate at the requested sample
     budget, rounded up so the 16 batches are balanced powers of two.
 
-    For a tuple of kinds one kernel pass (:func:`integrand_batch`) gives a
-    tuple of estimates, each bit-identical to its one-kind estimate save
-    ``rejected``, which counts the rows rejected in any of the kinds.
+    ``kind`` is one kind, giving one estimate, or a non-empty tuple of
+    kinds, giving a tuple of estimates from one kernel pass
+    (:func:`integrand_batch`), each bit-identical to its one-kind estimate
+    save ``rejected``, which counts the rows rejected in any of the kinds.
     """
-    kinds = kinds_of(kind)
-    _check_budget(samples, seed)
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not kinds:
+        raise ValueError("no propagator kind given")
+    for k in kinds:
+        check_request(k, samples, seed)
     exact = _degree_weight(g)
     if exact is not None:
         ests = tuple(_exact(exact, g, k, seed) for k in kinds)

@@ -18,8 +18,9 @@ import numpy as np
 
 from kwl import graphs, stokes
 from kwl.graphs import TYPE_I, TYPE_II
-from kwl.halfplane import (config_from_coords, coords_of_config, expand_cluster, gauge_dim,
-                           make_configuration, sample_configuration)
+from kwl.halfplane import config_from_coords, expand_cluster, gauge_dim, make_configuration
+
+from slice_coords import coords_of_config, sample_configuration
 
 
 def regauge(aerial, ground):

@@ -1,14 +1,32 @@
 """Finite-difference reference for edge pairings.
 
-Each entry is a central difference of :func:`kwl.forms.edge_function`
-along one frame vector, so it checks :func:`kwl.forms.pairing_matrices`
-(and every integrand built on it) against the edge potential itself.
+Each entry is a central difference of :func:`edge_function` along one
+frame vector, so it checks :func:`kwl.forms.pairing_matrices` (and every
+integrand built on it) against the edge potential itself.
 """
+
+import cmath
+import math
 
 import numpy as np
 
-from kwl.forms import ANGLE, edge_function
+from kwl.forms import ANGLE, TWO_PI, check_kind
 from kwl.halfplane import gauge_frame
+
+
+def edge_function(kind, z, w):
+    """Value of the edge potential at source ``z`` (aerial) and target ``w``.
+
+    ``angle``: arg((z-w)/(conj(z)-w)) / 2pi with the argument in (-pi, pi].
+    ``log``:   principal log of the same ratio, divided by 2*pi*i.
+    """
+    check_kind(kind)
+    if abs(z - w) < 1e-15:
+        raise ValueError("coincident points")
+    ratio = (z - w) / (z.conjugate() - w)
+    if kind == ANGLE:
+        return complex(cmath.phase(ratio) / TWO_PI, 0.0)
+    return cmath.log(ratio) / (2j * math.pi)
 
 
 def slice_points_and_frame(cfg):

@@ -1,6 +1,6 @@
 """What the benchmark reads of kwl, checked on kwl's side.
 
-``bench/tracer.py`` times ``integrand_batch(g, kind(s), U)`` by its
+``bench/tracer.py`` times ``integrand_batch(g, kinds, U)`` by its
 positional arguments and reads ``result[1]`` as the rejected-row count;
 ``bench/run.py`` turns the spans into the per-layer metrics.  A two-kind
 identity pass must still give it finite numbers.  ``bench/workloads.py``

@@ -189,6 +189,17 @@ def test_bad_json_input_exit_2(command, flag, value, tmp_path, monkeypatch, caps
     assert "bad input" in err
 
 
+@pytest.mark.parametrize("command", ["star", "associativity"])
+def test_huge_exponent_exit_2(command, capsys):
+    # differentiating x^(10^400) needs the exponent as a float
+    f = _poly_json(monomial=(10 ** 400, 0))
+    argv = [command, "--poisson", _bivector_json(), "--f", f, "--g", _poly_json((0, 1)),
+            "--order", "1", "--samples", "1000"]
+    if command == "associativity":
+        argv += ["--h", _poly_json()]
+    assert "too large" in assert_usage_error(argv, capsys)
+
+
 def test_non_finite_result_exit_2(capsys):
     # products of 1e200 coefficients overflow: the residuals are NaN, which
     # JSON cannot carry

@@ -54,10 +54,12 @@ def graph_texts(draw, min_aerial=0):
 @st.composite
 def poisson_inputs(draw):
     """JSON of a bivector and three polynomials in one dimension, with rare
-    faults: bad indices, exponents, monomial lengths, coefficients, text."""
+    faults: bad indices, negative or huge exponents, monomial lengths,
+    coefficients, text."""
     dim = draw(st.integers(2, 3))
+    huge = st.lists(st.sampled_from([0, 1, 10 ** 160, 10 ** 400]), min_size=dim, max_size=dim)
     monomial = _rare(st.lists(st.integers(0, 2), min_size=dim, max_size=dim),
-                     st.lists(st.integers(-1, 2), max_size=dim + 1))
+                     st.one_of(st.lists(st.integers(-1, 2), max_size=dim + 1), huge))
     coeff = _rare(st.one_of(st.integers(-2, 2), st.floats(-2, 2)),
                   st.sampled_from(["x", None, True, 1e400]))
     pair = _rare(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True)

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from kwl.forms import (ANGLE, LOG, cluster_frames, contracted_integrand, edge_function,
+from kwl.forms import (ANGLE, LOG, cluster_frames, contracted_integrand,
                        frame_integrand, integrand, pairing_matrices, pairing_plan,
                        pairing_scale, plan_det, shape_tangent_basis)
 from kwl.graphs import (TYPE_I, canonical_graph, canonical_key, collapse_layout,
                         contract, edge_sort_parity, enumerate_graphs, make_graph,
                         parse_graph)
-from kwl.halfplane import (degenerating_family, gauge_dim, gauge_frame,
-                           make_configuration, sample_configuration)
+from kwl.halfplane import degenerating_family, gauge_dim, gauge_frame, make_configuration
 
-from fd_pairing import fd_integrand, fd_pairing, slice_points_and_frame
+from fd_pairing import edge_function, fd_integrand, fd_pairing, slice_points_and_frame
+from slice_coords import sample_configuration
 
 WEDGE = make_graph(1, 2, [(0, 1), (0, 2)])
 
@@ -287,7 +287,7 @@ def test_plan_matches_dense_det_on_each_class_pattern():
             M = pairing_matrices(g.edges, points, frame)
             M = M.imag if kind == ANGLE else M
             scale = np.prod(np.abs(M).max(axis=2), axis=1)
-            got = plan_det(plan, g.edges, points, frame, kind)
+            got = plan_det(plan, g.edges, points, frame, (kind,))[0]
             assert got.dtype == M.dtype and got.shape == (rows,)
             assert np.all(np.abs(got - np.linalg.det(M)) <= 1e-13 * scale), (g, kind)
 
@@ -301,7 +301,7 @@ def test_plan_matches_the_finite_difference_oracle():
             points, frame = slice_points_and_frame(cfg)
             points = [np.array([z]) for z in points]
             for kind in (ANGLE, LOG):
-                got = plan_det(plan, g.edges, points, frame, kind)[0]
+                got = plan_det(plan, g.edges, points, frame, (kind,))[0][0]
                 got *= pairing_scale(kind, len(g.edges))
                 want, bound = fd_integrand(g, kind, cfg)
                 assert abs(got - want) < 1e-8 * bound, (g, kind)
@@ -314,7 +314,7 @@ def test_empty_plan_gives_zeros_of_the_kind_dtype():
     assert pairing_plan(g.edges, frame) == ()
     points = [np.full(3, 1j * (v + 1)) for v in range(4)]
     for kind, dtype in ((ANGLE, float), (LOG, complex)):
-        got = plan_det((), g.edges, points, frame, kind)
+        got = plan_det((), g.edges, points, frame, (kind,))[0]
         assert got.dtype == dtype and got.shape == (3,) and not got.any()
     with pytest.raises(ValueError, match="frame columns"):
         pairing_plan(g.edges[:5], frame)
@@ -324,9 +324,9 @@ def test_no_edges_on_no_columns_is_a_determinant_of_one():
     assert pairing_plan((), []) == ()
     points = [np.zeros(3), np.ones(3)]
     for kind, dtype in ((ANGLE, float), (LOG, complex)):
-        got = frame_integrand((), points, [], kind)
+        got = frame_integrand((), points, [], (kind,))[0]
         assert got.dtype == dtype and got.shape == (3,) and np.all(got == 1)
-        assert frame_integrand((), [0.0, 1.0], [], kind) == 1
+        assert frame_integrand((), [0.0, 1.0], [], (kind,))[0] == 1
     cfg = make_configuration([], [0.0, 1.0])
     assert integrand(parse_graph("0 2 ;"), ANGLE, cfg) == 1
 
@@ -348,8 +348,8 @@ def test_scalar_points_match_one_row_arrays_and_the_dense_det():
         points, frame = slice_points_and_frame(cfg)
         rows = [np.array([z]) for z in points]
         for kind in (ANGLE, LOG):
-            scalar = plan_det(_plan(g), g.edges, points, frame, kind)
-            row = plan_det(_plan(g), g.edges, rows, frame, kind)
+            scalar = plan_det(_plan(g), g.edges, points, frame, (kind,))[0]
+            row = plan_det(_plan(g), g.edges, rows, frame, (kind,))[0]
             assert np.shape(scalar) == () and row.shape == (1,)
             assert _dense_agrees(g.edges, points, frame, kind, scalar), (g, kind)
             assert _dense_agrees(g.edges, points, frame, kind, row[0]), (g, kind)
@@ -379,7 +379,7 @@ def test_plan_matches_dense_det_on_cluster_frames():
         columns = cluster_frames(cfg, layout)
         for edges, frame in ((g.edges, columns), (g.edges[:-1], columns[:1] + columns[2:])):
             for kind in (ANGLE, LOG):
-                got = plan_det(pairing_plan(edges, frame), edges, points, frame, kind)
+                got = plan_det(pairing_plan(edges, frame), edges, points, frame, (kind,))[0]
                 assert _dense_agrees(edges, points, frame, kind, got), (g, layout.subset, kind)
                 cases += 1
     assert cases == 4 * 652

@@ -7,10 +7,12 @@ import pytest
 from kwl import suite
 from kwl.graphs import TYPE_I, TYPE_II, collapse_layout
 from kwl.halfplane import (NestedFamily, center_of_mass,
-                           chart_membership, config_from_coords, coords_of_config,
+                           chart_membership, config_from_coords,
                            degenerating_family, gauge_dim, gauge_frame,
                            gcd_families, make_configuration, normalized_shape,
-                           sample_configuration, slice_map, torus_rotate)
+                           slice_map, torus_rotate)
+
+from slice_coords import coords_of_config, sample_configuration
 
 
 def test_sample_zero_dimensional():

@@ -13,8 +13,8 @@ from scipy.stats import qmc as scipy_qmc
 
 from kwl import forms, halfplane, qmc, suite, weights
 from kwl.forms import ANGLE, LOG, frame_plan
-from kwl.graphs import (canonical_graph, canonical_key, encode_graph, enumerate_graphs,
-                        make_graph, parse_graph)
+from kwl.graphs import (TYPE_I, canonical_graph, canonical_key, collapse_layout,
+                        encode_graph, enumerate_graphs, make_graph, parse_graph)
 from kwl.halfplane import gauge_dim, gauge_frame
 from kwl.weights import (BATCHES, CHUNK_ROWS, COLLISION_EPS, MIN_EXPANDED_DIM,
                          NO_OUTGOING, ONE_IN_ONE_OUT, UNIVALENT, WHEEL,
@@ -23,6 +23,7 @@ from kwl.weights import (BATCHES, CHUNK_ROWS, COLLISION_EPS, MIN_EXPANDED_DIM,
                          integrand_batch, qmc_mean, vanishing_check)
 
 from fd_pairing import fd_integrand
+from slice_coords import sample_configuration
 
 WEDGE = make_graph(1, 2, [(0, 1), (0, 2)])
 G40 = parse_graph("4 0 ; a1>a2 a1>a3 a2>a3 a2>a4 a3>a4 a4>a1")
@@ -127,7 +128,7 @@ def test_thread_count_below_one_rejected(monkeypatch):
         with pytest.raises(ValueError, match="thread count"):
             compute_weight(WEDGE, ANGLE, 10, 1, threads=threads)
         with pytest.raises(ValueError, match="thread count"):
-            qmc_mean(lambda U: (np.ones(len(U)), 0), 2, 100, 1, threads=threads)
+            qmc_mean(lambda U: ((np.ones(len(U)),), 0), 2, 100, 1, threads=threads)
     monkeypatch.setenv("KWL_THREADS", "0")
     with pytest.raises(ValueError, match="thread count"):
         compute_weight(WEDGE, ANGLE, 10, 1)
@@ -140,6 +141,16 @@ def test_unknown_kind_rejected():
     clear_weight_cache()  # the kinds estimated with ``kind`` are checked on a miss
     with pytest.raises(ValueError, match="kind"):
         cached_weight(WEDGE, ANGLE, 10, 1, kinds=("harmonic",))
+    # the single-kind integrands check their kind before the kernel sees it
+    with pytest.raises(ValueError, match="kind"):
+        forms.integrand(WEDGE, "harmonic", halfplane.make_configuration([1j], [0.0, 1.0]))
+    pair = collapse_layout(2, 1, [0, 1], TYPE_I)
+    s = 1 / math.sqrt(2)
+    cfg = halfplane.degenerating_family(halfplane.make_configuration([1j], [0.0]), pair,
+                                        (s, -s), 1e-3)
+    with pytest.raises(ValueError, match="kind"):
+        forms.contracted_integrand(parse_graph("2 1 ; a1>a2 a1>g1 a2>g1"), "harmonic",
+                                   cfg, pair)
 
 
 def test_default_threads_counts_the_cpus_the_process_may_run_on(monkeypatch):
@@ -156,7 +167,7 @@ def test_default_threads_counts_the_cpus_the_process_may_run_on(monkeypatch):
 def _assert_rows_match_fd(g, kind, U, vals, rows):
     # reference: determinant of central differences of the edge potentials
     for k in rows:
-        cfg, jac = halfplane.sample_configuration(g.n, g.m, U[k])
+        cfg, jac = sample_configuration(g.n, g.m, U[k])
         det, bound = fd_integrand(g, kind, cfg)
         want = det * jac
         assert abs(vals[k] - want) < 1e-8 * bound * jac, (g, kind, k)
@@ -180,7 +191,7 @@ def test_vectorized_kernel_matches_scalar():
         d = halfplane.gauge_dim(g.n, g.m)
         U = rng.uniform(0.1, 0.9, size=(B, d))
         for kind in (ANGLE, LOG):
-            vals, rejected = integrand_batch(g, kind, U)
+            (vals,), rejected = integrand_batch(g, (kind,), U)
             assert vals.shape == (B,) and rejected == 0
             _assert_rows_match_fd(g, kind, U, vals, rows)
 
@@ -195,7 +206,7 @@ def test_kernel_zeroes_near_collision_rows():
     Z, G, _ = halfplane.slice_map(3, 1, U[bad:bad + 1])
     assert abs(Z[0, 1] - G[0, 0]) < COLLISION_EPS
     for kind in (ANGLE, LOG):
-        vals, rejected = integrand_batch(G31, kind, U)
+        (vals,), rejected = integrand_batch(G31, (kind,), U)
         assert rejected == 1
         assert vals[bad] == 0
         _assert_rows_match_fd(G31, kind, U, vals, [bad - 1, bad + 1])
@@ -233,7 +244,7 @@ def test_kernel_mask_needs_no_mirror_distances():
     old = _mask_with_mirror_distances(G31, U)
     assert list(np.flatnonzero(old)) == [1, 2, 3, 4, 5]
     for kind in (ANGLE, LOG):
-        vals, rejected = integrand_batch(G31, kind, U)
+        (vals,), rejected = integrand_batch(G31, (kind,), U)
         assert rejected == old.sum()
         assert list(np.flatnonzero(vals == 0)) == list(np.flatnonzero(old))
 
@@ -247,7 +258,8 @@ def test_slice_map_and_kernel_ignore_the_layout_of_U():
         for c, f in zip(halfplane.slice_map(g.n, g.m, U), halfplane.slice_map(g.n, g.m, F)):
             assert c.shape == f.shape and c.tobytes() == f.tobytes()
         for kind in (ANGLE, LOG):
-            (vc, rc), (vf, rf) = integrand_batch(g, kind, U), integrand_batch(g, kind, F)
+            (vc,), rc = integrand_batch(g, (kind,), U)
+            (vf,), rf = integrand_batch(g, (kind,), F)
             assert rc == rf and vc.tobytes() == vf.tobytes()
 
 
@@ -409,7 +421,7 @@ def test_pairing_roundoff_classes_stay_at_roundoff():
         g = parse_graph(text)
         assert frame_plan(g.edges, gauge_frame(g.n, g.m, 1.0))
         for kind in (ANGLE, LOG):
-            vals, _ = integrand_batch(g, kind, U)
+            (vals,), _ = integrand_batch(g, (kind,), U)
             assert np.abs(vals).mean() < 1e-15, (text, kind)
             assert abs(compute_weight(g, kind, 1 << 14, 5).value) < 1e-15, (text, kind)
 
@@ -454,8 +466,8 @@ def test_vanishing_check_examples():
 def test_qmc_mean_constant():
     # every batch of 2^k Sobol points puts exactly half its first
     # coordinates below 1/2: the rejected counts of the 16 batches add up
-    val, err, ns, rejected = qmc_mean(
-        lambda U: (np.full(len(U), 2.5), int((U[:, 0] < 0.5).sum())), 3, 10 ** 4, 1)
+    (val,), (err,), ns, rejected = qmc_mean(
+        lambda U: ((np.full(len(U), 2.5),), int((U[:, 0] < 0.5).sum())), 3, 10 ** 4, 1)
     assert val == pytest.approx(2.5, abs=1e-12)
     assert err < 1e-12
     assert ns == BATCHES * 1024
@@ -464,7 +476,7 @@ def test_qmc_mean_constant():
 
 def test_qmc_mean_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be nonnegative"):
-        qmc_mean(lambda U: (np.ones(len(U)), 0), 2, 100, -1)
+        qmc_mean(lambda U: ((np.ones(len(U)),), 0), 2, 100, -1)
 
 
 @pytest.mark.parametrize("samples", [10 ** 400, (BATCHES << qmc.BITS) + 1],
@@ -547,7 +559,7 @@ def _reference_batches(g, kind, samples, seed):
     for batch in range(BATCHES):
         U = _scipy_points(gauge_dim(g.n, g.m), seed, batch, per_batch)
         U = np.clip(U, 1e-15, 1.0 - 1e-15)
-        vals, rejected = integrand_batch(g, kind, U)
+        (vals,), rejected = integrand_batch(g, (kind,), U)
         results.append((complex(np.mean(vals)), rejected))
     means = np.array([r[0] for r in results], dtype=complex)
     value = complex(means.mean())
