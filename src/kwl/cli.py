@@ -84,7 +84,7 @@ def cmd_vanish(args) -> int:
 
 def cmd_verify_identity(args) -> int:
     rep = verify_identity(parse_graph(args.graph), args.kind, args.samples, args.seed,
-                          threads=args.threads)
+                          threads=args.threads, kinds=(args.kind,))
     _print_json(rep.to_json_dict())
     return 0 if rep.passed else CHECK_FAILURE
 

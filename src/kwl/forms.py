@@ -48,8 +48,11 @@ def check_kind(kind: str) -> None:
 
 def edge_terms(zs, zt):
     """Terms ``a = 1/(zs - zt)`` and ``b = 1/(conj(zs) - zt)`` of an edge
-    ``(s, t)``, whose pairings combine them (:func:`pairing_entry`)."""
-    return 1.0 / (zs - zt), 1.0 / (zs.conjugate() - zt)
+    ``(s, t)``, whose pairings combine them (:func:`pairing_entry`).  A
+    real ``zt`` gives ``b = conj(a)``, as Smith's division (numpy's and
+    CPython's) commutes with conjugation up to the sign of a zero."""
+    a = 1.0 / (zs - zt)
+    return a, a.conjugate() if np.isrealobj(zt) else 1.0 / (zs.conjugate() - zt)
 
 
 def pairing_entry(a, b, vs, vt):
@@ -125,15 +128,19 @@ def plan_det(plan, edges: Sequence[Tuple[int, int]], points: Sequence,
     pass takes each used entry once from :func:`pairing_entry`, the angle
     kind reading its imaginary part, and each kind sums its links in the
     plan's order row by row, so a row's value depends neither on the batch
-    nor on the other kinds.  An empty plan gives exact zeros, or ones when
-    there are no edges."""
+    nor on the other kinds.  A reversed edge ``(t, s)`` takes the terms of
+    ``(s, t)`` as ``(-a, -conj(b))``, equal up to the sign of a zero.  An
+    empty plan gives exact zeros, or ones when there are no edges."""
     if not plan:
         shape = next((p.shape for p in points if isinstance(p, np.ndarray)), ())
         return tuple(np.full(shape, 0.0 if edges else 1.0,
                              dtype=float if k == ANGLE else complex) for k in kinds)
     minors: List[Dict[int, np.ndarray]] = [{} for _ in kinds]
+    terms: Dict[Tuple[int, int], tuple] = {}
     for (s, t), links in zip(edges, plan):
-        a, b = edge_terms(points[s], points[t])
+        rev = terms.get((t, s))
+        a, b = terms[s, t] = (edge_terms(points[s], points[t]) if rev is None
+                              else (-rev[0], -rev[1].conjugate()))
         entries: Dict[int, np.ndarray] = {}
         for i, k in enumerate(kinds):
             prev, level = minors[i], {}

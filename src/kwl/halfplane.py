@@ -131,24 +131,29 @@ def slice_map(n: int, m: int, U: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np
     Returns aerial points ``(B, n)``, ground points ``(B, m)`` and the
     (positive) Jacobians ``(B,)``, so that integrating ``integrand *
     jacobian`` over the hypercube equals the integral of the integrand over
-    the slice in its coordinate orientation.  ``U`` is read and the points
-    are stored column-major, so the values do not depend on ``U``'s layout.
+    the slice in its coordinate orientation.  ``U`` is read column-major
+    (:class:`qmc.Sobol`'s draws with no copy) and each point column is
+    written once, in place, so the values do not depend on ``U``'s layout.
     """
     cols = slice_columns(n, m)
     B, d = U.shape
     if d != len(cols):
         raise ValueError(f"expected {len(cols)} hypercube coordinates per row, got {d}")
     U = np.asfortranarray(U)
-    aerial, ground = _pinned_points(n, m)
     Z = np.empty((B, n), dtype=complex, order="F")
     G = np.empty((B, m), dtype=float, order="F")
-    Z[:] = aerial
-    G[:] = ground
+    aerial, ground = _pinned_points(n, m)
+    free = {v for v, _ in cols}
+    for v, p in enumerate(aerial + ground):
+        if v not in free:
+            (Z[:, v] if v < n else G[:, v - n])[:] = p
     jac = np.ones(B, dtype=float)
     for pos, (v, mode) in enumerate(cols):
         u = U[:, pos]
         if mode == "phi":
-            Z[:, v] = np.exp(1j * (math.pi * u))
+            t = math.pi * u
+            np.cos(t, out=Z[:, v].real)
+            np.sin(t, out=Z[:, v].imag)
             jac *= math.pi
         elif mode == "x":
             x = np.tan(math.pi * (u - 0.5))
@@ -157,7 +162,7 @@ def slice_map(n: int, m: int, U: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np
         elif mode == "y":  # follows the "x" column of the same point
             s = u / (1.0 - u)
             e = np.exp(-1.0 / s)
-            Z[:, v] += 1j * np.maximum(s * s * e, 1e-300)
+            np.maximum(s * s * e, 1e-300, out=Z[:, v].imag)
             jac *= e * (2.0 * s + 1.0) / (1.0 - u) ** 2
         else:
             G[:, v - n] = G[:, v - n - 1] + u / (1.0 - u)

@@ -8,7 +8,8 @@ matrix scramble plus a digital shift (J. Matousek, J. Complexity 14
 (1998) 527-556).  The shift and the matrices are drawn from a spawned
 child of the given generator in the order ``scipy.stats.qmc.Sobol(d,
 scramble=True, rng=seed)`` draws them, so the points are scipy's, bit for
-bit.  Points have ``BITS`` binary digits and come in Gray-code order.
+bit.  Points have ``BITS`` binary digits, come in Gray-code order and
+are stored column-major, so the slice map reads each coordinate in place.
 """
 
 from __future__ import annotations
@@ -87,16 +88,16 @@ class Sobol:
         self._steps = v.astype(np.uint64) << _MANTISSA
 
     def random(self, n: int) -> np.ndarray:
-        """The first ``n`` points, ``(n, d)`` floats in [0, 1)."""
+        """The first ``n`` points, ``(n, d)`` column-major floats in [0, 1)."""
         if not 1 <= n <= 1 << BITS:
             raise ValueError(f"point count must be 1..2^{BITS}, got {n}")
-        X = np.empty((n, self.d), dtype=np.uint64)
-        X[0] = self._first
+        X = np.empty((self.d, n), dtype=np.uint64)
+        X[:, 0] = self._first
         h, j = 1, 0
         while h < n:
             c = min(h, n - h)
-            np.bitwise_xor(X[:c], self._steps[j], out=X[h:h + c])
+            np.bitwise_xor(X[:, :c], self._steps[j, :, None], out=X[:, h:h + c])
             h, j = 2 * h, j + 1
         U = X.view(np.float64)
         U -= 1.0  # exact: 1 + x carries x's BITS digits
-        return U
+        return U.T

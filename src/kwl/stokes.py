@@ -198,15 +198,16 @@ class IdentityReport:
 
 
 def verify_identity(g: Graph, kind: str, samples: int, seed: int,
-                    threads: Optional[int] = None) -> IdentityReport:
+                    threads: Optional[int] = None,
+                    kinds: Tuple[str, ...] = KINDS) -> IdentityReport:
     """Sum the regularized boundary terms; the residual must vanish.
 
     Passes when |residual| <= 3 * combined stderr + IDENTITY_TOL.  Terms
     sharing a class's weight estimate carry fully correlated errors, so
     their sensitivities are summed per class representative before the
     independent pieces are combined in quadrature.  A class missing from
-    the cache is estimated under both kinds in one kernel pass, so the
-    other kind's identity at this budget and seed weighs nothing.
+    the cache is estimated under ``kind`` and ``kinds``, by default both,
+    in one pass, so their identities at this budget and seed weigh nothing.
     """
     check_request(kind, samples, seed)  # a warm row may need no weight
     row = _rows.get(g)
@@ -219,7 +220,7 @@ def verify_identity(g: Graph, kind: str, samples: int, seed: int,
     for i, shuffle, *factors in weighted:
         ws = []  # (value, stderr, representative) of the inner and the outer factor
         for exact, rep, parity in factors:
-            w = None if rep is None else cached_weight(rep, kind, samples, seed, threads, KINDS)
+            w = None if rep is None else cached_weight(rep, kind, samples, seed, threads, kinds)
             ws.append((exact, 0.0, None) if w is None else  # parity never makes a -0.0
                       (w.value if parity == 1 or w.value == 0 else -w.value, w.stderr, rep))
         (v_in, e_in, rep_in), (v_out, e_out, rep_out) = ws

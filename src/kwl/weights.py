@@ -14,7 +14,8 @@ Consecutive batches share a pool task up to ``TASK_ROWS`` rows.  Batch
 with the linear matrix scramble and digital shift of
 ``scipy.stats.qmc.Sobol``, bit for bit) depends only on (dim, seed, b), so
 it is built once and shared by every later weight, in any thread, until
-``clear_weight_cache``; drawing from an engine does not change it.
+``clear_weight_cache``; drawing from an engine does not change it.  Its
+column-major draws are clipped in place: ``func`` gets an F-contiguous ``U``.
 
 On slices of dimension ``MIN_EXPANDED_DIM`` or more the integrand is
 :func:`forms.frame_integrand`, the graph's column-subset recursion on the
@@ -34,7 +35,10 @@ one kind.  An estimate's ``rejected`` counts the rows of its pass that are
 near a collision or non-finite in any of the pass's kinds.  On a miss,
 :func:`cached_weight` estimates ``kind`` together with the ``kinds`` it
 is asked for and lacks: :func:`stokes.verify_identity` asks for both
-kinds, :func:`vanishing_check` and ``operators.u_n`` for none.
+kinds by default, :func:`vanishing_check` and ``operators.u_n`` for none.
+The collision mask takes distances only on rows where the real parts of
+some pair are within ``COLLISION_EPS``: as a floating-point ``hypot(x, y)
+>= |x|``, that prefilter changes no bit of the mask.
 """
 
 from __future__ import annotations
@@ -156,14 +160,13 @@ def integrand_batch(g: Graph, kinds: Tuple[str, ...], U: np.ndarray) -> Tuple[tu
             v *= jac
 
     # guard integrable singularities: zero out samples at near-collisions
-    # (a mirror image conj(z_i) is never closer to z_j than z_i is)
-    mind = np.full(B, np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            np.minimum(mind, np.abs(Z[:, i] - Z[:, j]), out=mind)
-        for k in range(m):
-            np.minimum(mind, np.abs(Z[:, i] - G[:, k]), out=mind)
-    mask = mind < COLLISION_EPS
+    # (a mirror image conj(z_i) is never closer to z_j than z_i is); exact
+    # distances only on rows where some pair's real parts are that close
+    pairs = [(point[i], q) for i in range(n) for q in point[i + 1:]]
+    near = np.flatnonzero(np.any([abs(p.real - q.real) < COLLISION_EPS for p, q in pairs], axis=0))
+    mind = np.min([abs(p[near] - q[near]) for p, q in pairs], axis=0, initial=np.inf)
+    mask = np.zeros(B, dtype=bool)
+    mask[near] = mind < COLLISION_EPS
     for v in vals:
         mask |= ~np.isfinite(v)
     rejected = int(mask.sum())
@@ -235,7 +238,8 @@ def qmc_mean(func, dim: int, samples: int, seed: int,
         out = []
         for batch in range(lo, lo + group):
             # Sobol points can include exact zeros; nudge off the faces
-            U = np.clip(_sobol_points(dim, seed, batch, per_batch), 1e-15, 1.0 - 1e-15)
+            U = _sobol_points(dim, seed, batch, per_batch)
+            np.clip(U, 1e-15, 1.0 - 1e-15, out=U)
             vals, rejected = func(U)
             out.append((tuple(complex(np.mean(v)) for v in vals), rejected))
         return out

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kwl import suite
+from kwl import suite, weights
 from kwl.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -249,6 +249,15 @@ def test_verify_identity_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["passed"]
+
+
+def test_verify_identity_command_weighs_only_its_kind(capsys):
+    weights.clear_weight_cache()
+    code, _ = run_cli(["verify-identity", "--graph", "2 1 ; a1>a2 a2>g1",
+                       "--kind", "log", "--samples", "1024", "--seed", "3"], capsys)
+    assert code == 0
+    assert weights._cache and {key[1] for key in weights._cache} == {"log"}
+    weights.clear_weight_cache()
 
 
 def test_star_command(capsys):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kwl.forms import (ANGLE, LOG, cluster_frames, contracted_integrand,
+from kwl import forms
+from kwl.forms import (ANGLE, LOG, cluster_frames, contracted_integrand, edge_terms,
                        frame_integrand, integrand, pairing_matrices, pairing_plan,
                        pairing_scale, plan_det, shape_tangent_basis)
 from kwl.graphs import (TYPE_I, canonical_graph, canonical_key, collapse_layout,
@@ -383,3 +384,58 @@ def test_plan_matches_dense_det_on_cluster_frames():
                 assert _dense_agrees(edges, points, frame, kind, got), (g, layout.subset, kind)
                 cases += 1
     assert cases == 4 * 652
+
+
+def _edge_points(rng):
+    """Aerial sources and targets, 64 rows each of: generic points, pairs
+    1e-13 apart, points near |z| = 1e8, and heights near 1e-300."""
+    def aerial(scale, height):
+        return scale * rng.normal(size=64) + 1j * height * rng.uniform(0.5, 2.0, 64)
+    cases = []
+    for scale, height, gap in ((1.0, 1.0, None), (1.0, 1.0, 1e-13),
+                               (1e8, 1e8, None), (1.0, 1e-300, None)):
+        zs = aerial(scale, height)
+        zt = aerial(scale, height) if gap is None else zs + gap * aerial(1.0, 1.0)
+        cases.append((zs, zt))
+    return cases
+
+
+def _bits(*values):
+    """Bytes of complex values, none of whose parts may be a zero (whose
+    sign the edge-term identities leave open)."""
+    arrays = [np.asarray(v, dtype=complex) for v in values]
+    assert all(np.all(a.real != 0) and np.all(a.imag != 0) for a in arrays)
+    return [a.tobytes() for a in arrays]
+
+
+def test_edge_terms_of_a_reversed_edge_bit_for_bit():
+    # plan_det takes a reversed edge's terms as (-a, -conj(b)): exact
+    # under the sign symmetry of numpy's and CPython's Smith division
+    for zs, zt in _edge_points(np.random.default_rng(30)):
+        rows = [(zs, zt)] + [(complex(s), complex(t)) for s, t in zip(zs[:8], zt[:8])]
+        for s, t in rows:
+            a, b = edge_terms(s, t)
+            assert _bits(*edge_terms(t, s)) == _bits(-a, -b.conjugate())
+
+
+def test_edge_terms_of_a_real_target_bit_for_bit():
+    # b = 1/(conj(zs) - zt) is conj(a) when zt is real; the 1e-13 and
+    # 1e-300 rows sit just above their ground target
+    for zs, zt in _edge_points(np.random.default_rng(31)):
+        for xt in (zt.real, zs.real + 1e-13 * zt.real):
+            rows = [(zs, xt)] + [(complex(s), float(t)) for s, t in zip(zs[:8], xt[:8])]
+            for s, t in rows:
+                a, b = edge_terms(s, t)
+                assert _bits(a, b) == _bits(1.0 / (s - t), 1.0 / (s.conjugate() - t))
+                assert _bits(b) == _bits(a.conjugate())
+
+
+def test_plan_det_takes_edge_terms_once_per_vertex_pair(monkeypatch):
+    # a2>a1 and a3>a1 reverse a1>a2 and a1>a3
+    calls = []
+    monkeypatch.setattr(forms, "edge_terms", lambda zs, zt: calls.append(1) or edge_terms(zs, zt))
+    g = parse_graph("3 1 ; a1>a2 a1>a3 a2>a1 a2>g1 a3>a1")
+    cfg, _ = sample_configuration(3, 1, np.array([0.2, 0.3, 0.4, 0.6, 0.7]))
+    points, frame = slice_points_and_frame(cfg)
+    plan_det(_plan(g), g.edges, points, frame, (ANGLE, LOG))
+    assert len(calls) == 3

@@ -241,6 +241,18 @@ def test_identity_all_zero_terms():
     assert rep.residual == 0.0
 
 
+@pytest.mark.parametrize("kinds", [(LOG,), (ANGLE, LOG)])
+def test_identity_weighs_the_kinds_it_is_given(kinds):
+    # a cold identity check estimates its kind and the kinds it names, by
+    # default both; no weight of another kind enters the cache
+    weights.clear_weight_cache()
+    rep = verify_identity(EXAMPLE, LOG, 1 << 10, 3, kinds=kinds)
+    assert weights._cache and {key[1] for key in weights._cache} == set(kinds)
+    weights.clear_weight_cache()
+    assert verify_identity(EXAMPLE, LOG, 1 << 10, 3) == rep
+    assert {key[1] for key in weights._cache} == {ANGLE, LOG}
+
+
 def test_identity_report_json_shape():
     rep = verify_identity(EXAMPLE, LOG, 10 ** 4, 5)
     d = rep.to_json_dict()

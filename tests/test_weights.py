@@ -228,19 +228,33 @@ def _mask_with_mirror_distances(g, U):
 
 def test_kernel_mask_needs_no_mirror_distances():
     # planted rows of G31 (a1 on the circle; a2 and a3 free; g1 at 0):
-    # columns 1-2 place a2, columns 3-4 place a3
+    # columns 1-2 place a2, columns 3-4 place a3.  The kernel takes exact
+    # distances only where a pair's real parts are within COLLISION_EPS;
+    # rows 6 and 8-11 have one or both axis separations below it and are
+    # no collision
     rng = np.random.default_rng(6)
     U = rng.uniform(0.1, 0.9, size=(64, 5))
     x03 = math.atan(0.3) / math.pi + 0.5  # x = 0.3
+    x03_near = math.atan(0.3 + 0.8e-12) / math.pi + 0.5
+    s = 0.6 / 0.4  # the y column at u = 0.6, and dy/du there
+    y06_near = 0.6 + 0.8e-12 * 0.4 ** 2 / (math.exp(-1.0 / s) * (2.0 * s + 1.0))
     planted = {
         1: [0.5, 0.01], 2: [0.5, 0.02],                        # a2 on g1
         3: [0.4, 0.6, 0.4, 0.6], 4: [0.4, 0.6, 0.4, 0.6 + 1e-14],  # a2 on a3
         5: [x03, 0.01, x03, 0.0101],                           # both near the line
         6: [0.4, 0.6, 0.4, 0.6 + 1e-10],                       # close, not colliding
         7: [x03, 0.05, x03, 0.06],                             # close near the line
+        8: [0.4, 0.6, 0.41, 0.6],                              # same y, x apart
+        9: [0.5, 0.6],                                         # a2 above g1
+        10: [x03, 0.01],                                       # a2 on the line, off g1
+        11: [x03, 0.6, x03_near, y06_near],                    # 0.8e-12 on each axis
     }
     for row, cols in planted.items():
         U[row, 1:1 + len(cols)] = cols
+    Z, G, _ = halfplane.slice_map(3, 1, U)
+    assert Z[9, 1].real == G[9, 0] and Z[10, 1].imag < COLLISION_EPS
+    dx, dy = abs(Z[11, 1].real - Z[11, 2].real), abs(Z[11, 1].imag - Z[11, 2].imag)
+    assert 0.75e-12 < min(dx, dy) and max(dx, dy) < 0.85e-12
     old = _mask_with_mirror_distances(G31, U)
     assert list(np.flatnonzero(old)) == [1, 2, 3, 4, 5]
     for kind in (ANGLE, LOG):
@@ -526,7 +540,25 @@ def test_sobol_matches_scipy_bit_for_bit(dim, n):
         engine = qmc.Sobol(dim, seed=_batch_rng(seed, batch))
         want = _scipy_points(dim, seed, batch, n)
         for _ in range(2):  # a second draw from the same engine repeats the first
-            assert np.array_equal(engine.random(n), want), (seed, batch)
+            got = engine.random(n)
+            assert got.flags.f_contiguous and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (seed, batch)
+
+
+def test_qmc_mean_hands_func_column_major_points():
+    # the slice map then reads each coordinate without a copy
+    layouts = []
+    qmc_mean(lambda U: layouts.append(U.flags.f_contiguous) or ((np.ones(len(U)),), 0),
+             5, 1 << 12, 1)
+    assert layouts == [True] * BATCHES
+
+
+def test_phi_column_is_the_complex_exponential_bit_for_bit():
+    # slice_map writes cos and sin into the circle point's parts
+    U = _scipy_points(5, 4, 0, 1 << 16)
+    np.clip(U, 1e-15, 1.0 - 1e-15, out=U)
+    Z, _, _ = halfplane.slice_map(3, 1, U)
+    assert Z[:, 0].tobytes() == np.exp(1j * (math.pi * U[:, 0])).tobytes()
 
 
 @pytest.mark.parametrize("dim", [0, qmc.MAX_DIM + 1])
