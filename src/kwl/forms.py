@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,25 +122,32 @@ def pairing_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) ->
 
 
 def plan_det(plan, edges: Sequence[Tuple[int, int]], points: Sequence,
-             frame: Sequence[Velocity], kinds: Tuple[str, ...]) -> tuple:
+             frame: Sequence[Velocity], kinds: Tuple[str, ...],
+             terms: Optional[dict] = None) -> tuple:
     """Determinants of :func:`pairing_matrices` by a :func:`pairing_plan`,
     one per kind in ``kinds``, for scalar or row-array ``points``.  One
     pass takes each used entry once from :func:`pairing_entry`, the angle
     kind reading its imaginary part, and each kind sums its links in the
     plan's order row by row, so a row's value depends neither on the batch
-    nor on the other kinds.  A reversed edge ``(t, s)`` takes the terms of
-    ``(s, t)`` as ``(-a, -conj(b))``, equal up to the sign of a zero.  An
-    empty plan gives exact zeros, or ones when there are no edges."""
+    nor on the other kinds.  ``terms`` memoizes :func:`edge_terms` by
+    ordered vertex pair and may be shared by every graph on the same
+    ``points``; a reversed edge ``(t, s)`` takes the terms of ``(s, t)`` as
+    ``(-a, -conj(b))``, equal up to the sign of a zero.  An empty plan
+    gives exact zeros, or ones when there are no edges."""
     if not plan:
         shape = next((p.shape for p in points if isinstance(p, np.ndarray)), ())
         return tuple(np.full(shape, 0.0 if edges else 1.0,
                              dtype=float if k == ANGLE else complex) for k in kinds)
     minors: List[Dict[int, np.ndarray]] = [{} for _ in kinds]
-    terms: Dict[Tuple[int, int], tuple] = {}
+    if terms is None:
+        terms = {}
     for (s, t), links in zip(edges, plan):
-        rev = terms.get((t, s))
-        a, b = terms[s, t] = (edge_terms(points[s], points[t]) if rev is None
-                              else (-rev[0], -rev[1].conjugate()))
+        ab = terms.get((s, t))
+        if ab is None:
+            rev = terms.get((t, s))
+            ab = terms[s, t] = (edge_terms(points[s], points[t]) if rev is None
+                                else (-rev[0], -rev[1].conjugate()))
+        a, b = ab
         entries: Dict[int, np.ndarray] = {}
         for i, k in enumerate(kinds):
             prev, level = minors[i], {}
@@ -180,12 +187,13 @@ def clear_plans() -> None:
 
 
 def frame_integrand(edges: Sequence[Tuple[int, int]], points: Sequence,
-                    frame: Sequence[Velocity], kinds: Tuple[str, ...]) -> tuple:
+                    frame: Sequence[Velocity], kinds: Tuple[str, ...],
+                    terms: Optional[dict] = None) -> tuple:
     """Normalized pairing determinants of ``edges`` with ``frame``, one per
     kind in ``kinds``: the :func:`plan_det` of their :func:`frame_plan`
-    times :func:`pairing_scale`, for scalar or row-array ``points`` and any
-    sparse frame columns."""
-    dets = plan_det(frame_plan(edges, frame), edges, points, frame, kinds)
+    (sharing the edge-term memo ``terms``) times :func:`pairing_scale`, for
+    scalar or row-array ``points`` and any sparse frame columns."""
+    dets = plan_det(frame_plan(edges, frame), edges, points, frame, kinds, terms)
     return tuple(d * pairing_scale(k, len(edges)) for d, k in zip(dets, kinds))
 
 

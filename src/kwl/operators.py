@@ -23,8 +23,8 @@ import numpy as np
 from .forms import LOG, check_kind, frame_integrand
 from .graphs import Graph, edge_sort_parity, enumerate_graphs, encode_graph
 from .halfplane import gauge_frame
-from .weights import (cached_weight, class_store, detect_vanishing_pattern, qmc_mean,
-                      vanishing_check)
+from .weights import (cached_weight, class_store, detect_vanishing_pattern,
+                      prefetch_weights, qmc_mean, vanishing_check)
 
 Monomial = Tuple[int, ...]
 Poly = Dict[Monomial, object]  # exponent tuple -> int | Fraction | float | complex
@@ -360,12 +360,14 @@ def u_n(kind: str, multivectors: Sequence[PolyMultivector], samples: int,
     value = MultiDiffOperator(dim, m)
     error = MultiDiffOperator(dim, m)
     degs = [mv.degree for mv in multivectors]
+    ops = []
     for g in enumerate_graphs(n, m, e):
-        if any(g.out_degree(v) != degs[v] for v in range(n)):
-            continue
-        dop = d_gamma(g, multivectors)
-        if not dop.terms:
-            continue
+        if all(g.out_degree(v) == degs[v] for v in range(n)):
+            dop = d_gamma(g, multivectors)
+            if dop.terms:
+                ops.append((g, dop))
+    prefetch_weights([g for g, _ in ops], kind, samples, seed, threads)
+    for g, dop in ops:
         w = cached_weight(g, kind, samples, seed, threads)
         if w.value != 0:
             value = value.plus(dop.scaled(complex(w.value)))

@@ -25,7 +25,8 @@ from .halfplane import (NestedFamily, chart_membership, degenerating_family,
 from .operators import (STAR_TOL, bivector, check_associativity, check_globalization,
                         contour_check, star_product)
 from .stokes import IDENTITY_TOL, PROBE_TOL, counterterm_probe, verify_identity
-from .weights import VANISHING_TOL, compute_weight, detect_vanishing_pattern, vanishing_check
+from .weights import (VANISHING_TOL, compute_weight, detect_vanishing_pattern, prefetch_weights,
+                      vanishing_check)
 
 #: the smallest budget; the property check always draws it
 MIN_SAMPLES = 10_000
@@ -134,9 +135,10 @@ def _swept_graphs(deficit: int, one_per_class: bool = False):
 def check_structural_vanishing(cfg: SuiteConfig) -> CheckResult:
     rows = []
     ok = True
-    for g in _swept_graphs(0, one_per_class=True):
-        if detect_vanishing_pattern(g) is None:
-            continue
+    swept = [g for g in _swept_graphs(0, one_per_class=True)
+             if detect_vanishing_pattern(g) is not None]
+    prefetch_weights(swept, LOG, cfg.samples, cfg.seed, cfg.threads)
+    for g in swept:
         good, est, pattern, bound = vanishing_check(g, LOG, cfg.samples, cfg.seed,
                                                     threads=cfg.threads)
         ok = ok and good

@@ -20,12 +20,13 @@ column-major draws are clipped in place: ``func`` gets an F-contiguous ``U``.
 On slices of dimension ``MIN_EXPANDED_DIM`` or more the integrand is
 :func:`forms.frame_integrand`, the graph's column-subset recursion on the
 edge terms of each chunk; smaller slices keep ``np.linalg.det`` only for
-the benchmark tracer's ``weights.det`` span, until ROADMAP item 1.  A
-class whose plan is empty (no bijection from edges to frame columns)
-weighs an exact zero in :func:`cached_weight`.  ``clear_weight_cache``
-empties the plans of :mod:`kwl.forms` too, and every :func:`class_store`
-table: the class representatives, the stratum records and identity rows
-of :mod:`kwl.stokes` and the contour integrals of :mod:`kwl.operators`.
+the benchmark tracer's ``weights.det`` span, until kwl has its own timers
+(ROADMAP item 4).  A class whose plan is empty (no bijection from edges to
+frame columns) weighs an exact zero in :func:`cached_weight`.
+``clear_weight_cache`` empties the plans of :mod:`kwl.forms` too, and every
+:func:`class_store` table: the class representatives, the stratum records
+and identity rows of :mod:`kwl.stokes` and the contour integrals of
+:mod:`kwl.operators`.
 
 One kernel pass estimates a tuple of kinds: :func:`integrand_batch` and
 :func:`qmc_mean` give one entry per kind, sharing everything but each
@@ -39,6 +40,15 @@ kinds by default, :func:`vanishing_check` and ``operators.u_n`` for none.
 The collision mask takes distances only on rows where the real parts of
 some pair are within ``COLLISION_EPS``: as a floating-point ``hypot(x, y)
 >= |x|``, that prefilter changes no bit of the mask.
+
+:func:`compute_weights` estimates graphs that share (n, m) and edge count
+in one pass, of which :func:`compute_weight` and :func:`integrand_batch`
+are the one-graph case: the graphs share each batch's Sobol draw, slice map
+and collision distances, and each chunk's frame and edge terms per ordered
+vertex pair; each keeps its own plan and non-finite rows.
+:func:`prefetch_weights` runs one such pass per group for the classes
+``operators.u_n`` and ``suite.check_structural_vanishing`` will read;
+:func:`stokes.verify_identity` keeps its one-miss pass.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +82,7 @@ TASK_ROWS = 1 << 14
 #: slices of at least this dimension take :func:`forms.frame_integrand`;
 #: smaller ones keep ``np.linalg.det`` only for the benchmark tracer's
 #: ``weights.det`` span (it times the one- to three-edge weights of small
-#: identities there), until the tracer reads kwl's own spans (ROADMAP item 1)
+#: identities there), until the tracer reads kwl's own spans (ROADMAP item 4)
 MIN_EXPANDED_DIM = 4
 #: absolute floor of the bound on a measured weight's distance from its
 #: exact value (zero for the vanishing patterns)
@@ -121,43 +131,56 @@ def integrand_batch(g: Graph, kinds: Tuple[str, ...], U: np.ndarray) -> Tuple[tu
     """Hypercube integrand values of a batch of sample points, one per kind.
 
     Returns (values, rejected) where values already include the sampling
-    Jacobian and samples within ``COLLISION_EPS`` of a collision are zeroed.
-    The batch is worked ``CHUNK_ROWS`` rows at a time (temporaries do not
-    grow with it; chunk boundaries depend only on the row index).  Slices of
-    dimension ``MIN_EXPANDED_DIM`` or more take :func:`forms.frame_integrand`,
-    smaller ones ``np.linalg.det``.
-
-    The kinds share the slice map, each chunk's frame, the collision
-    distances, the edge terms and each complex pairing entry; the link
-    sums, scale and Jacobian product are per kind, so each array equals its
-    one-kind pass bit for bit.  ``rejected`` counts one mask for the pass:
-    a row near a collision or non-finite in any kind, zeroed in all.
+    Jacobian and samples within ``COLLISION_EPS`` of a collision are zeroed:
+    the one-graph case of :func:`_integrand_group`.
     """
-    n, m = g.n, g.m
+    return _integrand_group((g,), kinds, U)[0]
+
+
+def _integrand_group(graphs: Sequence[Graph], kinds: Tuple[str, ...],
+                     U: np.ndarray) -> List[Tuple[tuple, int]]:
+    """:func:`integrand_batch` of every graph in ``graphs``, which share
+    (n, m) and edge count, from one slice map of ``U``.
+
+    The batch is worked ``CHUNK_ROWS`` rows at a time (temporaries do not
+    grow with it; chunk boundaries depend only on the row index).  The
+    graphs share the collision distances of the batch, and per chunk the
+    frame and the edge terms of each ordered vertex pair, computed on first
+    use.  Slices of dimension ``MIN_EXPANDED_DIM`` or more take
+    :func:`forms.frame_integrand`, smaller ones ``np.linalg.det``.
+
+    The kinds also share each complex pairing entry; the link sums, scale
+    and Jacobian product are per kind, so each array equals its one-kind,
+    one-graph pass bit for bit.  A graph's ``rejected`` counts one mask for
+    its pass: a row near a collision (shared) or non-finite in any kind
+    (the graph's own), zeroed in all.
+    """
+    n, m, E = graphs[0].n, graphs[0].m, len(graphs[0].edges)
     Z, G, jac = slice_map(n, m, U)  # column-major: each point is contiguous
     B = U.shape[0]
-    E = len(g.edges)
 
     point = [Z[:, v] if v < n else G[:, v - n] for v in range(n + m)]
-
-    vals = [np.ones(B, dtype=float if k == ANGLE else complex) for k in kinds]
+    vals = [[np.empty(B, dtype=float if k == ANGLE else complex) for k in kinds]
+            for _ in graphs]
     # near-collision samples may overflow here; they are zeroed by the mask
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if E:
-            for lo in range(0, B, CHUNK_ROWS):
-                rows = slice(lo, lo + CHUNK_ROWS)
-                points = [p[rows] for p in point]
-                frame = gauge_frame(n, m, points[0])
+        for lo in range(0, B, CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            points = [p[rows] for p in point]
+            frame = gauge_frame(n, m, points[0])
+            terms: dict = {}
+            for g, out in zip(graphs, vals):
                 if E >= MIN_EXPANDED_DIM:
-                    dets = frame_integrand(g.edges, points, frame, kinds)
+                    dets = frame_integrand(g.edges, points, frame, kinds, terms)
                 else:  # the angle matrix is the imaginary part of the log one
                     M = pairing_matrices(g.edges, points, frame)
                     dets = [pairing_scale(k, E) * np.linalg.det(M.imag if k == ANGLE else M)
                             for k in kinds]
-                for v, det in zip(vals, dets):
+                for v, det in zip(out, dets):
                     v[rows] = det
-        for v in vals:
-            v *= jac
+        for out in vals:
+            for v in out:
+                v *= jac
 
     # guard integrable singularities: zero out samples at near-collisions
     # (a mirror image conj(z_i) is never closer to z_j than z_i is); exact
@@ -165,14 +188,18 @@ def integrand_batch(g: Graph, kinds: Tuple[str, ...], U: np.ndarray) -> Tuple[tu
     pairs = [(point[i], q) for i in range(n) for q in point[i + 1:]]
     near = np.flatnonzero(np.any([abs(p.real - q.real) < COLLISION_EPS for p, q in pairs], axis=0))
     mind = np.min([abs(p[near] - q[near]) for p, q in pairs], axis=0, initial=np.inf)
-    mask = np.zeros(B, dtype=bool)
-    mask[near] = mind < COLLISION_EPS
-    for v in vals:
-        mask |= ~np.isfinite(v)
-    rejected = int(mask.sum())
-    if rejected:
-        vals = [np.where(mask, 0.0, v) for v in vals]
-    return tuple(vals), rejected
+    collided = np.zeros(B, dtype=bool)
+    collided[near] = mind < COLLISION_EPS
+    passes = []
+    for out in vals:
+        mask = collided.copy()
+        for v in out:
+            mask |= ~np.isfinite(v)
+        rejected = int(mask.sum())
+        if rejected:
+            out = [np.where(mask, 0.0, v) for v in out]
+        passes.append((tuple(out), rejected))
+    return passes
 
 
 def _check_budget(samples: int, seed: int) -> None:
@@ -216,6 +243,49 @@ def _sobol_points(dim: int, seed: int, batch: int, n: int) -> np.ndarray:
     return sob.random(n)
 
 
+def _per_batch(samples: int) -> int:
+    """Rows per batch: the budget rounded up to 16 equal powers of two."""
+    return 1 << max(0, math.ceil(math.log2(samples / BATCHES)))
+
+
+def _qmc_passes(func, dim: int, samples: int, seed: int,
+                threads: Optional[int] = None) -> Tuple[list, int]:
+    """:func:`qmc_mean` of ``func(U)``, a sequence of passes ``(values,
+    rejected)``: per pass ``(values, stderrs, rejected)``, and the sample
+    count.  A pool task holds every pass's arrays of one batch at a time."""
+    _check_budget(samples, seed)
+    nthreads = threads if threads is not None else default_threads()
+    if nthreads < 1:
+        raise ValueError(f"thread count must be at least 1, got {nthreads}")
+    per_batch = _per_batch(samples)
+    group = max(1, min(BATCHES, TASK_ROWS // per_batch))
+
+    def task(lo: int) -> list:
+        out = []
+        for batch in range(lo, lo + group):
+            # Sobol points can include exact zeros; nudge off the faces
+            U = _sobol_points(dim, seed, batch, per_batch)
+            np.clip(U, 1e-15, 1.0 - 1e-15, out=U)
+            out.append([(tuple(complex(np.mean(v)) for v in vals), rejected)
+                        for vals, rejected in func(U)])
+        return out
+
+    with ThreadPoolExecutor(max_workers=nthreads) as ex:
+        results = [r for part in ex.map(task, range(0, BATCHES, group)) for r in part]
+
+    passes = []
+    for batches in zip(*results):
+        stats = []
+        for column in zip(*(r[0] for r in batches)):
+            means = np.array(column, dtype=complex)  # one kind: its own summation order
+            value = complex(means.mean())
+            var = float(np.sum(np.abs(means - value) ** 2)) / (BATCHES - 1)
+            stats.append((value, math.sqrt(var / BATCHES)))
+        value, stderr = zip(*stats)
+        passes.append((value, stderr, sum(r[1] for r in batches)))
+    return passes, per_batch * BATCHES
+
+
 def qmc_mean(func, dim: int, samples: int, seed: int,
              threads: Optional[int] = None) -> Tuple[tuple, tuple, int, int]:
     """Batched scrambled-QMC means of ``func(U) -> (values, rejected)`` over
@@ -227,34 +297,9 @@ def qmc_mean(func, dim: int, samples: int, seed: int,
     Returns (values, stderrs, actual sample count, rejected sample count),
     one value and stderr per array, each averaged on its own.
     """
-    _check_budget(samples, seed)
-    nthreads = threads if threads is not None else default_threads()
-    if nthreads < 1:
-        raise ValueError(f"thread count must be at least 1, got {nthreads}")
-    per_batch = 1 << max(0, math.ceil(math.log2(samples / BATCHES)))
-    group = max(1, min(BATCHES, TASK_ROWS // per_batch))
-
-    def task(lo: int) -> list:
-        out = []
-        for batch in range(lo, lo + group):
-            # Sobol points can include exact zeros; nudge off the faces
-            U = _sobol_points(dim, seed, batch, per_batch)
-            np.clip(U, 1e-15, 1.0 - 1e-15, out=U)
-            vals, rejected = func(U)
-            out.append((tuple(complex(np.mean(v)) for v in vals), rejected))
-        return out
-
-    with ThreadPoolExecutor(max_workers=nthreads) as ex:
-        results = [r for part in ex.map(task, range(0, BATCHES, group)) for r in part]
-
-    stats = []
-    for column in zip(*(r[0] for r in results)):
-        means = np.array(column, dtype=complex)  # one kind: its own summation order
-        value = complex(means.mean())
-        var = float(np.sum(np.abs(means - value) ** 2)) / (BATCHES - 1)
-        stats.append((value, math.sqrt(var / BATCHES)))
-    value, stderr = zip(*stats)
-    return value, stderr, per_batch * BATCHES, sum(r[1] for r in results)
+    ((value, stderr, rejected),), total = _qmc_passes(lambda U: (func(U),), dim,
+                                                      samples, seed, threads)
+    return value, stderr, total, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -303,33 +348,63 @@ def weight_class(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
     return None, rep, parity
 
 
-def compute_weight(g: Graph, kind, samples: int, seed: int,
-                   threads: Optional[int] = None):
-    """Estimate the weight of a graph.
+def compute_weights(graphs: Sequence[Graph], kinds: Tuple[str, ...], samples: int,
+                    seed: int, threads: Optional[int] = None) -> List[tuple]:
+    """Estimate graphs that share (n, m) and edge count: per graph, a tuple
+    of estimates, one per kind in ``kinds``.
 
     Degree-decided weights are exact (:func:`_degree_weight`).  Otherwise
-    the value is the deterministic QMC estimate at the requested sample
-    budget, rounded up so the 16 batches are balanced powers of two.
+    each value is the deterministic QMC estimate at the requested sample
+    budget, rounded up so the 16 batches are balanced powers of two.  The
+    graphs share each batch's Sobol draw, slice map and collision distances
+    and each chunk's frame and edge terms (:func:`_integrand_group`),
+    in runs of at most ``BATCHES * TASK_ROWS`` rows per batch summed over
+    the graphs, since a pool task holds each graph's values for its batch.
+    Every estimate is bit-identical to the graph's own pass; ``rejected``
+    counts the rows rejected in any of the kinds.
+    """
+    if not kinds:
+        raise ValueError("no propagator kind given")
+    for k in kinds:
+        check_request(k, samples, seed)
+    if len({(g.n, g.m, len(g.edges)) for g in graphs}) > 1:
+        raise ValueError("the graphs of a group must share (n, m) and edge count")
+    exact = _degree_weight(graphs[0]) if graphs else None
+    if exact is not None:
+        return [tuple(_exact(exact, g, k, seed) for k in kinds) for g in graphs]
+    size = max(1, BATCHES * TASK_ROWS // _per_batch(samples))
+    ests: List[tuple] = []
+    for lo in range(0, len(graphs), size):
+        run = graphs[lo:lo + size]
+        # one graph goes through integrand_batch, which the benchmark tracer times
+        passes, total = _qmc_passes(
+            (lambda U: (integrand_batch(run[0], kinds, U),)) if len(run) == 1
+            else (lambda U: _integrand_group(run, kinds, U)),
+            len(run[0].edges), samples, seed, threads)
+        ests += [tuple(WeightEstimate(v, e, total, seed, k, encode_graph(g), rejected=rejected)
+                       for v, e, k in zip(values, stderrs, kinds))
+                 for g, (values, stderrs, rejected) in zip(run, passes)]
+    return ests
+
+
+def compute_weight(g: Graph, kind, samples: int, seed: int,
+                   threads: Optional[int] = None):
+    """Estimate the weight of a graph: the one-graph :func:`compute_weights`.
 
     ``kind`` is one kind, giving one estimate, or a non-empty tuple of
     kinds, giving a tuple of estimates from one kernel pass
     (:func:`integrand_batch`), each bit-identical to its one-kind estimate
     save ``rejected``, which counts the rows rejected in any of the kinds.
     """
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not kinds:
-        raise ValueError("no propagator kind given")
-    for k in kinds:
-        check_request(k, samples, seed)
-    exact = _degree_weight(g)
-    if exact is not None:
-        ests = tuple(_exact(exact, g, k, seed) for k in kinds)
-    else:
-        values, stderrs, total, rejected = qmc_mean(
-            lambda U: integrand_batch(g, kinds, U), len(g.edges), samples, seed, threads)
-        ests = tuple(WeightEstimate(v, e, total, seed, k, encode_graph(g), rejected=rejected)
-                     for v, e, k in zip(values, stderrs, kinds))
+    (ests,) = compute_weights([g], kind if isinstance(kind, tuple) else (kind,),
+                              samples, seed, threads)
     return ests if isinstance(kind, tuple) else ests[0]
+
+
+def _class_of(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
+    """:func:`weight_class`, with no search for a representative it kept."""
+    rep = _classes.get((g.n, g.m, g.edges))
+    return (None, rep, 1) if rep is not None else weight_class(g)
 
 
 def cached_weight(g: Graph, kind: str, samples: int, seed: int,
@@ -344,11 +419,9 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
     budget and seed are estimated in one kernel pass and all are kept.
     """
     check_request(kind, samples, seed)
-    rep, parity = _classes.get((g.n, g.m, g.edges)), 1
-    if rep is None:
-        exact, rep, parity = weight_class(g)
-        if exact is not None:
-            return _exact(exact, g, kind, seed)
+    exact, rep, parity = _class_of(g)
+    if exact is not None:
+        return _exact(exact, g, kind, seed)
     key = (rep.n, rep.m, rep.edges)
     cache_key = (key, kind, samples, seed)
     with _cache_lock:
@@ -366,6 +439,29 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
         return hit
     value = hit.value if parity == 1 or hit.value == 0 else -hit.value  # no -0.0
     return replace(hit, value=value, graph=encode_graph(g))
+
+
+def prefetch_weights(graphs: Iterable[Graph], kind: str, samples: int, seed: int,
+                     threads: Optional[int] = None) -> None:
+    """Estimate, in ``kind``, every class of ``graphs`` that
+    :func:`cached_weight` would sample and lacks at this budget and seed:
+    one :func:`compute_weights` per (n, m, edge count), in first-seen order.
+    Later :func:`cached_weight` calls on ``graphs`` then hit."""
+    check_request(kind, samples, seed)
+    groups: Dict[tuple, Dict[tuple, Graph]] = {}
+    for g in graphs:
+        exact, rep, _ = _class_of(g)
+        if exact is None:
+            key = (rep.n, rep.m, rep.edges)
+            with _cache_lock:
+                known = (key, kind, samples, seed) in _cache
+            if not known:
+                groups.setdefault((rep.n, rep.m, len(rep.edges)), {})[key] = rep
+    for reps in groups.values():
+        ests = compute_weights(list(reps.values()), (kind,), samples, seed, threads)
+        with _cache_lock:
+            for key, (est,) in zip(reps, ests):
+                _cache[key, kind, samples, seed] = est
 
 
 def clear_weight_cache() -> None:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import qmc as scipy_qmc
 
-from kwl import forms, halfplane, qmc, suite, weights
+from kwl import forms, halfplane, operators, qmc, suite, weights
 from kwl.forms import ANGLE, LOG, frame_plan
 from kwl.graphs import (TYPE_I, canonical_graph, canonical_key, collapse_layout,
                         encode_graph, enumerate_graphs, make_graph, parse_graph)
@@ -403,18 +404,28 @@ def test_clear_weight_cache_empties_the_plan_cache():
     assert forms._plan.cache_info().currsize == 0
 
 
-def test_structural_vanishing_samples_only_undecided_classes(monkeypatch):
-    # 64 pattern-bearing classes at the default sweep: 7 have an odd
-    # automorphism and 9 more no matching, so 48 are left to sample
+def _counted_estimates(monkeypatch):
+    """Fake both estimating entry points; returns the list of graphs they
+    are asked to sample and the set of kind tuples asked for."""
     calls, asked = [], set()
 
-    def fake(g, kinds, samples, seed, threads=None):
-        calls.append(g)
+    def fake(graphs, kinds, samples, seed, threads=None):
+        calls.extend(graphs)
         asked.add(kinds)
-        return tuple(WeightEstimate(0j, 0.0, samples, seed, kind, encode_graph(g))
-                     for kind in kinds)
+        return [tuple(WeightEstimate(0j, 0.0, samples, seed, kind, encode_graph(g))
+                      for kind in kinds) for g in graphs]
 
-    monkeypatch.setattr(weights, "compute_weight", fake)
+    monkeypatch.setattr(weights, "compute_weights", fake)
+    monkeypatch.setattr(weights, "compute_weight",
+                        lambda g, kinds, *args: fake([g], kinds, *args)[0])
+    return calls, asked
+
+
+def test_structural_vanishing_samples_only_undecided_classes(monkeypatch):
+    # 64 pattern-bearing classes at the default sweep: 7 have an odd
+    # automorphism and 9 more no matching, so 48 are left to sample, all
+    # by the check's prefetch
+    calls, asked = _counted_estimates(monkeypatch)
     clear_weight_cache()
     try:
         report = suite.check_structural_vanishing(suite.SuiteConfig())
@@ -423,6 +434,112 @@ def test_structural_vanishing_samples_only_undecided_classes(monkeypatch):
     assert report.details["count"] == 64
     assert len(calls) == len(set(calls)) == 48
     assert asked == {(LOG,)}  # the check pays for the log kind alone
+
+
+@pytest.mark.parametrize("kind", [ANGLE, LOG])
+def test_order_two_star_product_samples_each_class_once(monkeypatch, kind):
+    # u_n's prefetch samples each (2,2) class its sum needs once, in its
+    # kind alone: the classes of the graphs with a non-zero operator
+    so3 = operators.bivector(3, [(0, 1, (0, 0, 1), 1), (1, 2, (1, 0, 0), 1),
+                                 (0, 2, (0, 1, 0), -1)])
+    clear_weight_cache()
+    want = set()
+    for g in enumerate_graphs(2, 2, 4):
+        if g.out_degree(0) == g.out_degree(1) == 2 and operators.d_gamma(g, [so3] * 2).terms:
+            exact, rep, _ = weights.weight_class(g)
+            if exact is None:
+                want.add(rep)
+    calls, asked = _counted_estimates(monkeypatch)
+    try:
+        operators.star_product(so3, 2, kind, 1 << 10, 5)
+    finally:
+        clear_weight_cache()
+    assert len(calls) == len(set(calls)) == len(want) + 1  # and the wedge at order 1
+    assert set(calls) >= want and asked == {(kind,)}
+
+
+def _sampled_classes(n, m):
+    """The canonical graph of every class of top-degree (n, m) graphs that
+    :func:`cached_weight` samples, in first-seen order."""
+    reps = {}
+    for g in enumerate_graphs(n, m, gauge_dim(n, m)):
+        exact, rep, _ = weights.weight_class(g)
+        if exact is None:
+            reps.setdefault(rep.edges, rep)
+    return list(reps.values())
+
+
+def _bits(est):
+    return repr(est.value), repr(est.stderr), est.samples, est.rejected, est.kind, est.graph
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 0), (3, 1), (4, 0)])
+def test_group_pass_matches_one_graph_passes(monkeypatch, n, m):
+    # every sampled class of the slice in one group, with a class whose
+    # plan is empty in the (4,0) group.  Smaller chunks and tasks than the
+    # defaults (values do not depend on either) give 2^17 several chunks
+    # per batch and split the larger groups into runs
+    monkeypatch.setattr(weights, "CHUNK_ROWS", 1 << 11)
+    monkeypatch.setattr(weights, "TASK_ROWS", 1 << 12)
+    graphs = _sampled_classes(n, m)
+    if (n, m) == (4, 0):
+        empty = parse_graph("4 0 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>a1 a3>a4")
+        assert frame_plan(empty.edges, gauge_frame(4, 0, 1.0)) == ()
+        graphs.insert(len(graphs) // 2, empty)
+    clear_weight_cache()
+    for samples, kinds, threads in ((1 << 10, (LOG,), (1, 2, 4)),
+                                    (1 << 10, (ANGLE, LOG), (1, 2, 4)),
+                                    (1 << 14, (ANGLE, LOG), (1, 4)), (1 << 17, (LOG,), (2,))):
+        want = [tuple(map(_bits, compute_weight(g, kinds, samples, 7, threads=2)))
+                for g in graphs]
+        for t in threads:
+            got = weights.compute_weights(graphs, kinds, samples, 7, threads=t)
+            assert [tuple(map(_bits, ests)) for ests in got] == want, (samples, kinds, t)
+    clear_weight_cache()
+
+
+def test_group_pass_keeps_shared_and_own_rejected_rows():
+    # G31's rows of test_kernel_zeroes_near_collision_rows: a2 on top of g1
+    # in row CHUNK_ROWS + 1 is rejected for every graph of the group
+    rng = np.random.default_rng(2)
+    U = rng.uniform(0.1, 0.9, size=(CHUNK_ROWS + 3, 5))
+    bad = CHUNK_ROWS + 1
+    U[bad, 1:3] = [0.5, 0.01]
+    graphs = [G31] + _sampled_classes(3, 1)[:6]
+    for kinds in ((ANGLE,), (LOG,), (ANGLE, LOG)):
+        passes = weights._integrand_group(graphs, kinds, U)
+        for g, (vals, rejected) in zip(graphs, passes):
+            one, own = integrand_batch(g, kinds, U)
+            assert rejected == own == 1
+            assert all(v[bad] == 0 and v.tobytes() == w.tobytes() for v, w in zip(vals, one))
+
+
+def test_compute_weights_takes_one_slice_shape():
+    assert weights.compute_weights([], (LOG,), 1 << 10, 5) == []
+    with pytest.raises(ValueError, match="share"):
+        weights.compute_weights([G31, G40], (LOG,), 1 << 10, 5)
+    with pytest.raises(ValueError, match="kind"):
+        weights.compute_weights([G31], (), 1 << 10, 5)
+    # degree-decided graphs are exact, as compute_weight gives them
+    partial = [make_graph(1, 2, [(0, 1)]), make_graph(1, 2, [(0, 2)])]
+    assert ([ests[0].exact for ests in weights.compute_weights(partial, (ANGLE,), 10, 1)]
+            == [True, True])
+
+
+def test_prefetch_fills_what_cached_weight_reads(monkeypatch):
+    graphs = _sampled_classes(3, 1)[:5]
+    relabeled = [make_graph(3, 1, [(p[s], p[t] if t < 3 else t) for s, t in g.edges])
+                 for g, p in zip(graphs, itertools.cycle([(1, 2, 0), (2, 0, 1)]))]
+    asked = relabeled + graphs + [WEDGE, make_graph(1, 2, [(0, 1)])]
+    clear_weight_cache()
+    want = [cached_weight(g, LOG, 1 << 10, 5) for g in asked]
+    clear_weight_cache()
+    weights.prefetch_weights(asked, LOG, 1 << 10, 5)
+    assert len(weights._cache) == len(graphs) + 1  # the partial graph is exact
+    with monkeypatch.context() as m:
+        m.setattr(weights, "compute_weight", None)  # every read below hits
+        assert [cached_weight(g, LOG, 1 << 10, 5) for g in asked] == want
+    clear_weight_cache()
 
 
 def test_pairing_roundoff_classes_stay_at_roundoff():
