@@ -16,7 +16,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,6 +194,18 @@ def vector_field(dim: int, entries) -> PolyMultivector:
     return PolyMultivector.build(dim, 1, [((i,), mono, c) for i, mono, c in entries])
 
 
+def _slot_derivs(f: Poly, terms) -> Iterator[Tuple[Tuple[Monomial, ...], Poly, Poly]]:
+    """``(later slots, coefficient, derivative of f)`` per partial term whose first open
+    slot does not kill ``f``; a :class:`_KeyedPoly` keeps its derivatives."""
+    derivs = getattr(f, "derivs", {})
+    for slots, prod in terms:
+        df = derivs.get(slots[0])
+        if df is None:  # f's own items are copied: a _KeyedPoly holding itself is a cycle
+            df = derivs[slots[0]] = p_diff_multi(f, slots[0]) if any(slots[0]) else dict(f)
+        if df:
+            yield slots[1:], prod, df
+
+
 class MultiDiffOperator:
     """Polynomial-coefficient operator acting on ``arity`` polynomials."""
 
@@ -236,26 +248,32 @@ class MultiDiffOperator:
         if len(funcs) > n_open:
             raise ValueError(f"operator has {n_open} open slots, got {len(funcs)} arguments")
         for f in funcs:
-            derivs: Dict[Monomial, Poly] = {}  # f's derivative per slot multi-index
-            filled = []
-            for slots, prod in terms:
-                df = derivs.get(slots[0])
-                if df is None:
-                    df = derivs[slots[0]] = p_diff_multi(f, slots[0])
-                if df:
-                    filled.append((slots[1:], p_mul(prod, df)))
-            terms = filled
+            terms = [(rest, p_mul(prod, df)) for rest, prod, df in _slot_derivs(f, terms)]
         return n_open - len(funcs), terms
 
     def apply(self, funcs: Sequence[Poly], part: Optional[Partial] = None) -> Poly:
-        """``funcs`` in every open slot: :meth:`fill` in slot order, then the sum."""
-        n_open, terms = self.fill(funcs, part)
-        if n_open:
-            raise ValueError(f"too few arguments: {n_open} slots left open")
+        """``funcs`` in every open slot: :meth:`fill` in slot order, then the sum.  A
+        last-slot product with a one-monomial factor has no two terms on one
+        monomial, so they go straight into the sum, in ``p_mul``'s order."""
+        n_open = self.arity if part is None else part[0]
+        if len(funcs) > n_open:
+            raise ValueError(f"operator has {n_open} open slots, got {len(funcs)} arguments")
+        if len(funcs) < n_open:
+            raise ValueError(f"too few arguments: {n_open - len(funcs)} slots left open")
+        _, terms = self.fill(funcs[:-1], part)
         out: Poly = {}
-        for _, prod in terms:
-            for mm, cc in prod.items():
-                p_acc(out, mm, cc)
+        add = operator.add
+        for _, prod, df in (_slot_derivs(funcs[-1], terms) if funcs
+                            else ((slots, prod, None) for slots, prod in terms)):
+            if df is None or len(prod) > 1 and len(df) > 1:  # products may share a monomial
+                for mm, cc in (prod if df is None else p_mul(prod, df)).items():
+                    p_acc(out, mm, cc)
+                continue
+            for ma, ca in prod.items():
+                for mb, cb in df.items():
+                    c = ca * cb
+                    if c != 0:  # p_mul drops exact zeros
+                        p_acc(out, tuple(map(add, ma, mb)), c)
         return out
 
     def max_abs(self) -> float:
@@ -381,6 +399,14 @@ def _poly_key(a: Poly) -> tuple:
     return tuple((mono, type(c), c) for mono, c in a.items())
 
 
+class _KeyedPoly(dict):
+    """A polynomial with its memo key and its derivatives by slot multi-index."""
+
+    def __init__(self, poly: Poly):
+        super().__init__(poly)
+        self.key, self.derivs = _poly_key(poly), {}
+
+
 @dataclass
 class StarSeries:
     """Truncated star product: one bidifferential operator per order.
@@ -388,10 +414,12 @@ class StarSeries:
     ``pi`` is the bivector the series was built from.  The series memoizes
     what depends only on itself and its arguments: the Jacobi defect of
     ``pi``, the ``|.|`` operators, and what :func:`check_associativity`
-    takes: inner products on ``(f, g)`` and ``(g, h)``, and outer operators
-    with the first slot filled, keyed by that slot's polynomial value.  It
-    is freed only with the series, so a long-lived series checked against
-    many different arguments grows with their number (to about 1.5 MB over
+    takes: one :class:`_KeyedPoly` per polynomial value it meets (the
+    arguments, their ``|.|`` and the inner products), each with its
+    derivatives; the inner products on ``(f, g)`` and ``(g, h)``; and outer
+    operators with the first slot filled, keyed by that slot's value.
+    It is freed only with the series, so a long-lived series checked against
+    many different arguments grows with their number (to about 1.9 MB over
     the 729 so(3) triples of the ``star_assoc`` benchmark).
     """
 
@@ -419,18 +447,23 @@ class StarSeries:
     def _abs_ops(self) -> List[MultiDiffOperator]:
         return self._memoized(("abs",), lambda: [op.abs_coeffs() for op in self.ops])
 
-    def _inner(self, order: int, f: Poly, g: Poly) -> Tuple[List[Poly], ...]:
+    def _keyed(self, p: Poly) -> _KeyedPoly:
+        """The series' one :class:`_KeyedPoly` of ``p``'s value."""
+        return self._memoized(("poly", _poly_key(p)), lambda: _KeyedPoly(p))
+
+    def _inner(self, order: int, f: _KeyedPoly, g: _KeyedPoly) -> Tuple[List[_KeyedPoly], ...]:
         """``op(f, g)``, ``|op|(|f|, |g|)`` and ``err(|f|, |g|)`` for orders up to ``order``."""
         def build():
-            fa, ga = p_abs(f), p_abs(g)
-            return ([op.apply([f, g]) for op in self.ops[:order + 1]],
-                    [op.apply([fa, ga]) for op in self._abs_ops()[:order + 1]],
-                    [err.apply([fa, ga]) for err in self.errs[:order + 1]])
-        return self._memoized(("inner", order, _poly_key(f), _poly_key(g)), build)
+            keyed = self._keyed
+            fa, ga = keyed(p_abs(f)), keyed(p_abs(g))
+            return ([keyed(op.apply([f, g])) for op in self.ops[:order + 1]],
+                    [keyed(op.apply([fa, ga])) for op in self._abs_ops()[:order + 1]],
+                    [keyed(err.apply([fa, ga])) for err in self.errs[:order + 1]])
+        return self._memoized(("inner", order, f.key, g.key), build)
 
-    def _fill(self, which: str, b: int, f: Poly) -> Partial:
+    def _fill(self, which: str, b: int, f: _KeyedPoly) -> Partial:
         """Operator ``b`` of ``ops``, ``errs`` or ``abs`` with ``f`` in its first slot."""
-        return self._memoized(("fill", which, b, _poly_key(f)), lambda: (
+        return self._memoized(("fill", which, b, f.key), lambda: (
             {"ops": self.ops, "errs": self.errs, "abs": self._abs_ops()}[which][b].fill([f])))
 
 
@@ -515,10 +548,11 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
     if defect > 1e-12:
         raise ValueError(f"bivector is not Poisson (Jacobi defect {defect:.3g})")
     series = star if star is not None else star_product(pi, order, kind, samples, seed, threads)
-    f, g, h = p_int(f), p_int(g), p_int(h)
+    keyed = series._keyed
+    f, g, h = (keyed(p_int(p)) for p in (f, g, h))
     ops, errs = series.ops[:order + 1], series.errs[:order + 1]
     abs_ops = series._abs_ops()[:order + 1]
-    fa, ha = p_abs(f), p_abs(h)
+    fa, ha = keyed(p_abs(f)), keyed(p_abs(h))
     fg, abs_fg, err_fg = series._inner(order, f, g)
     gh, abs_gh, err_gh = series._inner(order, g, h)
     fill = series._fill

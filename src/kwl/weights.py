@@ -24,9 +24,9 @@ the benchmark tracer's ``weights.det`` span, until kwl has its own timers
 (ROADMAP item 4).  A class whose plan is empty (no bijection from edges to
 frame columns) weighs an exact zero in :func:`cached_weight`.
 ``clear_weight_cache`` empties the plans of :mod:`kwl.forms` too, and every
-:func:`class_store` table: the class representatives, the stratum records
-and identity rows of :mod:`kwl.stokes` and the contour integrals of
-:mod:`kwl.operators`.
+:func:`class_store` table: the class representatives and each labelled
+graph's class, the stratum records and identity rows of :mod:`kwl.stokes`
+and the contour integrals of :mod:`kwl.operators`.
 
 One kernel pass estimates a tuple of kinds: :func:`integrand_batch` and
 :func:`qmc_mean` give one entry per kind, sharing everything but each
@@ -228,6 +228,8 @@ def class_store(name: str) -> dict:
 
 #: the representative of each estimated class found, by class key
 _classes = class_store("estimated classes")
+#: :func:`_class_of`'s result by labelled graph; :func:`weight_class` enters each representative
+_labelled = class_store("labelled graph classes")
 
 
 def _sobol_points(dim: int, seed: int, batch: int, n: int) -> np.ndarray:
@@ -345,6 +347,7 @@ def weight_class(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
     if parity == 0 or not frame_plan(key[2], gauge_frame(key[0], key[1], 1.0)):
         return 0.0 + 0j, None, 0
     rep = _classes.get(key) or _classes.setdefault(key, canonical_graph(key))
+    _labelled.setdefault((rep.n, rep.m, rep.edges), (None, rep, 1))
     return None, rep, parity
 
 
@@ -402,9 +405,9 @@ def compute_weight(g: Graph, kind, samples: int, seed: int,
 
 
 def _class_of(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
-    """:func:`weight_class`, with no search for a representative it kept."""
-    rep = _classes.get((g.n, g.m, g.edges))
-    return (None, rep, 1) if rep is not None else weight_class(g)
+    """:func:`weight_class`, searched once per labelled graph, never for a representative found."""
+    key = (g.n, g.m, g.edges)
+    return _labelled.get(key) or _labelled.setdefault(key, weight_class(g))
 
 
 def cached_weight(g: Graph, kind: str, samples: int, seed: int,

@@ -294,6 +294,25 @@ def test_associativity_memo_serves_a_new_h(monkeypatch):
     assert rep == check_associativity(pi, f, g, h2, 2, ANGLE, 2 ** 10, seed=3)
 
 
+def test_associativity_differentiates_a_seen_h_once_per_series(monkeypatch):
+    pi = BRACKETS[2]
+    star = star_product(pi, 2, ANGLE, 2 ** 10, seed=3)
+    f, g, h, f2 = monomials(3)[3:7]
+    check_associativity(pi, f, g, h, 2, ANGLE, 2 ** 10, seed=3, star=star)
+    h_key = _poly_key(p_int(h))
+    calls = []
+    diff = operators.p_diff_multi
+    monkeypatch.setattr(operators, "p_diff_multi",
+                        lambda a, exps: calls.append(_poly_key(a)) or diff(a, exps))
+    rep = check_associativity(pi, f, g, h, 2, ANGLE, 2 ** 10, seed=3, star=star)
+    assert calls == []  # every finishing polynomial keeps its derivatives
+    rep2 = check_associativity(pi, f2, g, h, 2, ANGLE, 2 ** 10, seed=3, star=star)
+    assert calls and h_key not in calls  # a new f; h is differentiated no more
+    monkeypatch.undo()
+    assert rep == check_associativity(pi, f, g, h, 2, ANGLE, 2 ** 10, seed=3)
+    assert rep2 == check_associativity(pi, f2, g, h, 2, ANGLE, 2 ** 10, seed=3)
+
+
 def poly_items(p):
     """A polynomial's items in order with coefficient types, for bit-for-bit comparison."""
     return [(mono, type(c), c) for mono, c in p.items()]
@@ -347,6 +366,36 @@ def test_partial_application_drops_a_term_whose_later_slot_derivative_is_empty()
     assert op.fill([g], part) == (0, [((), {(3, 0): 1.5})])
     assert poly_items(op.apply([f, g])) == poly_items(reference_apply(op, [f, g]))
     assert poly_items(op.apply([g], part)) == poly_items(op.apply([f, g]))
+
+
+def last_slot_cases():
+    """(operator, arguments, the result's items) for the last slot's sum."""
+    # 1e-200 * 2e-200 underflows to 0.0 on the monomial of the int 6, which stays an int
+    underflow = (MultiDiffOperator(2, 1, {(((0, 0),), (0, 0)): 3, (((0, 1),), (0, 0)): 1e-200}),
+                 [{(1, 1): 2, (1, 2): 1e-200}])
+    # int products stay int until a float product meets them
+    mixed = (MultiDiffOperator(2, 2, {(((0, 0), (0, 0)), (0, 0)): 2,
+                                      (((1, 0), (0, 0)), (0, 1)): 0.5}),
+             [{(1, 0): 3, (0, 1): 1}, {(0, 1): 2}])
+    # f * g puts 1e-16 and -1e-16 on (1, 1), which p_mul cancels before the
+    # sum: added one at a time to the 1.0 already there they leave 1 - 2^-53
+    colliding = (MultiDiffOperator(2, 2, {(((1, 0), (0, 0)), (1, 1)): 1,
+                                          (((0, 0), (0, 0)), (0, 0)): 1}),
+                 [{(1, 0): 1.0, (0, 1): 1.0}, {(0, 1): 1e-16, (1, 0): -1e-16, (0, 0): 1.0}])
+    return [(*underflow, [((1, 1), int, 6), ((1, 2), float, 3e-200), ((1, 0), float, 2e-200)]),
+            (*mixed, [((1, 1), int, 12), ((0, 2), float, 7.0)]),
+            (*colliding, [((1, 2), float, 1e-16), ((2, 1), float, -1e-16), ((1, 1), float, 1.0),
+                          ((2, 0), float, -1e-16), ((1, 0), float, 1.0),
+                          ((0, 2), float, 1e-16), ((0, 1), float, 1.0)])]
+
+
+@pytest.mark.parametrize("op, funcs, items", last_slot_cases(),
+                         ids=["underflow", "int-meets-float", "colliding-products"])
+def test_last_slot_sums_as_p_mul_then_sum(op, funcs, items):
+    want = reference_apply(op, funcs)
+    assert poly_items(want) == items
+    assert poly_items(op.apply(funcs)) == items
+    assert poly_items(op.apply(funcs[-1:], op.fill(funcs[:-1]))) == items
 
 
 def test_partial_application_rejects_wrong_argument_counts():

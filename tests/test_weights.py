@@ -458,6 +458,27 @@ def test_order_two_star_product_samples_each_class_once(monkeypatch, kind):
     assert set(calls) >= want and asked == {(kind,)}
 
 
+def test_order_two_star_product_searches_each_labelled_graph_once(monkeypatch):
+    # u_n's prefetch and its cached_weight reads share one class search per
+    # labelled graph; a representative found before is never searched
+    so3 = operators.bivector(3, [(0, 1, (0, 0, 1), 1), (1, 2, (1, 0, 0), 1),
+                                 (0, 2, (0, 1, 0), -1)])
+    _counted_estimates(monkeypatch)
+    searched = []
+    search = weights.canonical_key
+    monkeypatch.setattr(weights, "canonical_key", lambda g: searched.append(g) or search(g))
+    clear_weight_cache()
+    try:
+        operators.star_product(so3, 2, LOG, 1 << 10, 5)
+        assert searched and len(searched) == len(set(searched))
+        searched.clear()
+        operators.star_product(so3, 2, LOG, 1 << 10, 6)  # another seed: no new search
+        assert searched == []
+    finally:
+        clear_weight_cache()
+    assert not weights._labelled
+
+
 def _sampled_classes(n, m):
     """The canonical graph of every class of top-degree (n, m) graphs that
     :func:`cached_weight` samples, in first-seen order."""
