@@ -4,9 +4,8 @@ Subcommands: enumerate, weight, vanish, verify-identity, star,
 associativity, globalization, counterterm, suite.  Exit codes: 0 success,
 1 check failure, 2 usage or parse error: argparse's usage errors and every
 ValueError, OverflowError (an exponent too large for a float) or OSError a
-command raises become one ``error:`` line and exit 2.  KWL_THREADS sets
-the default worker count; an explicit ``--threads`` or suite ``threads``
-value wins over it.
+command raises become one ``error:`` line and exit 2.  KWL_THREADS is the
+one worker-count setting: no output depends on it.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    est = compute_weight(parse_graph(args.graph), args.kind, args.samples, args.seed, args.threads)
+    est = compute_weight(parse_graph(args.graph), args.kind, args.samples, args.seed)
     out = est.to_json_dict()
     if est.exact and est.value == 0:
         out["note"] = "edge count does not match the slice dimension; weight is exactly zero"
@@ -75,7 +74,7 @@ def cmd_weight(args) -> int:
 
 def cmd_vanish(args) -> int:
     ok, est, pattern, _ = vanishing_check(parse_graph(args.graph), args.kind, args.samples,
-                                          args.seed, threads=args.threads)
+                                          args.seed)
     _print_json({"graph": est.graph, "pattern": pattern,
                  "value": [est.value.real, est.value.imag],
                  "stderr": est.stderr, "passed": ok})
@@ -84,15 +83,14 @@ def cmd_vanish(args) -> int:
 
 def cmd_verify_identity(args) -> int:
     rep = verify_identity(parse_graph(args.graph), args.kind, args.samples, args.seed,
-                          threads=args.threads, kinds=(args.kind,))
+                          kinds=(args.kind,))
     _print_json(rep.to_json_dict())
     return 0 if rep.passed else CHECK_FAILURE
 
 
 def cmd_star(args) -> int:
     pi, (f, g) = _poisson_inputs(args, "f", "g")
-    series = star_product(pi, args.order, args.kind, args.samples, args.seed,
-                          args.threads)
+    series = star_product(pi, args.order, args.kind, args.samples, args.seed)
     orders = []
     for p in series.multiply(f, g):
         orders.append([{"monomial": list(mono),
@@ -104,17 +102,15 @@ def cmd_star(args) -> int:
 
 def cmd_associativity(args) -> int:
     pi, (f, g, h) = _poisson_inputs(args, "f", "g", "h")
-    rep = check_associativity(pi, f, g, h, args.order, args.kind,
-                              args.samples, args.seed, threads=args.threads)
+    rep = check_associativity(pi, f, g, h, args.order, args.kind, args.samples, args.seed)
     _print_json({"orders": list(rep.orders), "residuals": list(rep.residuals),
                  "tolerances": list(rep.tolerances), "passed": rep.passed})
     return 0 if rep.passed else CHECK_FAILURE
 
 
 def cmd_globalization(args) -> int:
-    rep = check_globalization(args.kind, args.samples, args.seed, threads=args.threads)
+    rep = check_globalization(args.samples, args.seed)
     out = {
-        "kind": rep.kind,
         "vector_pair": [{"graph": g, "pattern": p,
                          "value": [v.real, v.imag], "stderr": e, "passed": ok}
                         for g, p, v, e, ok in rep.vector_pair],
@@ -130,7 +126,12 @@ def cmd_globalization(args) -> int:
 
 
 def cmd_counterterm(args) -> int:
-    subset = [int(tok) for tok in args.subset.split(",")]
+    try:
+        subset = [int(tok) for tok in args.subset.split(",")]
+    except ValueError:
+        raise ValueError(f"--subset {args.subset!r}: expected comma-separated indices") from None
+    if len(set(subset)) < len(subset):
+        raise ValueError(f"--subset {args.subset!r}: repeated index")
     rep = counterterm_probe(parse_graph(args.graph), subset, args.kind,
                             scales=tuple(args.scales), seed=args.seed)
     _print_json({
@@ -170,14 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="kwl", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def kind_seed(sp):
-        sp.add_argument("--kind", choices=list(KINDS), default=LOG)
+    def common(sp, kind=True, samples=True):
+        if kind:
+            sp.add_argument("--kind", choices=list(KINDS), default=LOG)
         sp.add_argument("--seed", type=int, default=0)
-
-    def common(sp):
-        kind_seed(sp)
-        sp.add_argument("--samples", type=int, default=200_000)
-        sp.add_argument("--threads", type=int, default=None)
+        if samples:
+            sp.add_argument("--samples", type=int, default=200_000)
 
     sp = sub.add_parser("enumerate", help="list admissible graphs")
     sp.add_argument("n", type=int)
@@ -217,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_associativity)
 
-    sp = sub.add_parser("globalization", help="vanishing checks for globalization")
-    common(sp)
+    sp = sub.add_parser("globalization", help="vanishing checks for globalization of U^log")
+    common(sp, kind=False)
     sp.set_defaults(fn=cmd_globalization)
 
     sp = sub.add_parser("counterterm", help="collapse-limit probe of the contracted form")
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--subset", required=True, help="comma-separated aerial indices")
     sp.add_argument("--scales", type=float, nargs="+",
                     default=[1e-2, 1e-3, 1e-4, 1e-5])
-    kind_seed(sp)
+    common(sp, samples=False)
     sp.set_defaults(fn=cmd_counterterm)
 
     sp = sub.add_parser("suite", help="run every acceptance check")

@@ -23,8 +23,8 @@ import numpy as np
 from .forms import LOG, check_kind, frame_integrand
 from .graphs import Graph, edge_sort_parity, enumerate_graphs, encode_graph
 from .halfplane import gauge_frame
-from .weights import (cached_weight, class_store, detect_vanishing_pattern,
-                      prefetch_weights, qmc_mean, vanishing_check)
+from .weights import (cached_weight, detect_vanishing_pattern, prefetch_weights, qmc_mean,
+                      vanishing_check)
 
 Monomial = Tuple[int, ...]
 Poly = Dict[Monomial, object]  # exponent tuple -> int | Fraction | float | complex
@@ -583,26 +583,16 @@ def check_associativity(pi: PolyMultivector, f: Poly, g: Poly, h: Poly,
 # globalization checks
 
 
-#: one_in_one_out_integral's values by (u, v, samples, seed): the angle and
-#: log globalization checks measure the same integrals
-_contours = class_store("contour integrals")
-
-
-def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
-                            threads: Optional[int] = None) -> Tuple[complex, float, int]:
+def one_in_one_out_integral(u: complex, v: complex, samples: int,
+                            seed: int) -> Tuple[complex, float, int]:
     """Two-dimensional integral of the log form chain through a middle point.
 
     Integrates d log((u-z)/(conj u - z)) wedge d log((z-v)/(conj z - v))
     over the middle point z in the upper half-plane, with the standard
-    1/(2 pi i) normalization per factor; the exact value is zero.  Values
-    do not depend on ``threads`` and are kept until ``clear_weight_cache``.
+    1/(2 pi i) normalization per factor; the exact value is zero.
     """
     if not (u.imag > 0 and v.imag > 0):
         raise ValueError("endpoints must lie in the upper half-plane")
-    key = (u, v, samples, seed)
-    hit = _contours.get(key)
-    if hit is not None:
-        return hit
 
     def func(U: np.ndarray) -> Tuple[Tuple[np.ndarray], int]:
         x = np.tan(math.pi * (U[:, 0] - 0.5))
@@ -614,33 +604,31 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int, seed: int,
         (det,) = frame_integrand([(1, 0), (0, 2)], [z, u, v], gauge_frame(1, 2, z), (LOG,))
         return (det * jac,), 0
 
-    (value,), (stderr,), total, _ = qmc_mean(func, 2, samples, seed, threads)
-    return _contours.setdefault(key, (value, stderr, total))
+    (value,), (stderr,), total, _ = qmc_mean(func, 2, samples, seed)
+    return value, stderr, total
 
 
-def contour_check(u: complex, v: complex, samples: int, seed: int,
-                  threads: Optional[int] = None) -> Tuple[bool, complex, float, int]:
+def contour_check(u: complex, v: complex, samples: int,
+                  seed: int) -> Tuple[bool, complex, float, int]:
     """Test :func:`one_in_one_out_integral` at (u, v) against zero.
 
     Returns (passed, value, stderr, samples); it passes when
     |value| < max(CONTOUR_TOL, 3 stderr).
     """
-    val, err, ns = one_in_one_out_integral(u, v, samples, seed, threads)
+    val, err, ns = one_in_one_out_integral(u, v, samples, seed)
     return abs(val) < max(CONTOUR_TOL, 3.0 * err), val, err, ns
 
 
 @dataclass(frozen=True)
 class GlobalizationReport:
-    kind: str
     vector_pair: Tuple[Tuple[str, str, complex, float, bool], ...]
     linear_slot: Tuple[Tuple[str, str, bool], ...]
     contour: Tuple[Tuple[complex, complex, complex, float, bool], ...]
     passed: bool
 
 
-def check_globalization(kind: str, samples: int, seed: int,
-                        threads: Optional[int] = None) -> GlobalizationReport:
-    """Checks that make the weighted components transferable off flat space.
+def check_globalization(samples: int, seed: int) -> GlobalizationReport:
+    """Checks that make the log components U^log transferable off flat space.
 
     Every graph feeding two vector fields at the second component (each
     one-in-one-out) must pass :func:`kwl.weights.vanishing_check`; every
@@ -648,12 +636,17 @@ def check_globalization(kind: str, samples: int, seed: int,
     structurally vanishing or annihilated by the linearity of the
     coefficient.  The middle-point contour integral is measured directly at
     five random endpoint pairs by :func:`contour_check`.
+
+    No part depends on the propagator kind: the one vector-pair graph,
+    ``2 0 ; a1>a2 a2>a1``, weighs an exact zero in both kinds (an odd
+    automorphism), the linear-slot rows are combinatorial and the contour
+    is the log form's, so the check runs for U^log alone.
     """
     rows_pair = []
     for g in enumerate_graphs(2, 0, 2):
         if g.out_degree(0) != 1 or g.out_degree(1) != 1:
             continue
-        ok, est, pattern, _ = vanishing_check(g, kind, samples, seed, threads=threads)
+        ok, est, pattern, _ = vanishing_check(g, LOG, samples, seed)
         rows_pair.append((encode_graph(g), pattern, est.value, est.stderr, ok))
 
     dim = 2
@@ -676,12 +669,12 @@ def check_globalization(kind: str, samples: int, seed: int,
     for k in range(5):
         u = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 1.8))
         v = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 1.8))
-        ok, val, err, _ = contour_check(u, v, samples, seed + k, threads=threads)
+        ok, val, err, _ = contour_check(u, v, samples, seed + k)
         rows_contour.append((u, v, val, err, ok))
 
     passed = (all(r[-1] for r in rows_pair) and all(r[-1] for r in rows_lin)
               and all(r[-1] for r in rows_contour))
-    return GlobalizationReport(kind, tuple(rows_pair), tuple(rows_lin),
+    return GlobalizationReport(tuple(rows_pair), tuple(rows_lin),
                                tuple(rows_contour), passed)
 
 

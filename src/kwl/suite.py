@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .halfplane import (NestedFamily, chart_membership, degenerating_family,
 from .operators import (STAR_TOL, bivector, check_associativity, check_globalization,
                         contour_check, star_product)
 from .stokes import IDENTITY_TOL, PROBE_TOL, counterterm_probe, verify_identity
-from .weights import (VANISHING_TOL, compute_weight, detect_vanishing_pattern, prefetch_weights,
-                      vanishing_check)
+from .weights import (VANISHING_TOL, check_request, compute_weight, default_threads,
+                      detect_vanishing_pattern, prefetch_weights, vanishing_check)
 
 #: the smallest budget; the property check always draws it
 MIN_SAMPLES = 10_000
@@ -40,23 +40,24 @@ CHECK_VERTICES = 4
 class SuiteConfig:
     """``samples`` is the budget of the wedge, vanishing, contour and star
     checks; the identity check takes a tenth of it and globalization a
-    fifth, neither below ``MIN_SAMPLES``."""
+    fifth, neither below ``MIN_SAMPLES``.  The worker count is
+    ``KWL_THREADS``'s: no report depends on it."""
 
     seed: int = 2024
-    threads: Optional[int] = None
     out_dir: str = "suite-out"
     samples: int = 1_000_000
 
     def __post_init__(self):
         if self.samples < MIN_SAMPLES:
             raise ValueError("samples must be at least 10^4")
+        check_request(LOG, self.samples, self.seed)
 
 
-_KEYS = {"seed": int, "threads": int, "out_dir": str, "samples": int}
+_KEYS = {"seed": int, "out_dir": str, "samples": int}
 
 
 def load_config(path: str) -> SuiteConfig:
-    """Flat ``key = value`` text file; unknown keys are rejected."""
+    """Flat ``key = value`` text file; unknown or repeated keys are rejected."""
     values: Dict[str, object] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -69,6 +70,8 @@ def load_config(path: str) -> SuiteConfig:
             key, raw = key.strip(), raw.strip()
             if key not in _KEYS:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"line {lineno}: duplicate key {key!r}")
             try:
                 values[key] = _KEYS[key](raw)
             except ValueError as exc:
@@ -97,7 +100,7 @@ def _c(z: complex) -> List[float]:
 
 def check_wedge_weight(cfg: SuiteConfig) -> CheckResult:
     wedge = make_graph(1, 2, [(0, 1), (0, 2)])
-    ang, log = compute_weight(wedge, (ANGLE, LOG), cfg.samples, cfg.seed, cfg.threads)
+    ang, log = compute_weight(wedge, (ANGLE, LOG), cfg.samples, cfg.seed)
     tol = max(VANISHING_TOL, 3.0 * ang.stderr)
     ok_angle = abs(ang.value - 0.5) <= tol
     ok_log = abs(log.value - ang.value) <= 3.0 * (ang.stderr + log.stderr) + 1e-12
@@ -137,10 +140,9 @@ def check_structural_vanishing(cfg: SuiteConfig) -> CheckResult:
     ok = True
     swept = [g for g in _swept_graphs(0, one_per_class=True)
              if detect_vanishing_pattern(g) is not None]
-    prefetch_weights(swept, LOG, cfg.samples, cfg.seed, cfg.threads)
+    prefetch_weights(swept, LOG, cfg.samples, cfg.seed)
     for g in swept:
-        good, est, pattern, bound = vanishing_check(g, LOG, cfg.samples, cfg.seed,
-                                                    threads=cfg.threads)
+        good, est, pattern, bound = vanishing_check(g, LOG, cfg.samples, cfg.seed)
         ok = ok and good
         rows.append({"graph": encode_graph(g), "pattern": pattern,
                      "value": _c(est.value), "stderr": est.stderr,
@@ -160,7 +162,7 @@ def check_contour_identity(cfg: SuiteConfig) -> CheckResult:
     for _ in range(5):
         u = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
         v = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
-        good, val, err, ns = contour_check(u, v, cfg.samples, cfg.seed, threads=cfg.threads)
+        good, val, err, ns = contour_check(u, v, cfg.samples, cfg.seed)
         ok = ok and good
         rows.append({"u": _c(u), "v": _c(v), "value": _c(val),
                      "stderr": err, "passed": good, "samples": ns})
@@ -177,8 +179,7 @@ def check_stokes_identities(cfg: SuiteConfig) -> CheckResult:
     worst = {"residual": 0.0}
     for kind in (ANGLE, LOG):
         for g in _swept_graphs(1):
-            rep = verify_identity(g, kind, max(cfg.samples // 10, MIN_SAMPLES), cfg.seed,
-                                  threads=cfg.threads)
+            rep = verify_identity(g, kind, max(cfg.samples // 10, MIN_SAMPLES), cfg.seed)
             counts[kind] += 1
             if abs(rep.residual) > worst["residual"]:
                 worst = {"residual": abs(rep.residual), "graph": rep.graph,
@@ -297,7 +298,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
     ok = True
 
     pi = bivector(2, [(0, 1, (0, 0), 1)])
-    star = star_product(pi, 2, ANGLE, cfg.samples, cfg.seed, cfg.threads)
+    star = star_product(pi, 2, ANGLE, cfg.samples, cfg.seed)
     x = {(1, 0): 1}
     y = {(0, 1): 1}
 
@@ -332,7 +333,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
 
     # associativity for the linear bivector x dx^dy on low-degree monomials
     pil = bivector(2, [(0, 1, (1, 0), 1)])
-    starl = star_product(pil, 2, ANGLE, cfg.samples, cfg.seed, cfg.threads)
+    starl = star_product(pil, 2, ANGLE, cfg.samples, cfg.seed)
     monos = [{(1, 0): 1}, {(0, 1): 1}, {(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}]
     worst_assoc = 0.0
     assoc_ok = True
@@ -340,7 +341,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
         for g in monos:
             for h in monos:
                 rep = check_associativity(pil, f, g, h, 2, ANGLE, cfg.samples, cfg.seed,
-                                          threads=cfg.threads, star=starl)
+                                          star=starl)
                 worst_assoc = max(worst_assoc, max(rep.residuals))
                 assoc_ok = assoc_ok and rep.passed
     ok = ok and assoc_ok
@@ -354,9 +355,7 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
 
 
 def check_globalization_suite(cfg: SuiteConfig) -> CheckResult:
-    samples = max(cfg.samples // 5, MIN_SAMPLES)
-    rep = check_globalization(LOG, samples, cfg.seed, threads=cfg.threads)
-    rep_angle = check_globalization(ANGLE, samples, cfg.seed, threads=cfg.threads)
+    rep = check_globalization(max(cfg.samples // 5, MIN_SAMPLES), cfg.seed)
     det = {
         "log": {
             "vector_pair": [{"graph": g, "pattern": p, "value": _c(v),
@@ -367,9 +366,8 @@ def check_globalization_suite(cfg: SuiteConfig) -> CheckResult:
             "contour": [{"value": _c(v), "stderr": e, "passed": okk}
                         for _, _, v, e, okk in rep.contour],
         },
-        "angle_passed": rep_angle.passed,
     }
-    return CheckResult("globalization", rep.passed and rep_angle.passed, det)
+    return CheckResult("globalization", rep.passed, det)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +462,8 @@ def check_determinism(cfg: SuiteConfig) -> CheckResult:
 
     # four times the samples should halve the error bar
     budget = max(cfg.samples // 4, MIN_SAMPLES)
-    coarse = compute_weight(wedge, ANGLE, budget, cfg.seed, cfg.threads)
-    fine = compute_weight(wedge, ANGLE, 4 * budget, cfg.seed, cfg.threads)
+    coarse = compute_weight(wedge, ANGLE, budget, cfg.seed)
+    fine = compute_weight(wedge, ANGLE, 4 * budget, cfg.seed)
     scaling_ok = fine.stderr <= 0.6 * coarse.stderr
     return CheckResult("determinism", same and scaling_ok, {
         "bit_identical": same,
@@ -494,6 +492,7 @@ ALL_CHECKS: Tuple[Tuple[str, Callable[[SuiteConfig], CheckResult]], ...] = (
 
 def run_suite(cfg: SuiteConfig, echo=print) -> List[CheckResult]:
     import time
+    default_threads()  # a bad KWL_THREADS exits before out_dir is made
     os.makedirs(cfg.out_dir, exist_ok=True)
     results = []
     for name, fn in ALL_CHECKS:

@@ -24,9 +24,8 @@ the benchmark tracer's ``weights.det`` span, until kwl has its own timers
 (ROADMAP item 4).  A class whose plan is empty (no bijection from edges to
 frame columns) weighs an exact zero in :func:`cached_weight`.
 ``clear_weight_cache`` empties the plans of :mod:`kwl.forms` too, and every
-:func:`class_store` table: the class representatives and each labelled
-graph's class, the stratum records and identity rows of :mod:`kwl.stokes`
-and the contour integrals of :mod:`kwl.operators`.
+:func:`class_store` table: the class representatives, each labelled
+graph's class, and the stratum records and identity rows of :mod:`kwl.stokes`.
 
 One kernel pass estimates a tuple of kinds: :func:`integrand_batch` and
 :func:`qmc_mean` give one entry per kind, sharing everything but each
@@ -288,8 +287,7 @@ def _qmc_passes(func, dim: int, samples: int, seed: int,
     return passes, per_batch * BATCHES
 
 
-def qmc_mean(func, dim: int, samples: int, seed: int,
-             threads: Optional[int] = None) -> Tuple[tuple, tuple, int, int]:
+def qmc_mean(func, dim: int, samples: int, seed: int) -> Tuple[tuple, tuple, int, int]:
     """Batched scrambled-QMC means of ``func(U) -> (values, rejected)`` over
     the ``dim``-dimensional unit hypercube, ``values`` a tuple of arrays.
 
@@ -299,8 +297,7 @@ def qmc_mean(func, dim: int, samples: int, seed: int,
     Returns (values, stderrs, actual sample count, rejected sample count),
     one value and stderr per array, each averaged on its own.
     """
-    ((value, stderr, rejected),), total = _qmc_passes(lambda U: (func(U),), dim,
-                                                      samples, seed, threads)
+    ((value, stderr, rejected),), total = _qmc_passes(lambda U: (func(U),), dim, samples, seed)
     return value, stderr, total, rejected
 
 
@@ -531,8 +528,7 @@ def detect_vanishing_pattern(g: Graph) -> Optional[str]:
     return None
 
 
-def vanishing_check(g: Graph, kind: str, samples: int, seed: int,
-                    threads: Optional[int] = None):
+def vanishing_check(g: Graph, kind: str, samples: int, seed: int):
     """Measure the weight of a pattern-bearing graph and test it against 0.
 
     Returns (passed, estimate, pattern, bound); it passes when |value| <
@@ -542,6 +538,6 @@ def vanishing_check(g: Graph, kind: str, samples: int, seed: int,
     pattern = detect_vanishing_pattern(g)
     if pattern is None:
         raise ValueError("graph exhibits none of the structural vanishing patterns")
-    est = cached_weight(g, kind, samples, seed, threads)
+    est = cached_weight(g, kind, samples, seed)
     bound = max(VANISHING_TOL, 3.0 * est.stderr)
     return abs(est.value) < bound, est, pattern, bound

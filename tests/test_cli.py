@@ -89,9 +89,12 @@ def test_argparse_usage_errors_one_line(capsys):
 
 def test_weight_bad_budget_or_seed_exit_2(capsys):
     wedge = ["weight", "--graph", "1 2 ; a1>g1 a1>g2"]
-    for extra in (["--samples", "0"], ["--samples", "-5"], ["--seed", "-1"],
-                  ["--threads", "0"], ["--threads", "-3"]):
+    for extra in (["--samples", "0"], ["--samples", "-5"], ["--seed", "-1"]):
         assert_usage_error(wedge + extra, capsys)
+    # KWL_THREADS is the one thread setting
+    for threads in ("0", "-3", "1"):
+        err = assert_usage_error(wedge + ["--threads", threads], capsys)
+        assert f"unrecognized arguments: --threads {threads}" in err
     # above 16 batches of 2^30 Sobol points, rejected before any draw: a
     # budget near that bound would take tens of GiB
     for budget in (str(10 ** 400), str((16 << 30) + 1)):
@@ -306,6 +309,13 @@ def test_counterterm_bad_scales_exit_2(capsys):
         assert "one common ratio" in assert_usage_error(probe + ["--scales"] + scales, capsys)
 
 
+@pytest.mark.parametrize("subset", ["1,0,1", "0,0", "0,,1", "0,1,", ""])
+def test_counterterm_repeated_or_empty_index_exit_2(subset, capsys):
+    err = assert_usage_error(["counterterm", "--graph", "2 1 ; a1>a2 a1>g1 a2>g1",
+                              "--subset", subset], capsys)
+    assert "--subset" in err
+
+
 def test_counterterm_negative_seed_exit_2(capsys):
     err = assert_usage_error(["counterterm", "--graph", "2 1 ; a1>a2 a1>g1 a2>g1",
                               "--subset", "0,1", "--seed", "-1"], capsys)
@@ -317,6 +327,50 @@ def test_bad_kwl_threads_named_exit_2(value, monkeypatch, capsys):
     monkeypatch.setenv("KWL_THREADS", value)
     err = assert_usage_error(["weight", "--graph", "1 2 ; a1>g1 a1>g2"], capsys)
     assert "KWL_THREADS" in err and repr(value) in err
+
+
+#: one small run of each sampling subcommand; 2^15 samples are two pool tasks
+SAMPLED = {
+    "weight": ["--graph", "2 1 ; a1>a2 a1>g1 a2>g1"],
+    "vanish": ["--graph", "2 1 ; a1>a2 a2>a1 a1>g1"],
+    "verify-identity": ["--graph", "2 2 ; a1>a2 a1>g1 a2>g2"],
+    "star": ["--poisson", _bivector_json(), "--f", _poly_json((2, 1)),
+             "--g", _poly_json((1, 2))],
+    "associativity": ["--poisson", _bivector_json((1, 0)), "--f", _poly_json((1, 1)),
+                      "--g", _poly_json((0, 1)), "--h", _poly_json((2, 0))],
+    "globalization": [],
+}
+
+
+@pytest.mark.parametrize("command", SAMPLED)
+def test_output_does_not_depend_on_the_thread_count(command, monkeypatch, capsys):
+    argv = [command, "--samples", str(1 << 15), "--seed", "3"] + SAMPLED[command]
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KWL_THREADS", threads)
+        weights.clear_weight_cache()
+        code, out = run_cli(argv, capsys)
+        assert code == 0, out
+        outs.append(out)
+    weights.clear_weight_cache()
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", SAMPLED)
+def test_no_command_takes_a_thread_count(command, capsys):
+    # KWL_THREADS is the one thread setting
+    argv = [command, "--samples", "1000"] + SAMPLED[command]
+    err = assert_usage_error(argv + ["--threads", "2"], capsys)
+    assert "unrecognized arguments: --threads 2" in err
+
+
+def test_globalization_takes_no_kind(capsys):
+    # no part of the check depends on the propagator: it checks U^log
+    argv = ["globalization", "--samples", "1000"]
+    err = assert_usage_error(argv + ["--kind", "log"], capsys)
+    assert "unrecognized arguments: --kind log" in err
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and "kind" not in json.loads(out)
 
 
 def test_suite_reduced_config_runs_and_is_deterministic(tmp_path, capsys):
@@ -363,15 +417,18 @@ def test_suite_rejects_small_budgets(tmp_path, capsys):
 
 def test_suite_rejects_removed_budget_keys(tmp_path, capsys):
     cfg = tmp_path / "old.cfg"
-    for key in ("wedge_samples = 40000", "tolerance = 0"):
+    for key in ("wedge_samples = 40000", "tolerance = 0", "threads = 2"):
         cfg.write_text(f"seed = 3\n{key}\n")
         err = assert_usage_error(["suite", "--config", str(cfg)], capsys)
         assert f"line 2: unknown key {key.split()[0]!r}" in err
 
 
 @pytest.mark.parametrize("line, word", [
-    ("threads = 0", "thread count"), ("samples = 1e6", "line 1: samples"),
+    ("samples = 1e6", "line 1: samples"),
     ("samples = 17179869185", "sample budget 17179869185 exceeds"),
+    ("seed = -1", "seed must be nonnegative"),
+    ("seed = 1\nseed = 2\nsamples = 10", "line 2: duplicate key 'seed'"),
+    ("out_dir = a\nsamples = 10", "line 3: duplicate key 'out_dir'"),
     ("KWL_THREADS=abc", "KWL_THREADS"), ("KWL_THREADS=0", "KWL_THREADS")])
 def test_suite_rejects_bad_thread_or_sample_settings_before_any_report(
         line, word, tmp_path, monkeypatch, capsys):
@@ -382,7 +439,7 @@ def test_suite_rejects_bad_thread_or_sample_settings_before_any_report(
     cfg.write_text(f"{line}\nout_dir = {tmp_path}/out\n")
     err = assert_usage_error(["suite", "--config", str(cfg)], capsys)
     assert word in err
-    assert not list((tmp_path / "out").glob("*.json"))
+    assert not (tmp_path / "out").exists()
 
 
 def _readme_block(heading):

@@ -87,8 +87,17 @@ def run(argv):
     return code
 
 
+@pytest.fixture(autouse=True, scope="module")
+def one_thread():
+    """Thousands of small runs go faster without a pool to spread them on;
+    no output depends on the thread count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("KWL_THREADS", "1")
+        yield
+
+
 def common(kind, samples, seed):
-    return [f"--kind={kind}", f"--samples={samples}", f"--seed={seed}", "--threads=1"]
+    return [f"--kind={kind}", f"--samples={samples}", f"--seed={seed}"]
 
 
 @FUZZ

@@ -15,7 +15,6 @@ from kwl.operators import (MultiDiffOperator, PolyMultivector, _poly_key, bivect
                            p_add, p_diff, p_diff_multi, p_int, p_max_abs, p_mul, p_sub,
                            poly_from_json_list, poly_from_terms, star_product,
                            u_n, vector_field)
-from kwl.weights import clear_weight_cache
 
 WEDGE = make_graph(1, 2, [(0, 1), (0, 2)])
 PI_CONST = bivector(2, [(0, 1, (0, 0), 1)])
@@ -566,27 +565,8 @@ def test_one_in_one_out_integral_vanishes():
     assert contour_check(0.3 + 1.1j, -0.4 + 0.8j, 2 * 10 ** 5, 3)[:3] == (True, val, err)
 
 
-def test_one_in_one_out_integral_is_kept_until_the_cache_is_cleared(monkeypatch):
-    # values do not depend on the thread count, so thread counts share an entry
-    calls = []
-    mean = operators.qmc_mean
-    monkeypatch.setattr(operators, "qmc_mean", lambda *args: calls.append(args[1:]) or mean(*args))
-    u, v = 0.3 + 1.1j, -0.4 + 0.8j
-    clear_weight_cache()
-    one = one_in_one_out_integral(u, v, 1 << 10, 3, threads=1)
-    assert one_in_one_out_integral(u, v, 1 << 10, 3, threads=2) is one
-    assert len(calls) == 1 and len(operators._contours) == 1
-    one_in_one_out_integral(u, v, 1 << 10, 4, threads=1)  # another seed
-    assert len(calls) == 2
-    clear_weight_cache()
-    assert not operators._contours
-    assert one_in_one_out_integral(u, v, 1 << 10, 3, threads=2) == one
-    assert len(calls) == 3
-    clear_weight_cache()
-
-
 def test_globalization_log():
-    rep = check_globalization(LOG, 10 ** 5, seed=4)
+    rep = check_globalization(10 ** 5, seed=4)
     assert rep.passed
     assert all(ok for _, _, ok in rep.linear_slot)
     classes = {c for _, c, _ in rep.linear_slot}
