@@ -67,7 +67,7 @@ def cmd_weight(args) -> int:
     est = compute_weight(parse_graph(args.graph), args.kind, args.samples, args.seed)
     out = est.to_json_dict()
     if est.exact and est.value == 0:
-        out["note"] = "edge count does not match the slice dimension; weight is exactly zero"
+        out["note"] = "exactly zero by edge count, an odd automorphism or no matching"
     _print_json(out)
     return 0
 

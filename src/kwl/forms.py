@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graphs import TYPE_I, CollapseLayout, Graph
-from .halfplane import Configuration, gauge_dim, gauge_frame, normalized_shape
+from .halfplane import Configuration, gauge_dim, gauge_frame, normalized_shape, slice_columns
 
 ANGLE = "angle"
 LOG = "log"
@@ -107,10 +107,7 @@ def pairing_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) ->
         raise ValueError(f"{len(edges)} edges against {d} frame columns: the form"
                          " degree must be the frame dimension")
     support = [[c for c, col in enumerate(frame) if s in col or t in col] for s, t in edges]
-    filled = [{0}]
-    for cols in support:
-        filled.append({used | 1 << c for used in filled[-1] for c in cols
-                       if not used >> c & 1})
+    filled = _fill(support)
     plan: List[tuple] = []
     targets = {(1 << d) - 1} & filled[-1]
     for k in reversed(range(d)):
@@ -119,6 +116,31 @@ def pairing_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) ->
                              if target >> c & 1 and target & ~(1 << c) in filled[k]))
         targets = {source for _, source, _, _ in plan[0]}
     return tuple(plan) if targets else ()
+
+
+def _fill(support: Sequence[Sequence[int]]) -> List[set]:
+    """Per k, the column sets (bit masks) the first k edges fill one to one."""
+    filled = [{0}]
+    for cols in support:
+        filled.append({used | 1 << c for used in filled[-1] for c in cols
+                       if not used >> c & 1})
+    return filled
+
+
+def log_support(edges: Sequence[Tuple[int, int]], columns) -> List[List[int]]:
+    """Per edge ``(s, t)``, the :func:`halfplane.slice_columns` its log form
+    pairs with, a free aerial point's ``x``, ``y`` read as ``dz``, ``dz-bar``
+    (a constant change of basis): every column of ``s``, none of ``t``'s
+    ``dz-bar``, as the form reaches its target only through ``dz_t``."""
+    return [[c for c, (v, mode) in enumerate(columns) if v == s or (v == t and mode != "y")]
+            for s, t in edges]
+
+
+def log_vanishes(n: int, m: int, edges: Sequence[Tuple[int, int]]) -> bool:
+    """Whether the log integrand of a top-degree (n, m) graph vanishes
+    identically: no bijection from its edges to their :func:`log_support`."""
+    columns = slice_columns(n, m)
+    return (1 << len(columns)) - 1 not in _fill(log_support(edges, columns))[-1]
 
 
 def plan_det(plan, edges: Sequence[Tuple[int, int]], points: Sequence,

@@ -146,9 +146,9 @@ def check_structural_vanishing(cfg: SuiteConfig) -> CheckResult:
         ok = ok and good
         rows.append({"graph": encode_graph(g), "pattern": pattern,
                      "value": _c(est.value), "stderr": est.stderr,
-                     "bound": bound, "passed": good})
-    return CheckResult("structural_vanishing", ok,
-                       {"graphs": rows, "count": len(rows)})
+                     "bound": bound, "passed": good, "exact": est.exact})
+    return CheckResult("structural_vanishing", ok, {
+        "graphs": rows, "count": len(rows), "sampled": sum(not r["exact"] for r in rows)})
 
 
 # ---------------------------------------------------------------------------

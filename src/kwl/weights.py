@@ -21,8 +21,10 @@ On slices of dimension ``MIN_EXPANDED_DIM`` or more the integrand is
 :func:`forms.frame_integrand`, the graph's column-subset recursion on the
 edge terms of each chunk; smaller slices keep ``np.linalg.det`` only for
 the benchmark tracer's ``weights.det`` span, until kwl has its own timers
-(ROADMAP item 4).  A class whose plan is empty (no bijection from edges to
-frame columns) weighs an exact zero in :func:`cached_weight`.
+(ROADMAP item 4).  Every entry point decides per class, before sampling,
+the weights exact at any budget and seed: by degree, an odd automorphism,
+an empty plan (no bijection from edges to frame columns) and, in the log
+kind alone, :func:`forms.log_vanishes`.
 ``clear_weight_cache`` empties the plans of :mod:`kwl.forms` too, and every
 :func:`class_store` table: the class representatives, each labelled
 graph's class, and the stratum records and identity rows of :mod:`kwl.stokes`.
@@ -62,8 +64,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import qmc
-from .forms import (ANGLE, check_kind, clear_plans, frame_integrand, frame_plan,
-                    pairing_matrices, pairing_scale)
+from .forms import (ANGLE, LOG, check_kind, clear_plans, frame_integrand, frame_plan,
+                    log_vanishes, pairing_matrices, pairing_scale)
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
 from .halfplane import gauge_dim, gauge_frame, slice_map
 
@@ -229,6 +231,8 @@ def class_store(name: str) -> dict:
 _classes = class_store("estimated classes")
 #: :func:`_class_of`'s result by labelled graph; :func:`weight_class` enters each representative
 _labelled = class_store("labelled graph classes")
+#: whether the class's log integrand vanishes identically, by class key
+_log_zeros = class_store("log zero classes")
 
 
 def _sobol_points(dim: int, seed: int, batch: int, n: int) -> np.ndarray:
@@ -315,31 +319,21 @@ def check_request(kind: str, samples: int, seed: int) -> None:
     _check_budget(samples, seed)
 
 
-def _degree_weight(g: Graph) -> Optional[complex]:
-    """Exactly zero when the edge count is not the slice dimension (a
-    non-top form), exactly one for the empty top-degree graph, else None.
-    Raises on a top-degree slice of more than ``qmc.MAX_DIM`` dimensions."""
-    dim = gauge_dim(g.n, g.m)
-    if len(g.edges) != dim:
-        return 0.0 + 0j
-    if dim == 0:
-        return 1.0 + 0j
-    if dim > qmc.MAX_DIM:
-        raise ValueError(f"the slice of a ({g.n},{g.m}) graph has {dim} dimensions; "
-                         f"the Sobol table stops at {qmc.MAX_DIM}")
-    return None
-
-
 def weight_class(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
     """``(value, None, 0)`` for a weight exact at any kind, budget and seed,
     else ``(None, representative, parity)``: the class's canonical graph and
-    the sign carrying its weight to ``g``.  Besides the degree, parity 0
-    (:func:`graphs.canonical_key`: an odd automorphism) and an empty
-    :func:`forms.frame_plan` (the integrand vanishes identically) decide
-    an exact zero."""
-    value = _degree_weight(g)
-    if value is not None:
-        return value, None, 0
+    the sign carrying its weight to ``g``.  The degree decides zero when
+    the edge count is not the slice dimension (a non-top form) and one for
+    the empty top-degree graph; then parity 0 (:func:`graphs.canonical_key`:
+    an odd automorphism) and an empty :func:`forms.frame_plan` (the
+    integrand vanishes identically) decide an exact zero.  Raises on a
+    top-degree slice of more than ``qmc.MAX_DIM`` dimensions."""
+    dim = gauge_dim(g.n, g.m)
+    if len(g.edges) != dim or dim == 0:
+        return complex(len(g.edges) == dim == 0), None, 0
+    if dim > qmc.MAX_DIM:
+        raise ValueError(f"the slice of a ({g.n},{g.m}) graph has {dim} dimensions; "
+                         f"the Sobol table stops at {qmc.MAX_DIM}")
     key, parity = canonical_key(g)
     if parity == 0 or not frame_plan(key[2], gauge_frame(key[0], key[1], 1.0)):
         return 0.0 + 0j, None, 0
@@ -353,15 +347,16 @@ def compute_weights(graphs: Sequence[Graph], kinds: Tuple[str, ...], samples: in
     """Estimate graphs that share (n, m) and edge count: per graph, a tuple
     of estimates, one per kind in ``kinds``.
 
-    Degree-decided weights are exact (:func:`_degree_weight`).  Otherwise
-    each value is the deterministic QMC estimate at the requested sample
-    budget, rounded up so the 16 batches are balanced powers of two.  The
-    graphs share each batch's Sobol draw, slice map and collision distances
-    and each chunk's frame and edge terms (:func:`_integrand_group`),
-    in runs of at most ``BATCHES * TASK_ROWS`` rows per batch summed over
-    the graphs, since a pool task holds each graph's values for its batch.
-    Every estimate is bit-identical to the graph's own pass; ``rejected``
-    counts the rows rejected in any of the kinds.
+    Weights :func:`_decided` before sampling are exact.  The rest are
+    deterministic QMC estimates at the requested sample budget, rounded up
+    so the 16 batches are balanced powers of two, from one pass per tuple
+    of kinds still needed.  The graphs of a pass share each batch's Sobol
+    draw, slice map and collision distances and each chunk's frame and edge
+    terms (:func:`_integrand_group`), in runs of at most ``BATCHES *
+    TASK_ROWS`` rows per batch summed over the graphs, since a pool task
+    holds each graph's values for its batch.  Each estimate is its own
+    one-kind pass bit for bit; ``rejected`` counts the rows rejected in
+    any kind of its pass: the angle rows alone if the log is decided.
     """
     if not kinds:
         raise ValueError("no propagator kind given")
@@ -369,22 +364,26 @@ def compute_weights(graphs: Sequence[Graph], kinds: Tuple[str, ...], samples: in
         check_request(k, samples, seed)
     if len({(g.n, g.m, len(g.edges)) for g in graphs}) > 1:
         raise ValueError("the graphs of a group must share (n, m) and edge count")
-    exact = _degree_weight(graphs[0]) if graphs else None
-    if exact is not None:
-        return [tuple(_exact(exact, g, k, seed) for k in kinds) for g in graphs]
+    ests = [[_decided(g, k, seed) for k in kinds] for g in graphs]
+    passes: Dict[tuple, List[int]] = {}
+    for i, row in enumerate(ests):
+        need = tuple(k for k, est in zip(kinds, row) if est is None)
+        if need:
+            passes.setdefault(need, []).append(i)
     size = max(1, BATCHES * TASK_ROWS // _per_batch(samples))
-    ests: List[tuple] = []
-    for lo in range(0, len(graphs), size):
-        run = graphs[lo:lo + size]
-        # one graph goes through integrand_batch, which the benchmark tracer times
-        passes, total = _qmc_passes(
-            (lambda U: (integrand_batch(run[0], kinds, U),)) if len(run) == 1
-            else (lambda U: _integrand_group(run, kinds, U)),
-            len(run[0].edges), samples, seed, threads)
-        ests += [tuple(WeightEstimate(v, e, total, seed, k, encode_graph(g), rejected=rejected)
-                       for v, e, k in zip(values, stderrs, kinds))
-                 for g, (values, stderrs, rejected) in zip(run, passes)]
-    return ests
+    for need, index in passes.items():
+        for lo in range(0, len(index), size):
+            run = [graphs[i] for i in index[lo:lo + size]]
+            # one graph goes through integrand_batch, which the benchmark tracer times
+            results, total = _qmc_passes(
+                (lambda U: (integrand_batch(run[0], need, U),)) if len(run) == 1
+                else (lambda U: _integrand_group(run, need, U)),
+                len(run[0].edges), samples, seed, threads)
+            for i, g, (values, stderrs, rejected) in zip(index[lo:lo + size], run, results):
+                new = iter([WeightEstimate(v, e, total, seed, k, encode_graph(g), rejected=rejected)
+                            for v, e, k in zip(values, stderrs, need)])
+                ests[i] = [next(new) if est is None else est for est in ests[i]]
+    return [tuple(row) for row in ests]
 
 
 def compute_weight(g: Graph, kind, samples: int, seed: int,
@@ -392,9 +391,10 @@ def compute_weight(g: Graph, kind, samples: int, seed: int,
     """Estimate the weight of a graph: the one-graph :func:`compute_weights`.
 
     ``kind`` is one kind, giving one estimate, or a non-empty tuple of
-    kinds, giving a tuple of estimates from one kernel pass
-    (:func:`integrand_batch`), each bit-identical to its one-kind estimate
-    save ``rejected``, which counts the rows rejected in any of the kinds.
+    kinds, giving a tuple of estimates: the decided ones exact, the rest
+    from one kernel pass (:func:`integrand_batch`), each bit-identical to
+    its one-kind estimate save ``rejected``, which counts the rows rejected
+    in any of the sampled kinds.
     """
     (ests,) = compute_weights([g], kind if isinstance(kind, tuple) else (kind,),
                               samples, seed, threads)
@@ -407,16 +407,29 @@ def _class_of(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
     return _labelled.get(key) or _labelled.setdefault(key, weight_class(g))
 
 
+def _decided(g: Graph, kind: str, seed: int) -> Optional[WeightEstimate]:
+    """``g``'s exact estimate in ``kind``, else None: :func:`weight_class`'s
+    value, or 0 in the log kind if the class's representative
+    :func:`forms.log_vanishes`."""
+    exact, rep, _ = _class_of(g)
+    if exact is None and kind == LOG:
+        key = (rep.n, rep.m, rep.edges)
+        zero = _log_zeros.get(key)
+        if zero is None:
+            zero = _log_zeros.setdefault(key, log_vanishes(*key))
+        exact = 0.0 + 0j if zero else None
+    return None if exact is None else _exact(exact, g, kind, seed)
+
+
 def cached_weight(g: Graph, kind: str, samples: int, seed: int,
                   threads: Optional[int] = None, kinds: Tuple[str, ...] = ()) -> WeightEstimate:
     """Weight estimate deduplicated across graphs isomorphic up to aerial
     relabelling and edge reordering (sign restored from the edge parity).
 
     A representative :func:`weight_class` has kept is found with no
-    search.  Only this class-level entry point applies the class's exact
-    values: :func:`compute_weight` estimates every graph it is given.  On
-    a miss, ``kind`` and whichever of ``kinds`` the cache lacks at this
-    budget and seed are estimated in one kernel pass and all are kept.
+    search.  On a miss, ``kind`` and whichever of ``kinds`` the cache lacks
+    at this budget and seed go to one :func:`compute_weight`, which
+    samples those not decided exact in one kernel pass, and all are kept.
     """
     check_request(kind, samples, seed)
     exact, rep, parity = _class_of(g)

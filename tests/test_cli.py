@@ -50,6 +50,11 @@ def test_weight_degree_mismatch_note(capsys):
     data = json.loads(out)
     assert data["value"] == [0.0, 0.0]
     assert "edge count" in data["note"]
+    # a log weight decided by its class is noted as exact too; its angle is sampled
+    for kind, exact in (("log", True), ("angle", False)):
+        code, out = run_cli(["weight", "--graph", "3 0 ; a1>a2 a1>a3 a2>a1 a2>a3", "--kind",
+                             kind, "--samples", "1024"], capsys)
+        assert code == 0 and ("note" in json.loads(out)) == exact
     # the empty top-degree graph is exactly one, with no note
     code, out = run_cli(["weight", "--graph", "0 2 ;"], capsys)
     assert code == 0

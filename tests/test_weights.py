@@ -381,17 +381,117 @@ def test_even_automorphism_keeps_the_weight():
 
 def test_class_without_matching_is_an_exact_zero():
     # no edge pairs with a4's two coordinates: the integrand vanishes
-    # identically, which the class rule reads off and sampling confirms
+    # identically, which the class rule reads off before any sampling and
+    # a Sobol batch confirms
     g = parse_graph("4 0 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>a1 a3>a4")
     assert canonical_key(g)[1] != 0 and frame_plan(g.edges, gauge_frame(4, 0, 1.0)) == ()
+    U = np.clip(weights._sobol_points(6, 5, 0, 1 << 12), 1e-15, 1.0 - 1e-15)
+    values, rejected = integrand_batch(g, (ANGLE, LOG), U)
+    assert rejected == 0 and all(not v.any() for v in values)
     clear_weight_cache()
     for kind in (ANGLE, LOG):
-        est = cached_weight(g, kind, 1 << 12, 5)
-        assert est.exact and est.value == 0 and est.stderr == 0
-        sampled = compute_weight(g, kind, 1 << 12, 5)
-        assert not sampled.exact and sampled.samples == 1 << 12
-        assert sampled.value == 0 and sampled.stderr == 0
+        for est in (cached_weight(g, kind, 1 << 12, 5), compute_weight(g, kind, 1 << 12, 5)):
+            assert est.exact and est.value == 0 and est.stderr == 0 and est.samples == 0
     assert not weights._cache
+
+
+#: top-degree slices on at most four vertices
+SMALL_SLICES = [(1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0)]
+#: per slice, the sampled classes whose log integrand has no matching
+LOG_DECIDED = {(3, 0): 1, (3, 1): 2, (4, 0): 12}
+
+
+def _vanishes_pointwise(g, kind, points=128):
+    """Whether ``kind``'s integrand of ``g`` stays at or below 1e-9 of the
+    angle integrand's largest value at random points of the slice."""
+    U = np.random.default_rng(3).uniform(size=(points, gauge_dim(g.n, g.m)))
+    values, rejected = integrand_batch(g, (ANGLE, kind), U)
+    assert rejected == 0
+    return np.max(np.abs(values[1])) <= 1e-9 * np.max(np.abs(values[0]))
+
+
+def _log_rule_findings():
+    """The log rule on every sampled class on at most four vertices: the
+    decided count per slice, the decided classes whose log integrand does
+    not vanish at sample points, and the classes where an aerial
+    relabelling that keeps a1, or any relabelling that the rule decides,
+    disagrees with the class representative."""
+    decided, unsound, unstable = {}, [], []
+    for n, m in SMALL_SLICES:
+        for rep in _sampled_classes(n, m):
+            zero = forms.log_vanishes(n, m, rep.edges)
+            for perm in itertools.permutations(range(n)):
+                label = perm + tuple(range(n, n + m))
+                edges = [(label[s], label[t]) for s, t in rep.edges]
+                if forms.log_vanishes(n, m, edges) != zero and (perm[0] == 0 or not zero):
+                    unstable.append(encode_graph(rep))
+                    break
+            if zero:
+                decided[n, m] = decided.get((n, m), 0) + 1
+                if not _vanishes_pointwise(rep, LOG):
+                    unsound.append(encode_graph(rep))
+    return decided, unsound, unstable
+
+
+def test_log_rule_decides_only_vanishing_log_integrands():
+    # the log form reaches its target only through dz_t: a class with no
+    # matching of edges to (dz, dz-bar, phi, ground) columns has a log
+    # integrand that vanishes at every point.  A relabelling that pins the
+    # aerial sink at i (or on the circle) drops its dz-bar column and finds
+    # a matching: there only the integral vanishes, so the rule is kept per
+    # class and read on the representative
+    assert sum(len(_sampled_classes(n, m)) for n, m in SMALL_SLICES) == 71
+    assert _log_rule_findings() == (LOG_DECIDED, [], [])
+
+
+@pytest.mark.parametrize("reach", [
+    lambda v, mode, s, t: v in (s, t),  # the target also reaches dz-bar_t
+    lambda v, mode, s, t: v == s or (v == t and mode not in ("x", "y")),  # loses dz_t
+], ids=["target-reaches-dz-bar", "target-loses-dz"])
+def test_log_rule_mutants_fail(monkeypatch, reach):
+    monkeypatch.setattr(forms, "log_support", lambda edges, columns: [
+        [c for c, (v, mode) in enumerate(columns) if reach(v, mode, s, t)] for s, t in edges])
+    assert _log_rule_findings() != (LOG_DECIDED, [], [])
+
+
+def test_angle_integrand_does_not_vanish_where_the_log_rule_decides():
+    # the angle form reaches dz-bar_t too, so no decided class is an angle
+    # zero: the pointwise check that passes for U^log fails for the angle
+    decided = [rep for n, m in SMALL_SLICES for rep in _sampled_classes(n, m)
+               if forms.log_vanishes(n, m, rep.edges)]
+    assert len(decided) == 15
+    assert not any(_vanishes_pointwise(rep, ANGLE) for rep in decided)
+
+
+def test_group_pass_samples_only_undecided_weights():
+    # a (4,0) group of sampled classes, log-decided classes, a class with an
+    # empty plan and one with an odd automorphism, in both kinds: each
+    # sampled weight is its one-graph, one-kind pass bit for bit
+    samples, seed = 1 << 10, 7
+    graphs = _sampled_classes(4, 0)
+    graphs.insert(3, parse_graph("4 0 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>a1 a3>a4"))
+    graphs.insert(9, next(g for g in enumerate_graphs(4, 0, 6) if canonical_key(g)[1] == 0))
+    clear_weight_cache()
+    ests = weights.compute_weights(graphs, (ANGLE, LOG), samples, seed, threads=2)
+    kinds_sampled = []
+    for g, pair in zip(graphs, ests):
+        sampled = tuple(e.kind for e in pair if not e.exact)
+        kinds_sampled.append(sampled)
+        for est in pair:
+            if est.exact:
+                assert est.value == 0 and est.stderr == 0 and est.samples == 0
+                continue
+            (value,), (stderr,), total, _ = qmc_mean(
+                lambda U: integrand_batch(g, (est.kind,), U), 6, samples, seed)
+            assert (repr(est.value), repr(est.stderr), est.samples) == (
+                repr(value), repr(stderr), total)
+            *_, rejected = qmc_mean(lambda U: integrand_batch(g, sampled, U), 6, samples, seed)
+            assert est.rejected == rejected
+    assert kinds_sampled.count((ANGLE, LOG)) == 32 - 12
+    assert kinds_sampled.count((ANGLE,)) == 12 and kinds_sampled.count(()) == 2
+    for g in (G40, G31):
+        assert not any(e.exact for e in compute_weight(g, (ANGLE, LOG), samples, seed))
+    clear_weight_cache()
 
 
 def test_clear_weight_cache_empties_the_plan_cache():
