@@ -77,7 +77,7 @@ def cmd_vanish(args) -> int:
                                           args.seed)
     _print_json({"graph": est.graph, "pattern": pattern,
                  "value": [est.value.real, est.value.imag],
-                 "stderr": est.stderr, "passed": ok})
+                 "stderr": est.stderr, "exact": est.exact, "passed": ok})
     return 0 if ok else CHECK_FAILURE
 
 

@@ -196,6 +196,8 @@ def pairing_scale(kind: str, num_edges: int) -> complex:
 
 
 _plan = functools.lru_cache(maxsize=None)(pairing_plan)
+#: :func:`log_vanishes` cached on (n, m, edges), read on class representatives
+class_log_vanishes = functools.lru_cache(maxsize=None)(log_vanishes)
 
 
 def frame_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) -> tuple:
@@ -206,6 +208,7 @@ def frame_plan(edges: Sequence[Tuple[int, int]], frame: Sequence[Velocity]) -> t
 
 def clear_plans() -> None:
     _plan.cache_clear()
+    class_log_vanishes.cache_clear()
 
 
 def frame_integrand(edges: Sequence[Tuple[int, int]], points: Sequence,

@@ -221,14 +221,6 @@ class MultiDiffOperator:
     def add_term(self, slots: Tuple[Monomial, ...], mono: Monomial, coeff) -> None:
         p_acc(self.terms, (slots, mono), coeff)
 
-    def plus(self, other: "MultiDiffOperator") -> "MultiDiffOperator":
-        if (self.dim, self.arity) != (other.dim, other.arity):
-            raise ValueError("operator shapes differ")
-        out = MultiDiffOperator(self.dim, self.arity, dict(self.terms))
-        for key, c in other.terms.items():
-            p_acc(out.terms, key, c)
-        return out
-
     def scaled(self, s) -> "MultiDiffOperator":
         return MultiDiffOperator(self.dim, self.arity,
                                  {k: c * s for k, c in self.terms.items()})
@@ -387,10 +379,11 @@ def u_n(kind: str, multivectors: Sequence[PolyMultivector], samples: int,
     prefetch_weights([g for g, _ in ops], kind, samples, seed, threads)
     for g, dop in ops:
         w = cached_weight(g, kind, samples, seed, threads)
-        if w.value != 0:
-            value = value.plus(dop.scaled(complex(w.value)))
-        if w.stderr:
-            error = error.plus(dop.abs_coeffs().scaled(w.stderr))
+        for key, c in dop.terms.items():
+            if w.value != 0:
+                p_acc(value.terms, key, c * complex(w.value))
+            if w.stderr:
+                p_acc(error.terms, key, abs(complex(c)) * w.stderr)
     return value, error
 
 

@@ -24,9 +24,11 @@ the benchmark tracer's ``weights.det`` span, until kwl has its own timers
 (ROADMAP item 4).  Every entry point decides per class, before sampling,
 the weights exact at any budget and seed: by degree, an odd automorphism,
 an empty plan (no bijection from edges to frame columns) and, in the log
-kind alone, :func:`forms.log_vanishes`.
-``clear_weight_cache`` empties the plans of :mod:`kwl.forms` too, and every
-:func:`class_store` table: the class representatives, each labelled
+kind alone, :func:`forms.log_vanishes`.  Nothing else decides one: a
+structural vanishing pattern only labels a report row, and
+:func:`vanishing_check` holds an exact weight to 0 with no tolerance.
+``clear_weight_cache`` empties the plans and the log rule's cache of
+:mod:`kwl.forms` too, and every :func:`class_store` table: each labelled
 graph's class, and the stratum records and identity rows of :mod:`kwl.stokes`.
 
 One kernel pass estimates a tuple of kinds: :func:`integrand_batch` and
@@ -64,8 +66,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import qmc
-from .forms import (ANGLE, LOG, check_kind, clear_plans, frame_integrand, frame_plan,
-                    log_vanishes, pairing_matrices, pairing_scale)
+from .forms import (ANGLE, LOG, check_kind, class_log_vanishes, clear_plans, frame_integrand,
+                    frame_plan, pairing_matrices, pairing_scale)
 from .graphs import Graph, canonical_graph, canonical_key, encode_graph
 from .halfplane import gauge_dim, gauge_frame, slice_map
 
@@ -227,12 +229,9 @@ def class_store(name: str) -> dict:
         return _stores.setdefault(name, {})
 
 
-#: the representative of each estimated class found, by class key
-_classes = class_store("estimated classes")
-#: :func:`_class_of`'s result by labelled graph; :func:`weight_class` enters each representative
+#: :func:`_class_of`'s result by labelled graph; :func:`weight_class` enters each
+#: representative, under its class key, as the one object of its class
 _labelled = class_store("labelled graph classes")
-#: whether the class's log integrand vanishes identically, by class key
-_log_zeros = class_store("log zero classes")
 
 
 def _sobol_points(dim: int, seed: int, batch: int, n: int) -> np.ndarray:
@@ -337,8 +336,7 @@ def weight_class(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
     key, parity = canonical_key(g)
     if parity == 0 or not frame_plan(key[2], gauge_frame(key[0], key[1], 1.0)):
         return 0.0 + 0j, None, 0
-    rep = _classes.get(key) or _classes.setdefault(key, canonical_graph(key))
-    _labelled.setdefault((rep.n, rep.m, rep.edges), (None, rep, 1))
+    rep = (_labelled.get(key) or _labelled.setdefault(key, (None, canonical_graph(key), 1)))[1]
     return None, rep, parity
 
 
@@ -410,14 +408,10 @@ def _class_of(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
 def _decided(g: Graph, kind: str, seed: int) -> Optional[WeightEstimate]:
     """``g``'s exact estimate in ``kind``, else None: :func:`weight_class`'s
     value, or 0 in the log kind if the class's representative
-    :func:`forms.log_vanishes`."""
+    :func:`forms.log_vanishes` (cached until :func:`forms.clear_plans`)."""
     exact, rep, _ = _class_of(g)
-    if exact is None and kind == LOG:
-        key = (rep.n, rep.m, rep.edges)
-        zero = _log_zeros.get(key)
-        if zero is None:
-            zero = _log_zeros.setdefault(key, log_vanishes(*key))
-        exact = 0.0 + 0j if zero else None
+    if exact is None and kind == LOG and class_log_vanishes(rep.n, rep.m, rep.edges):
+        exact = 0.0 + 0j
     return None if exact is None else _exact(exact, g, kind, seed)
 
 
@@ -494,36 +488,11 @@ def clear_weight_cache() -> None:
 UNIVALENT = "univalent"
 ONE_IN_ONE_OUT = "one-in-one-out"
 NO_OUTGOING = "no-outgoing-edge"
-WHEEL = "wheel"
-
-
-def _is_wheel_hub(g: Graph, hub: int) -> bool:
-    """Hub with no outgoing edges whose in-neighbours form a directed cycle."""
-    if g.out_degree(hub) != 0:
-        return False
-    rim = sorted({s for s, t in g.edges if t == hub})
-    if len(rim) < 2 or any(v >= g.n for v in rim):
-        return False
-    rim_set = set(rim)
-    succ = {}
-    for s, t in g.edges:
-        if s in rim_set and t in rim_set:
-            if s in succ:
-                return False
-            succ[s] = t
-    if set(succ) != rim_set:
-        return False
-    # one cycle through the whole rim
-    seen = set()
-    v = rim[0]
-    while v not in seen:
-        seen.add(v)
-        v = succ[v]
-    return seen == rim_set and v == rim[0]
 
 
 def detect_vanishing_pattern(g: Graph) -> Optional[str]:
-    """Structural reason for a vanishing log weight, if present."""
+    """Structural reason for a vanishing log weight, if present: a label
+    for reports, as the weight rules alone decide which weights are exact."""
     if g.n >= 2:
         for v in range(g.n):
             if g.in_degree(v) + g.out_degree(v) == 1:
@@ -533,9 +502,6 @@ def detect_vanishing_pattern(g: Graph) -> Optional[str]:
             return ONE_IN_ONE_OUT
     if g.num_vertices >= 2:
         for v in range(g.n):
-            if _is_wheel_hub(g, v):
-                return WHEEL
-        for v in range(g.n):
             if g.out_degree(v) == 0:
                 return NO_OUTGOING
     return None
@@ -544,13 +510,16 @@ def detect_vanishing_pattern(g: Graph) -> Optional[str]:
 def vanishing_check(g: Graph, kind: str, samples: int, seed: int):
     """Measure the weight of a pattern-bearing graph and test it against 0.
 
-    Returns (passed, estimate, pattern, bound); it passes when |value| <
-    bound = max(VANISHING_TOL, 3 stderr).  Raises when no structural
-    pattern is present.
+    Returns (passed, estimate, pattern, bound).  An exact estimate passes
+    only at 0, with bound 0; a sampled one when |value| < bound =
+    max(VANISHING_TOL, 3 stderr).  Raises when no structural pattern is
+    present.
     """
     pattern = detect_vanishing_pattern(g)
     if pattern is None:
         raise ValueError("graph exhibits none of the structural vanishing patterns")
     est = cached_weight(g, kind, samples, seed)
+    if est.exact:
+        return est.value == 0, est, pattern, 0.0
     bound = max(VANISHING_TOL, 3.0 * est.stderr)
     return abs(est.value) < bound, est, pattern, bound

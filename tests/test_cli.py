@@ -245,6 +245,17 @@ def test_vanish_wrong_degree_is_exact_zero(capsys):
     assert data["value"] == [0.0, 0.0] and data["stderr"] == 0.0 and data["passed"]
 
 
+def test_vanish_tells_a_decided_weight_from_a_sampled_zero(capsys):
+    # the log rule decides the first; the second is sampled
+    for graph, exact in (("3 0 ; a1>a2 a1>a3 a2>a1 a2>a3", True),
+                         ("2 1 ; a1>a2 a2>a1 a1>g1", False)):
+        code, out = run_cli(["vanish", "--graph", graph, "--kind", "log", "--samples", "1024"],
+                            capsys)
+        data = json.loads(out)
+        assert code == 0 and data["passed"] and data["exact"] is exact
+        assert (data["stderr"] == 0.0) is exact
+
+
 def test_vanish_no_pattern_exit_2(capsys):
     code, _ = run_cli(["vanish", "--graph", "1 2 ; a1>g1 a1>g2"], capsys)
     assert code == 2

@@ -65,7 +65,7 @@ def test_d_gamma_edge_transposition_flips_sign():
     swapped = make_graph(1, 2, [(0, 2), (0, 1)])
     D1 = d_gamma(WEDGE, [PI_CONST])
     D2 = d_gamma(swapped, [PI_CONST])
-    assert D1.plus(D2).is_zero()
+    assert p_add(D1.terms, D2.terms) == {}
 
 
 def test_d_gamma_aerial_edge_differentiates():
@@ -103,7 +103,7 @@ def test_u1_exact_weight_isolates_combinatorics():
     assert D.apply([X, Y]) == {(0, 0): Fraction(1, 2)}
     swapped = MultiDiffOperator(2, 2, {((s2, s1), mono): c
                                        for ((s1, s2), mono), c in D.terms.items()})
-    anti = D.plus(swapped.scaled(-1)).scaled(Fraction(1, 2))
+    anti = MultiDiffOperator(2, 2, p_add(D.terms, swapped.scaled(-1).terms)).scaled(Fraction(1, 2))
     assert anti.apply([X, Y]) == {(0, 0): Fraction(1, 2)}
 
 

@@ -17,8 +17,9 @@ from kwl.forms import ANGLE, LOG, frame_plan
 from kwl.graphs import (TYPE_I, canonical_graph, canonical_key, collapse_layout,
                         encode_graph, enumerate_graphs, make_graph, parse_graph)
 from kwl.halfplane import gauge_dim, gauge_frame
+from kwl.stokes import verify_identity
 from kwl.weights import (BATCHES, CHUNK_ROWS, COLLISION_EPS, MIN_EXPANDED_DIM,
-                         NO_OUTGOING, ONE_IN_ONE_OUT, UNIVALENT, WHEEL,
+                         NO_OUTGOING, ONE_IN_ONE_OUT, UNIVALENT, VANISHING_TOL,
                          WeightEstimate, cached_weight, clear_weight_cache,
                          compute_weight, detect_vanishing_pattern,
                          integrand_batch, qmc_mean, vanishing_check)
@@ -504,6 +505,18 @@ def test_clear_weight_cache_empties_the_plan_cache():
     assert forms._plan.cache_info().currsize == 0
 
 
+def test_clear_weight_cache_leaves_no_class_data():
+    # a log-decided weight fills the class stores and the log rule's cache,
+    # an identity the stokes stores and the plans: clearing empties them all
+    clear_weight_cache()
+    assert compute_weight(parse_graph("3 0 ; a1>a2 a1>a3 a2>a1 a2>a3"), LOG, 1 << 10, 5).exact
+    verify_identity(parse_graph("2 1 ; a1>a2 a2>g1"), LOG, 1 << 10, 5)
+    caches = (forms._plan, forms.class_log_vanishes)
+    assert all(weights._stores.values()) and all(c.cache_info().currsize for c in caches)
+    clear_weight_cache()
+    assert not any(weights._stores.values()) and not any(c.cache_info().currsize for c in caches)
+
+
 def _counted_estimates(monkeypatch):
     """Fake both estimating entry points; returns the list of graphs they
     are asked to sample and the set of kind tuples asked for."""
@@ -691,7 +704,7 @@ def test_pattern_detection():
     g_noout = parse_graph("3 1 ; a1>a2 a1>a3 a2>a3 a2>g1 a1>g1")
     assert detect_vanishing_pattern(g_noout) == NO_OUTGOING
     wheel = parse_graph("3 0 ; a1>a2 a2>a1 a1>a3 a2>a3")
-    assert detect_vanishing_pattern(wheel) == WHEEL
+    assert detect_vanishing_pattern(wheel) == NO_OUTGOING  # its hub is an aerial sink
     assert detect_vanishing_pattern(WEDGE) is None
     # single aerial vertex: the degree argument needs a second interior point
     assert detect_vanishing_pattern(parse_graph("1 1 ; a1>g1")) is None
@@ -713,6 +726,46 @@ def test_vanishing_check_examples():
 
     with pytest.raises(ValueError, match="pattern"):
         vanishing_check(WEDGE, LOG, 10 ** 4, 3)
+
+
+def test_vanishing_check_holds_an_exact_weight_to_zero(monkeypatch):
+    # an exact estimate passes only at 0, with bound 0; a sampled one of the
+    # same value and no spread passes against the tolerance floor
+    g = parse_graph("2 1 ; a1>a2 a2>a1 a1>g1")
+    for exact, passed, bound in ((True, False, 0.0), (False, True, VANISHING_TOL)):
+        monkeypatch.setattr(weights, "cached_weight", lambda g, kind, samples, seed:
+                            WeightEstimate(1e-30 + 0j, 0.0, samples, seed, kind,
+                                           encode_graph(g), exact=exact))
+        ok, est, _, got = vanishing_check(g, LOG, 1 << 10, 3)
+        assert (ok, est.exact, got) == (passed, exact, bound)
+
+
+#: per (n, m), the top-degree labelled graphs of each pattern on at most four vertices
+PATTERN_COUNTS = {NO_OUTGOING: {(3, 0): 3, (3, 1): 12, (4, 0): 186},
+                  UNIVALENT: {(3, 1): 15, (4, 0): 144},
+                  ONE_IN_ONE_OUT: {(2, 0): 1, (2, 1): 4, (2, 2): 6, (3, 0): 9, (3, 1): 60,
+                                   (4, 0): 448}}
+
+
+def test_weight_rules_decide_every_aerial_sink_and_univalent_graph():
+    # the log form reaches its target only through dz_t: with the degree,
+    # automorphism and plan rules, the log matching rule decides the log
+    # weight of every univalent graph and every graph with an aerial sink (a
+    # wheel hub among them) exact.  Only one-in-one-out graphs are sampled
+    counts, decided = {}, {}
+    clear_weight_cache()
+    for n, m in SMALL_SLICES:
+        for g in enumerate_graphs(n, m, gauge_dim(n, m)):
+            pattern = detect_vanishing_pattern(g)
+            if pattern is None:
+                continue
+            tables = (counts, decided) if weights._decided(g, LOG, 0) else (counts,)
+            for table in tables:
+                per = table.setdefault(pattern, {})
+                per[n, m] = per.get((n, m), 0) + 1
+    clear_weight_cache()
+    assert counts == PATTERN_COUNTS
+    assert decided == {**PATTERN_COUNTS, ONE_IN_ONE_OUT: {(2, 0): 1, (4, 0): 132}}
 
 
 def test_qmc_mean_constant():
