@@ -38,9 +38,6 @@ import numpy as np
 
 from .graphs import TYPE_I, TYPE_II, CollapseLayout, check_collapse
 
-ROOT = "root"
-LEAF = "leaf"
-
 _MIN_SEPARATION = 1e-15
 
 
@@ -209,33 +206,16 @@ def config_from_coords(n: int, m: int, q: Sequence[float]) -> Configuration:
 # nested families
 
 
-@dataclass(frozen=True)
-class FamilyNode:
-    members: frozenset
-    kind: str  # TYPE_I, TYPE_II, ROOT or LEAF
+def _upstairs(n: int, members, closed: bool) -> frozenset:
+    """Doubled points ``(v, s)`` of a cluster: ``s = +1`` for an aerial
+    member, ``-1`` for its mirror (in a cluster closed under the mirror
+    only) and ``0`` for a ground member."""
+    signs = (1, -1) if closed else (1,)
+    return frozenset((v, s) for v in members for s in (signs if v < n else (0,)))
 
 
-def _signed(node: FamilyNode, n: int) -> frozenset:
-    """Upstairs incarnation of a node.
-
-    Conjugation-closed nodes (type II and the root) contain both mirror
-    copies of their aerial members; type I nodes and aerial leaves are the
-    upper-half-plane incarnation only (their mirrors live in the mirrored
-    subtree, which is not represented).
-    """
-    if node.kind == TYPE_I:
-        return frozenset((v, +1) for v in node.members)
-    if node.kind == LEAF:
-        v = next(iter(node.members))
-        return frozenset({(v, +1 if v < n else 0)})
-    out = set()
-    for v in node.members:
-        if v < n:
-            out.add((v, +1))
-            out.add((v, -1))
-        else:
-            out.add((v, 0))
-    return frozenset(out)
+def _mirror(points: frozenset) -> frozenset:
+    return frozenset((v, -s) for v, s in points)
 
 
 class NestedFamily:
@@ -244,89 +224,49 @@ class NestedFamily:
     Internal nodes carry a type marker: type I is a set of aerial points
     collapsing to an interior point (its mirror collapses simultaneously),
     type II is a set closed under conjugation (aerial points plus a gap-free
-    run of ground points) collapsing onto the real line.  The root is the
-    full set; leaves are singletons.
+    run of ground points) collapsing onto the real line.
+
+    The tree lives on the doubled plane, where each aerial point comes with
+    its mirror image: the root and type II nodes are closed under the
+    mirror, each type I node has a mirror node, the leaves are the doubled
+    points, and a node's parent is its smallest strict superset.
     """
 
     def __init__(self, n: int, m: int, internal: Sequence[Tuple[frozenset, str]]):
         self.n = n
         self.m = m
         self.internal = tuple((frozenset(s), k) for s, k in internal)
-        self._validate()
-        self._build_tree()
+        for i, (s, k) in enumerate(self.internal):
+            check_collapse(n, m, s, k)
+            if (s, k) in self.internal[:i]:
+                raise ValueError("duplicate family node")
+        clusters = [_upstairs(n, s, k == TYPE_II) for s, k in self.internal]
+        nodes = clusters + [_mirror(b) for b, (_, k) in zip(clusters, self.internal)
+                            if k == TYPE_I]
+        for i, a in enumerate(nodes):
+            if any(a & b and not (a <= b or b <= a) for b in nodes[:i]):
+                raise ValueError("family is not nested")
+        self._points = sorted(_upstairs(n, range(n + m), True))
+        index = {p: i for i, p in enumerate(self._points)}
+        leaves = [frozenset([p]) for p in self._points]
+        tree = [frozenset(self._points)] + nodes + leaves
+        parent = {b: min((a for a in tree if b < a), key=len) for b in nodes + leaves}
+        children: Dict[frozenset, List[frozenset]] = {}
+        for b, a in parent.items():
+            children.setdefault(a, []).append(b)
+
+        def ids(b):
+            return sorted(index[p] for p in b)
+
+        # per cluster: its doubled points, its children's and its siblings'
+        self._charts = tuple(
+            (ids(b), [ids(ch) for ch in children[b]],
+             [ids(sib) for sib in children[parent[b]] if sib != b])
+            for b in clusters)
 
     @staticmethod
     def top(n: int, m: int) -> "NestedFamily":
         return NestedFamily(n, m, [])
-
-    def _validate(self) -> None:
-        n = self.n
-        seen = set()
-        for s, k in self.internal:
-            check_collapse(n, self.m, s, k)
-            if (s, k) in seen:
-                raise ValueError("duplicate family node")
-            seen.add((s, k))
-        # pairwise nested-or-disjoint upstairs (type I nodes come with mirrors)
-        sets = []
-        for s, k in self.internal:
-            node = FamilyNode(s, k)
-            sets.append(_signed(node, n))
-            if k == TYPE_I:
-                sets.append(frozenset((v, -1) for v in s))
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                a, b = sets[i], sets[j]
-                if not (a <= b or b <= a or not (a & b)):
-                    raise ValueError("family is not nested")
-
-    def _build_tree(self) -> None:
-        n, m = self.n, self.m
-        nodes = [FamilyNode(frozenset(range(n + m)), ROOT)]
-        nodes += [FamilyNode(s, k) for s, k in self.internal]
-        nodes += [FamilyNode(frozenset([v]), LEAF) for v in range(n + m)]
-        signed = {node: _signed(node, n) for node in nodes}
-        parent = {}
-        for node in nodes:
-            if node.kind == ROOT:
-                continue
-            best = None
-            for other in nodes:
-                if other is node:
-                    continue
-                if signed[node] < signed[other]:
-                    if best is None or len(signed[other]) < len(signed[best]):
-                        best = other
-            parent[node] = best
-        children: dict = {node: [] for node in nodes}
-        for node, p in parent.items():
-            children[p].append(node)
-        self.root = nodes[0]
-        self.nodes = nodes
-        self.parent = parent
-        self.children = {k: tuple(sorted(v, key=lambda nd: (sorted(nd.members), nd.kind)))
-                         for k, v in children.items()}
-
-    def internal_nodes(self) -> List[FamilyNode]:
-        return [nd for nd in self.nodes if nd.kind in (TYPE_I, TYPE_II)]
-
-    def node_center(self, node: FamilyNode, cfg: Configuration) -> complex:
-        """Center of mass of a node's points (upstairs, so type II is real)."""
-        if node.kind == TYPE_I:
-            return center_of_mass([cfg.point(v) for v in node.members])
-        if node.kind == LEAF:
-            return cfg.point(next(iter(node.members)))
-        total = 0.0
-        count = 0
-        for v in node.members:
-            z = cfg.point(v)
-            if v < self.n:
-                total += 2.0 * z.real
-                count += 2
-            else:
-                total += z.real
-                count += 1
-        return complex(total / count, 0.0)
 
 
 def gcd_families(i: NestedFamily, j: NestedFamily) -> Optional[NestedFamily]:
@@ -340,47 +280,31 @@ def gcd_families(i: NestedFamily, j: NestedFamily) -> Optional[NestedFamily]:
         return None
 
 
-def _incarnation_centers(fam: NestedFamily, node: FamilyNode, cfg: Configuration,
-                         parent_closed: bool) -> List[complex]:
-    """Centers of a node's upstairs incarnations seen from a closed parent."""
-    z = fam.node_center(node, cfg)
-    mirrored = parent_closed and (
-        node.kind == TYPE_I
-        or (node.kind == LEAF and next(iter(node.members)) < fam.n))
-    if mirrored:
-        return [z, z.conjugate()]
-    return [z]
-
-
 def chart_membership(cfg: Configuration, fam: NestedFamily, c: float) -> bool:
     """Test the defining inequalities of the chart of ``fam`` at ratio ``c``.
 
-    For every internal node ``B``, every child cluster of ``B`` must sit
-    within ``c`` times the distance from ``B``'s center to each sibling
-    cluster of ``B`` (siblings taken upstairs, so the mirror of a type I
-    node counts among its siblings under a conjugation-closed parent).
+    For every cluster ``B``, every child of ``B`` must sit within ``c``
+    times the distance from ``B``'s center to each sibling of ``B``, all on
+    the doubled plane.  A node's center is the mean of its doubled points,
+    ``(v, -1)`` standing for ``conj(z_v)``, summed in sorted ``(v, s)``
+    order so that a closed node's center is exactly real.
     """
     if not 0.0 < c < 1.0:
         raise ValueError("ratio must lie in (0, 1)")
-    for node in fam.internal_nodes():
-        zb = fam.node_center(node, cfg)
-        child_d = [abs(fam.node_center(ch, cfg) - zb)
-                   for ch in fam.children[node]]
-        if not child_d:
-            continue
-        parent = fam.parent[node]
-        parent_closed = parent.kind in (TYPE_II, ROOT)
-        sib_d: List[float] = []
-        for sib in fam.children[parent]:
-            if sib is node:
-                continue
-            for zc in _incarnation_centers(fam, sib, cfg, parent_closed):
-                sib_d.append(abs(zc - zb))
-        if parent_closed and node.kind == TYPE_I:
-            sib_d.append(abs(zb.conjugate() - zb))
-        if not sib_d:
-            continue
-        if max(child_d) > c * min(sib_d):
+    if (cfg.n, cfg.m) != (fam.n, fam.m):
+        raise ValueError(f"configuration has (n, m) = ({cfg.n}, {cfg.m}) but the family"
+                         f" has ({fam.n}, {fam.m})")
+    z = cfg.aerial + tuple(map(complex, cfg.ground))
+    pts = [z[v].conjugate() if s < 0 else z[v] for v, s in fam._points]
+
+    def center(ids):
+        return pts[ids[0]] if len(ids) == 1 else sum([pts[i] for i in ids]) / len(ids)
+
+    # a mirror node meets the inequalities exactly when its cluster does
+    for ids, children, siblings in fam._charts:
+        zb = center(ids)
+        if (max([abs(center(ch) - zb) for ch in children])
+                > c * min([abs(center(sib) - zb) for sib in siblings])):
             return False
     return True
 

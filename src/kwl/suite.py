@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -357,15 +358,12 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
 def check_globalization_suite(cfg: SuiteConfig) -> CheckResult:
     rep = check_globalization(max(cfg.samples // 5, MIN_SAMPLES), cfg.seed)
     det = {
-        "log": {
-            "vector_pair": [{"graph": g, "pattern": p, "value": _c(v),
-                             "stderr": e, "passed": okk}
-                            for g, p, v, e, okk in rep.vector_pair],
-            "linear_slot_total": len(rep.linear_slot),
-            "linear_slot_unprotected": [g for g, c, okk in rep.linear_slot if not okk],
-            "contour": [{"value": _c(v), "stderr": e, "passed": okk}
-                        for _, _, v, e, okk in rep.contour],
-        },
+        "vector_pair": [{"graph": g, "pattern": p, "value": _c(v), "stderr": e, "passed": okk}
+                        for g, p, v, e, okk in rep.vector_pair],
+        "linear_slot_total": len(rep.linear_slot),
+        "linear_slot_unprotected": [g for g, c, okk in rep.linear_slot if not okk],
+        "contour": [{"value": _c(v), "stderr": e, "passed": okk}
+                    for _, _, v, e, okk in rep.contour],
     }
     return CheckResult("globalization", rep.passed, det)
 
@@ -490,8 +488,7 @@ ALL_CHECKS: Tuple[Tuple[str, Callable[[SuiteConfig], CheckResult]], ...] = (
 )
 
 
-def run_suite(cfg: SuiteConfig, echo=print) -> List[CheckResult]:
-    import time
+def run_suite(cfg: SuiteConfig) -> List[CheckResult]:
     default_threads()  # a bad KWL_THREADS exits before out_dir is made
     os.makedirs(cfg.out_dir, exist_ok=True)
     results = []
@@ -504,5 +501,5 @@ def run_suite(cfg: SuiteConfig, echo=print) -> List[CheckResult]:
         with open(path, "w") as fh:
             fh.write(res.to_json())
             fh.write("\n")
-        echo(f"{'PASS' if res.passed else 'FAIL'}  {name:24s} ({dt:6.1f}s)")
+        print(f"{'PASS' if res.passed else 'FAIL'}  {name:24s} ({dt:6.1f}s)")
     return results

@@ -12,6 +12,7 @@ from kwl.halfplane import (NestedFamily, center_of_mass,
                            gcd_families, make_configuration, normalized_shape,
                            slice_map, torus_rotate)
 
+import family_oracle
 from slice_coords import coords_of_config, sample_configuration
 
 
@@ -206,6 +207,24 @@ def test_type_ii_membership_with_ground_run():
     far = make_configuration([0.5j + 0.3], [0.0, 1.0])
     assert chart_membership(near, fam, 0.05)
     assert not chart_membership(far, fam, 0.05)
+
+
+def test_membership_rejects_a_configuration_of_another_shape():
+    # point 2 sits 1e-3 from the cluster, so the (4, 0) family's chart excludes it
+    cfg = make_configuration([1j, 1j + 1e-3, 1j + 2e-3, 3 + 1j], [])
+    assert not chart_membership(cfg, NestedFamily(4, 0, [(frozenset({0, 1}), TYPE_I)]), 0.1)
+    with pytest.raises(ValueError, match="family"):
+        chart_membership(cfg, NestedFamily(2, 0, [(frozenset({0, 1}), TYPE_I)]), 0.1)
+    three = make_configuration([1j, 1j + 1e-3, 3 + 1j], [])
+    with pytest.raises(ValueError, match="family"):
+        chart_membership(three, NestedFamily(4, 0, [(frozenset({0, 1}), TYPE_I)]), 0.1)
+
+
+def test_families_match_the_upper_half_plane_oracle():
+    # every family of at most two internal nodes on two to four points
+    triples, families, mismatches = family_oracle.compare(2, 8)
+    assert triples > 10_000 and families > 3_000
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------
