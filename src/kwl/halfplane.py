@@ -233,6 +233,7 @@ class NestedFamily:
     """
 
     def __init__(self, n: int, m: int, internal: Sequence[Tuple[frozenset, str]]):
+        gauge_dim(n, m)  # a shape with no slice has no configuration space
         self.n = n
         self.m = m
         self.internal = tuple((frozenset(s), k) for s, k in internal)
@@ -263,10 +264,6 @@ class NestedFamily:
             (ids(b), [ids(ch) for ch in children[b]],
              [ids(sib) for sib in children[parent[b]] if sib != b])
             for b in clusters)
-
-    @staticmethod
-    def top(n: int, m: int) -> "NestedFamily":
-        return NestedFamily(n, m, [])
 
 
 def gcd_families(i: NestedFamily, j: NestedFamily) -> Optional[NestedFamily]:

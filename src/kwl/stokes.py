@@ -17,8 +17,9 @@ Signs have two factors: the parity of sorting the edge list into
 inner-then-outer blocks, and the orientation of the stratum chart against
 the slice orientation, a closed-form function of the stratum's layout.
 
-The strata, their rules and their factors' weight classes depend on the
-graph alone: :func:`verify_identity` keeps them in an identity row per graph.
+The strata, their rules, their terms' signs and their factors' weight
+classes depend on the graph alone: :func:`verify_identity` keeps them in an
+identity row per graph.
 A stratum is a plain ``(layout, rule)`` record, kept once per value in a
 class store, so rows and reports share it and a warm call builds none.
 """
@@ -160,8 +161,9 @@ def orientation_sign(layout: CollapseLayout) -> int:
 
 def _identity_row(g: Graph):
     """The graph's strata and, per stratum whose term takes weights, its
-    index, :func:`shuffle_sign` and the :func:`weights.weight_class` of its
-    inner and outer factors.  A row holds no contraction."""
+    index, its sign (:func:`shuffle_sign` times the boundary's
+    ``-orientation_sign``) and the :func:`weights.weight_class` of its inner
+    and outer factors: the boundary relation.  A row holds no contraction."""
     pairs = boundary_strata(g)
     weighted = []
     for i, (st, con) in enumerate(pairs):
@@ -171,7 +173,8 @@ def _identity_row(g: Graph):
             inner = (1, None, 0)  # the collapse circle's integral; an int keeps sign * outer
         else:  # flagged, three or more points, or an edgeless or doubly-edged pair
             continue
-        weighted.append((i, shuffle_sign(g, st.layout), inner, weight_class(con.outer)))
+        sign = shuffle_sign(g, st.layout) * -orientation_sign(st.layout)
+        weighted.append((i, sign, inner, weight_class(con.outer)))
     return tuple(st for st, _ in pairs), tuple(weighted)
 
 
@@ -202,10 +205,11 @@ def verify_identity(g: Graph, kind: str, samples: int, seed: int,
                     kinds: Tuple[str, ...] = KINDS) -> IdentityReport:
     """Sum the regularized boundary terms; the residual must vanish.
 
-    Passes when |residual| <= 3 * combined stderr + IDENTITY_TOL.  Terms
+    Passes when |residual| <= 3 * combined stderr + IDENTITY_TOL.  Factors
     sharing a class's weight estimate carry fully correlated errors, so
-    their sensitivities are summed per class representative before the
-    independent pieces are combined in quadrature.  A class missing from
+    each factor's sensitivity is summed per class representative, both
+    factors of a term included, before the classes are combined in
+    quadrature.  A class missing from
     the cache is estimated under ``kind`` and ``kinds``, by default both,
     in one pass, so their identities at this budget and seed weigh nothing.
     """
@@ -215,29 +219,21 @@ def verify_identity(g: Graph, kind: str, samples: int, seed: int,
         row = _rows[g] = _identity_row(g)
     strata, weighted = row
     terms = [(st, 0.0 + 0j, 0.0) for st in strata]
-    coeff_by_key: Dict[Graph, float] = {}
-    err_by_key: Dict[Graph, float] = {}
-    for i, shuffle, *factors in weighted:
+    sens: Dict[Graph, List[float]] = {}  # representative -> [sum |d term / d w|, stderr of w]
+    for i, sign, *factors in weighted:
         ws = []  # (value, stderr, representative) of the inner and the outer factor
         for exact, rep, parity in factors:
             w = None if rep is None else cached_weight(rep, kind, samples, seed, threads, kinds)
             ws.append((exact, 0.0, None) if w is None else  # parity never makes a -0.0
                       (w.value if parity == 1 or w.value == 0 else -w.value, w.stderr, rep))
-        (v_in, e_in, rep_in), (v_out, e_out, rep_out) = ws
-        value = shuffle * (-orientation_sign(strata[i].layout)) * v_in * v_out
-        err = abs(v_in) * e_out + abs(v_out) * e_in + e_in * e_out
-        sens = {}  # representative -> (|d term / d weight|, stderr of the weight)
-        if e_in:
-            sens[rep_in] = (abs(v_out) + e_out, e_in)
-        if e_out:
-            sens[rep_out] = (abs(v_in) + e_in, e_out)
-        terms[i] = (strata[i], value, err)
-        for key, (coef, werr) in sens.items():
-            coeff_by_key[key] = coeff_by_key.get(key, 0.0) + coef
-            err_by_key[key] = werr
+        (v_in, e_in, _), (v_out, e_out, _) = ws
+        terms[i] = (strata[i], sign * v_in * v_out,
+                    abs(v_in) * e_out + abs(v_out) * e_in + e_in * e_out)
+        for (_, e, rep), (v_other, e_other, _) in zip(ws, ws[::-1]):
+            if e:  # each factor counts, even when both share a class
+                sens.setdefault(rep, [0.0, e])[0] += abs(v_other) + e_other
     residual = sum(v for _, v, _ in terms)
-    stderr = math.sqrt(sum((coeff_by_key[k] * err_by_key[k]) ** 2
-                           for k in coeff_by_key))
+    stderr = math.sqrt(sum((coef * err) ** 2 for coef, err in sens.values()))
     passed = abs(residual) <= 3.0 * stderr + IDENTITY_TOL
     return IdentityReport(encode_graph(g), kind, tuple(terms), residual,
                           stderr, IDENTITY_TOL, passed)
@@ -287,7 +283,7 @@ class CountertermReport:
 _PROBE_RANGE = {"phi": (0.8, 2.3), "x": (-1.5, 1.5), "y": (0.7, 2.2)}
 
 
-def _probe_family(layout: CollapseLayout, seed: int):
+def probe_family(layout: CollapseLayout, seed: int):
     """Deterministic outer configuration and cluster shape for a probe of a
     type I collapse.
 
@@ -347,7 +343,7 @@ def counterterm_probe(g: Graph, subset, kind: str,
         raise ValueError("scales must decrease by one common ratio")
     layout = collapse_layout(g.n, g.m, subset, TYPE_I)
     con = contract(g, layout)
-    outer_cfg, shape = _probe_family(layout, seed)
+    outer_cfg, shape = probe_family(layout, seed)
 
     values = []
     for r in scales:

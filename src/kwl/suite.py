@@ -253,7 +253,7 @@ def check_regularity(cfg: SuiteConfig) -> CheckResult:
             size = int(rng.integers(2, g.n + 1))
             B = sorted(int(v) for v in rng.choice(g.n, size=size, replace=False))
             layout = collapse_layout(g.n, g.m, B, TYPE_I)
-            outer_cfg, shape = stokes._probe_family(layout, int(rng.integers(1 << 31)))
+            outer_cfg, shape = stokes.probe_family(layout, int(rng.integers(1 << 31)))
             vals = {}
             for r in (1e-3, 1e-5):
                 dcfg = degenerating_family(outer_cfg, layout, shape, r)

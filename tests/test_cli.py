@@ -279,6 +279,22 @@ def test_verify_identity_command_weighs_only_its_kind(capsys):
     weights.clear_weight_cache()
 
 
+def test_verify_identity_counts_both_factors_of_a_shared_class(capsys):
+    # both type II terms are wedge x wedge: each of the four factors adds
+    # (|w| + e) to the wedge's sensitivity, so the stderr is 4 (|w| + e) e
+    budget = ["--kind", "angle", "--samples", "16384", "--seed", "3"]
+    code, out = run_cli(["weight", "--graph", "1 2 ; a1>g1 a1>g2", *budget], capsys)
+    assert code == 0
+    wedge = json.loads(out)
+    w, e = abs(complex(*wedge["value"])), wedge["stderr"]
+    code, out = run_cli(["verify-identity", "--graph", "2 3 ; a1>g1 a1>g2 a2>g2 a2>g3",
+                         *budget], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert e > 0 and data["residual"] == [0.0, 0.0]
+    assert data["stderr"] == 4 * (w + e) * e
+
+
 def test_star_command(capsys):
     pi = json.dumps({"dim": 2, "bivector": [
         {"i": 0, "j": 1, "monomial": [0, 0], "coeff": 1.0}]})

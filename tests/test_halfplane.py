@@ -120,7 +120,7 @@ def three_point_family():
 
 
 def test_top_family_always_member():
-    fam = NestedFamily.top(2, 1)
+    fam = NestedFamily(2, 1, [])
     rng = np.random.default_rng(0)
     cfg, _ = sample_configuration(2, 1, rng.uniform(0.2, 0.8, 3))
     assert chart_membership(cfg, fam, 0.01)
@@ -187,7 +187,7 @@ def test_config_properties_check_fails_on_a_wrong_gcd(gcd, entry, monkeypatch):
 
 def test_gcd_with_top_is_identity():
     i = NestedFamily(4, 0, [(frozenset({0, 1}), TYPE_I)])
-    top = NestedFamily.top(4, 0)
+    top = NestedFamily(4, 0, [])
     k = gcd_families(i, top)
     assert k is not None and set(k.internal) == set(i.internal)
 
@@ -199,6 +199,12 @@ def test_family_validation():
         NestedFamily(1, 2, [(frozenset({0, 1}), TYPE_I)])
     with pytest.raises(ValueError, match="gap-free"):
         NestedFamily(0, 3, [(frozenset({0, 2}), TYPE_II)])
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (0, 0)])
+def test_family_needs_a_gauge_slice(n, m):
+    with pytest.raises(ValueError, match=rf"no gauge slice for \(n, m\) = \({n}, {m}\)"):
+        NestedFamily(n, m, [])
 
 
 def test_type_ii_membership_with_ground_run():

@@ -226,10 +226,13 @@ def test_identity_fails_on_a_flipped_or_dropped_term(enc, label, kind, monkeypat
     for factor in (-1, 0):  # a wrong orientation sign, then a lost term
         monkeypatch.setattr(stokes, "orientation_sign", lambda layout, factor=factor: (
             factor * true_sign(layout) if layout.label() == label else true_sign(layout)))
+        weights.clear_weight_cache()  # the row holds the sign: rebuild it under the mutant
         bad = verify_identity(g, kind, 1 << 12, 5)
         assert not bad.passed, (factor, bad.residual, bad.stderr)
         assert bad.stderr == rep.stderr
         assert abs(bad.residual - (rep.residual + (factor - 1) * term)) < 1e-12
+    monkeypatch.undo()
+    weights.clear_weight_cache()  # no mutant row outlives the test
 
 
 def test_identity_all_zero_terms():
@@ -346,6 +349,21 @@ def test_identity_rows_match_the_term_by_term_oracle():
         assert repr(oracle.to_json_dict()) == text, g
 
 
+@pytest.mark.parametrize("enc", [
+    "2 3 ; a1>g1 a1>g2 a2>g2 a2>g3",  # both factors of two terms share the wedge's class
+    "2 3 ; a1>a2 a1>g1 a2>g2 a2>g3",  # the same, next to a type I term
+    "3 2 ; a1>g2 a2>g1 a2>g2 a3>a1 a3>a2",  # five sampled classes
+    "3 2 ; a1>g2 a2>g2 a3>a1 a3>a2 a3>g1",  # seven sampled factors
+])
+def test_five_vertex_identity_rows_match_the_oracle(enc):
+    g = parse_graph(enc)
+    assert len(g.edges) == halfplane.gauge_dim(g.n, g.m) - 1
+    weights.clear_weight_cache()
+    for kind in (ANGLE, LOG):
+        text = repr(verify_identity(g, kind, 1 << 12, 3).to_json_dict())
+        assert repr(identity_oracle.verify_identity(g, kind, 1 << 12, 3).to_json_dict()) == text
+    weights.clear_weight_cache()
+
 
 def test_identity_rows_keep_the_sign_of_zero_weights(monkeypatch):
     # classes estimated at exactly zero: an odd relabelling keeps +0.0 in
@@ -399,8 +417,8 @@ def test_warm_identity_contracts_and_searches_nothing(monkeypatch):
 
     weights.clear_weight_cache()
     rep = verify_identity(g, LOG, 1 << 10, 5)
-    for module, name in [(graphs, "contract"), (stokes, "contract"),
-                         (weights, "canonical_key"), (stokes, "boundary_strata")]:
+    for module, name in [(graphs, "contract"), (stokes, "contract"), (weights, "canonical_key"),
+                         (stokes, "boundary_strata"), (stokes, "orientation_sign")]:
         counted(module, name)
     again = verify_identity(g, LOG, 1 << 10, 5)
     verify_identity(g, ANGLE, 1 << 10, 7)  # another kind and seed weigh afresh
@@ -410,6 +428,7 @@ def test_warm_identity_contracts_and_searches_nothing(monkeypatch):
     rebuilt = verify_identity(g, LOG, 1 << 10, 5)
     assert calls["boundary_strata"] == 1
     assert calls["contract"] == len(rep.terms) and calls["canonical_key"] > 0
+    assert calls["orientation_sign"] > 0  # the row holds each term's full sign
     assert repr(rebuilt.to_json_dict()) == repr(rep.to_json_dict())
     assert [st for st, _, _ in rep.terms] == [st for st, _ in boundary_strata(g)]
 
