@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graphs import TYPE_I, CollapseLayout, Graph
-from .halfplane import Configuration, gauge_dim, gauge_frame, normalized_shape, slice_columns
+from .halfplane import Configuration, center_of_mass, gauge_dim, gauge_frame, slice_columns
 
 ANGLE = "angle"
 LOG = "log"
@@ -235,58 +235,31 @@ def integrand(g: Graph, kind: str, cfg: Configuration) -> complex:
 # boundary-adapted frames
 
 
-def shape_tangent_basis(shape: Sequence[complex]) -> List[Tuple[complex, ...]]:
-    """Orthonormal non-rotation tangent basis of the normalized-shape manifold.
-
-    Tangent vectors u satisfy sum(u) = 0 and Re<u, shape> = 0, and the
-    direction i*shape (rigid rotation) is removed as well, leaving 2k - 4
-    directions for a k-point shape.
-    """
-    s = [complex(z) for z in shape]
-    k = len(s)
-
-    def inner(a, b) -> float:
-        return sum((x * y.conjugate()).real for x, y in zip(a, b))
-
-    unit = 1.0 / math.sqrt(k)
-    constraints = [[complex(unit)] * k, [1j * unit] * k, s, [1j * z for z in s]]
-    basis: List[Tuple[complex, ...]] = []
-    want = 2 * k - 4
-    for b in range(k):
-        for direction in (1.0, 1j):
-            cand = [0j] * k
-            cand[b] = complex(direction)
-            for con in constraints + basis:
-                p = inner(cand, con)
-                cand = [x - p * y for x, y in zip(cand, con)]
-            norm = math.sqrt(inner(cand, cand))
-            if norm > 1e-9:
-                basis.append(tuple(x / norm for x in cand))
-            if len(basis) == want:
-                return basis
-    raise ValueError("failed to build a shape tangent basis")
-
-
 def cluster_frames(cfg: Configuration, layout: CollapseLayout) -> List[Velocity]:
     """Boundary-adapted tangent frame for a type I layout's aerial cluster.
 
-    Columns, in order: the cluster rotation generator (period 2pi), the
-    radial direction of the cluster scale, the non-rotation shape
-    directions at chart scale, and the slice frame of the collapsed
-    configuration transported to the full one through the collapse's
-    ``vertex_map`` (cluster points inherit the velocity of the collapsed
-    vertex).
+    With ``d`` the offsets of the placed cluster points from their centre
+    and ``r = |d|``, the columns are, in order: the rotation generator
+    ``i d`` (period 2pi), the radial direction ``d / r``, the shape
+    directions ``r w`` and ``r i w`` for each column ``w`` of an
+    orthonormal basis of the complex complement of span(1, d), and the
+    slice frame of the collapsed configuration transported to the full one
+    through the collapse's ``vertex_map`` (cluster points inherit the
+    velocity of the collapsed vertex).  Shape directions come in
+    ``(w, i w)`` pairs, so every such basis gives the same orientation.
     """
     if layout.kind != TYPE_I or (layout.n, len(layout.vertex_map)) != (cfg.n, cfg.n + cfg.m):
         raise ValueError("cluster frames need a type I layout that fits the configuration")
     B = layout.subset
-    zeta, r, shape = normalized_shape([cfg.aerial[v] for v in B])
-    columns: List[Velocity] = []
-    columns.append({v: 1j * (cfg.aerial[v] - zeta) for v in B})
-    columns.append({v: (cfg.aerial[v] - zeta) / r for v in B})
+    zeta = center_of_mass([cfg.aerial[v] for v in B])
+    d = [cfg.aerial[v] - zeta for v in B]
+    r = math.sqrt(sum(abs(x) ** 2 for x in d))
+    columns: List[Velocity] = [dict(zip(B, (1j * x for x in d))),
+                               dict(zip(B, (x / r for x in d)))]
     if len(B) > 2:
-        for u in shape_tangent_basis(shape):
-            columns.append({v: r * u[i] for i, v in enumerate(B)})
+        q = np.linalg.qr(np.column_stack([np.ones(len(B)), d]), mode="complete")[0]
+        for w in q[:, 2:].T.tolist():
+            columns += [dict(zip(B, (r * x for x in w))), dict(zip(B, (r * 1j * x for x in w)))]
     # outer point 0 is the cluster centre when the cluster takes vertex 0
     z0 = zeta if layout.new_vertex == 0 else cfg.point(0)
     for col in gauge_frame(layout.outer_n, layout.outer_m, z0):

@@ -326,16 +326,6 @@ def torus_rotate(cfg: Configuration, subset, theta: float) -> Configuration:
         raise ValueError(f"rotation leaves the configuration space: {exc}") from exc
 
 
-def normalized_shape(points: Sequence[complex]) -> Tuple[complex, float, Tuple[complex, ...]]:
-    """Split points into (center, scale, shape) with the shape normalized to
-    zero mean and unit sum of squared moduli."""
-    zeta = center_of_mass(points)
-    r = math.sqrt(sum(abs(z - zeta) ** 2 for z in points))
-    if r == 0.0:
-        raise ValueError("degenerate cluster has no shape")
-    return zeta, r, tuple((z - zeta) / r for z in points)
-
-
 def check_shape(shape: Sequence[complex]) -> Tuple[complex, ...]:
     shape = tuple(complex(s) for s in shape)
     if abs(sum(shape)) > 1e-9 or abs(sum(abs(s) ** 2 for s in shape) - 1.0) > 1e-9:

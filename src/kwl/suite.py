@@ -249,16 +249,22 @@ def check_regularity(cfg: SuiteConfig) -> CheckResult:
     for g in _swept_graphs(0, one_per_class=True):
         if g.n < 2:
             continue
+        # the log integrand of a class the log rule decides is zero on every
+        # slice: its families are drawn, so the others stay put, not evaluated
+        zero = forms.class_log_vanishes(*canonical_key(g)[0])
         for _ in range(20):
             size = int(rng.integers(2, g.n + 1))
             B = sorted(int(v) for v in rng.choice(g.n, size=size, replace=False))
+            family_seed = int(rng.integers(1 << 31))
+            families += 1
+            if zero:
+                continue
             layout = collapse_layout(g.n, g.m, B, TYPE_I)
-            outer_cfg, shape = stokes.probe_family(layout, int(rng.integers(1 << 31)))
+            outer_cfg, shape = stokes.probe_family(layout, family_seed)
             vals = {}
             for r in (1e-3, 1e-5):
                 dcfg = degenerating_family(outer_cfg, layout, shape, r)
                 vals[r] = abs(forms.contracted_integrand(g, LOG, dcfg, layout))
-            families += 1
             if vals[1e-3] < 1e-12 and vals[1e-5] < 1e-12:
                 continue
             ratio = vals[1e-5] / max(vals[1e-3], 1e-300)

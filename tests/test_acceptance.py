@@ -6,6 +6,8 @@ per criterion; each test also prints a short summary line.
 
 import time
 
+import pytest
+
 from kwl import suite
 
 CFG = suite.SuiteConfig()
@@ -73,6 +75,29 @@ def test_criterion_06_regularity():
                 f"worst_ratio={res.details['worst_ratio']:.3f}")
     assert res.details["families"] >= 20
     assert res.passed
+
+
+def test_regularity_leaves_the_log_zeros_to_the_weight_rules():
+    # at seed 1 the rounding of 3 0 ; a1>a2 a1>a3 a2>a1 a2>a3, whose log
+    # integrand is zero (a3 is an aerial sink), grows like 1/r to a ratio
+    # of 79 on the cluster {0, 1, 2}; the log rule decides that class, so
+    # its families are drawn but not evaluated, and all are still counted
+    res = suite.check_regularity(suite.SuiteConfig(seed=1))
+    assert res.passed and res.details["families"] == 1760
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "3 1 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>g1 on the cluster {0, 1, 2}: its log"
+    " integrand is zero to rounding (|f| < 1e-15 at r = 0.1, where the angle"
+    " integrand is about 1e-4) but the class has a matching, so no weight rule"
+    " decides it yet"))
+def test_regularity_at_seed_24_meets_an_undecided_log_zero():
+    # fails only when that family fails the check; any other worst family
+    # makes this pass, which strict xfail reports
+    res = suite.check_regularity(suite.SuiteConfig(seed=24))
+    worst = res.details["worst"]
+    assert res.passed or (worst["graph"], worst["subset"]) != (
+        "3 1 ; a1>a2 a1>a3 a2>a1 a2>a3 a3>g1", [0, 1, 2])
 
 
 def test_criterion_07_star_product():

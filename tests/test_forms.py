@@ -8,12 +8,13 @@ import pytest
 from kwl import forms
 from kwl.forms import (ANGLE, LOG, cluster_frames, contracted_integrand, edge_terms,
                        frame_integrand, integrand, pairing_matrices, pairing_plan,
-                       pairing_scale, plan_det, shape_tangent_basis)
+                       pairing_scale, plan_det)
 from kwl.graphs import (TYPE_I, canonical_graph, canonical_key, collapse_layout,
                         contract, edge_sort_parity, enumerate_graphs, make_graph,
                         parse_graph)
 from kwl.halfplane import degenerating_family, gauge_dim, gauge_frame, make_configuration
 
+import frame_oracle
 from fd_pairing import edge_function, fd_integrand, fd_pairing, slice_points_and_frame
 from slice_coords import sample_configuration
 
@@ -144,22 +145,28 @@ def test_integrand_requires_top_degree():
 
 
 def test_shape_tangent_basis_properties():
+    # divided by r, the shape columns sum to 0, are orthogonal to shape and
+    # i*shape, are orthonormal and come as (w, i w)
     rng = np.random.default_rng(8)
     for k in (3, 4, 5):
+        layout = collapse_layout(k, 1, range(k), TYPE_I)
         raw = rng.normal(size=k) + 1j * rng.normal(size=k)
         raw -= raw.mean()
-        shape = tuple(raw / math.sqrt(float(np.sum(np.abs(raw) ** 2))))
-        basis = shape_tangent_basis(shape)
-        assert len(basis) == 2 * k - 4
+        r = 1e-3
+        cfg = degenerating_family(probe_family(1, 1, k), layout, tuple(raw / np.linalg.norm(raw)), r)
+        columns = cluster_frames(cfg, layout)
+        assert len(columns) == 2 + (2 * k - 4) + gauge_dim(1, 1)
+        shape = np.array([columns[1][v] for v in range(k)])
+        basis = [np.array([col[v] for v in range(k)]) / r for col in columns[2:2 * k - 2]]
         for u in basis:
-            assert abs(sum(u)) < 1e-9
-            assert abs(sum((a * b.conjugate()).real for a, b in zip(u, shape))) < 1e-9
-            rot = [1j * s for s in shape]
-            assert abs(sum((a * b.conjugate()).real for a, b in zip(u, rot))) < 1e-9
+            assert abs(u.sum()) < 1e-9
+            assert abs(np.vdot(shape, u).real) < 1e-9
+            assert abs(np.vdot(1j * shape, u).real) < 1e-9
         for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                assert abs(sum((a * b.conjugate()).real for a, b in zip(u, v))
-                           - (i == j)) < 1e-12
+            for j, w in enumerate(basis):
+                assert abs(np.vdot(w, u).real - (i == j)) < 1e-12
+        for u, iu in zip(basis[::2], basis[1::2]):
+            assert np.abs(iu - 1j * u).max() < 1e-15
 
 
 def probe_family(n, m, seed):
@@ -384,6 +391,23 @@ def test_plan_matches_dense_det_on_cluster_frames():
                 assert _dense_agrees(edges, points, frame, kind, got), (g, layout.subset, kind)
                 cases += 1
     assert cases == 4 * 652
+
+
+def test_cluster_frames_match_the_gram_schmidt_oracle(monkeypatch):
+    # the QR shape columns span what Gram-Schmidt spans, with the same
+    # orientation: both kinds agree at top degree and one degree lower,
+    # and pairs, which have no shape columns, agree exactly
+    got, want = [], []
+    cases = list(_cluster_cases())
+    for frames, out in ((cluster_frames, got), (frame_oracle.gram_schmidt_frames, want)):
+        monkeypatch.setattr(forms, "cluster_frames", frames)
+        for g, cfg, layout in cases:
+            for h in (g, make_graph(g.n, g.m, g.edges[:-1])):
+                out += [contracted_integrand(h, kind, cfg, layout) for kind in (ANGLE, LOG)]
+    pairs = [len(layout.subset) == 2 for _, _, layout in cases for _ in range(4)]
+    assert len(got) == 4 * 652 and 0 < sum(pairs) < len(pairs)
+    for a, b, pair in zip(got, want, pairs):
+        assert a == b if pair else abs(a - b) <= 1e-12, (a, b)
 
 
 def _edge_points(rng):

@@ -9,7 +9,7 @@ from kwl.graphs import TYPE_I, TYPE_II, collapse_layout
 from kwl.halfplane import (NestedFamily, center_of_mass,
                            chart_membership, config_from_coords,
                            degenerating_family, gauge_dim, gauge_frame,
-                           gcd_families, make_configuration, normalized_shape,
+                           gcd_families, make_configuration,
                            slice_map, torus_rotate)
 
 import family_oracle
@@ -292,10 +292,8 @@ def test_degenerating_family_round_trip():
     r = 1e-3
     cfg = degenerating_family(outer, collapse_layout(3, 0, [0, 1], TYPE_I), shape, r)
     assert cfg.n == 3
-    zeta, rr, ss = normalized_shape(cfg.aerial[:2])
-    assert abs(zeta - outer.aerial[0]) < 1e-12
-    assert abs(rr - r) < 1e-10
-    assert max(abs(a - b) for a, b in zip(ss, shape)) < 1e-9
+    # each member sits at the outer point plus r times its shape entry
+    assert cfg.aerial == tuple(outer.aerial[0] + r * s for s in shape) + (outer.aerial[1],)
 
 
 def test_degenerating_family_places_a_non_contiguous_subset():
@@ -305,10 +303,7 @@ def test_degenerating_family_places_a_non_contiguous_subset():
     r = 1e-3
     cfg = degenerating_family(outer, collapse_layout(3, 1, [0, 2], TYPE_I), shape, r)
     assert (cfg.aerial[1], cfg.ground) == (outer.aerial[1], outer.ground)
-    zeta, rr, ss = normalized_shape([cfg.aerial[0], cfg.aerial[2]])
-    assert abs(zeta - outer.aerial[0]) < 1e-12
-    assert abs(rr - r) < 1e-10
-    assert max(abs(a - b) for a, b in zip(ss, shape)) < 1e-9
+    assert (cfg.aerial[0], cfg.aerial[2]) == tuple(outer.aerial[0] + r * s for s in shape)
 
 
 def test_degenerating_family_rejects_zero_scale():

@@ -439,10 +439,30 @@ def test_log_rule_decides_only_vanishing_log_integrands():
     # matching of edges to (dz, dz-bar, phi, ground) columns has a log
     # integrand that vanishes at every point.  A relabelling that pins the
     # aerial sink at i (or on the circle) drops its dz-bar column and finds
-    # a matching: there only the integral vanishes, so the rule is kept per
-    # class and read on the representative
+    # a matching, though the integrand vanishes there too (next test), so
+    # the rule is kept per class and read on the representative
     assert sum(len(_sampled_classes(n, m)) for n, m in SMALL_SLICES) == 71
     assert _log_rule_findings() == (LOG_DECIDED, [], [])
+
+
+def test_log_rule_zeros_vanish_on_every_relabelling():
+    # each log propagator form is invariant under real translations and
+    # positive scalings and vanishes on their generators, so a form that is
+    # zero on one gauge slice is zero on every slice: every aerial
+    # relabelling of a decided class vanishes point by point, including
+    # those whose pinned point hides the zero from the rule
+    relabelled = undecided = 0
+    for n, m in SMALL_SLICES:
+        for rep in _sampled_classes(n, m):
+            if not forms.log_vanishes(n, m, rep.edges):
+                continue
+            for perm in itertools.permutations(range(n)):
+                label = perm + tuple(range(n, n + m))
+                g = make_graph(n, m, [(label[s], label[t]) for s, t in rep.edges])
+                assert _vanishes_pointwise(g, LOG), encode_graph(g)
+                relabelled += 1
+                undecided += not forms.log_vanishes(n, m, g.edges)
+    assert (relabelled, undecided) == (306, 90)
 
 
 @pytest.mark.parametrize("reach", [
