@@ -73,12 +73,9 @@ def cmd_weight(args) -> int:
 
 
 def cmd_vanish(args) -> int:
-    ok, est, pattern, _ = vanishing_check(parse_graph(args.graph), args.kind, args.samples,
-                                          args.seed)
-    _print_json({"graph": est.graph, "pattern": pattern,
-                 "value": [est.value.real, est.value.imag],
-                 "stderr": est.stderr, "exact": est.exact, "passed": ok})
-    return 0 if ok else CHECK_FAILURE
+    row = vanishing_check(parse_graph(args.graph), args.kind, args.samples, args.seed)
+    _print_json(row)
+    return 0 if row["passed"] else CHECK_FAILURE
 
 
 def cmd_verify_identity(args) -> int:
@@ -110,19 +107,8 @@ def cmd_associativity(args) -> int:
 
 def cmd_globalization(args) -> int:
     rep = check_globalization(args.samples, args.seed)
-    out = {
-        "vector_pair": [{"graph": g, "pattern": p,
-                         "value": [v.real, v.imag], "stderr": e, "passed": ok}
-                        for g, p, v, e, ok in rep.vector_pair],
-        "linear_slot": [{"graph": g, "class": c, "passed": ok}
-                        for g, c, ok in rep.linear_slot],
-        "contour": [{"u": [u.real, u.imag], "v": [v.real, v.imag],
-                     "value": [val.real, val.imag], "stderr": e, "passed": ok}
-                    for u, v, val, e, ok in rep.contour],
-        "passed": rep.passed,
-    }
-    _print_json(out)
-    return 0 if rep.passed else CHECK_FAILURE
+    _print_json(rep)
+    return 0 if rep["passed"] else CHECK_FAILURE
 
 
 def cmd_counterterm(args) -> int:
@@ -134,14 +120,7 @@ def cmd_counterterm(args) -> int:
         raise ValueError(f"--subset {args.subset!r}: repeated index")
     rep = counterterm_probe(parse_graph(args.graph), subset, args.kind,
                             scales=tuple(args.scales), seed=args.seed)
-    _print_json({
-        "graph": rep.graph, "kind": rep.kind, "subset": list(rep.subset),
-        "scales": list(rep.scales),
-        "values": [[v.real, v.imag] for v in rep.values],
-        "limit": [rep.limit.real, rep.limit.imag],
-        "expected": [rep.expected.real, rep.expected.imag],
-        "deviation": rep.deviation, "cauchy_decreasing": rep.cauchy_decreasing,
-    })
+    _print_json(rep.to_json_dict())
     return 0
 
 

@@ -282,8 +282,12 @@ def contracted_integrand(g: Graph, kind: str, cfg: Configuration,
     sign.
     """
     check_kind(kind)
+    top = gauge_dim(g.n, g.m)
+    if len(g.edges) not in (top, top - 1):
+        raise ValueError(f"a contracted form has top degree {top} or one less; "
+                         f"got {len(g.edges)} edges")
     columns = cluster_frames(cfg, layout)
-    if len(g.edges) < gauge_dim(g.n, g.m):
+    if len(g.edges) < top:
         del columns[1]  # the radial direction
     points = [cfg.point(v) for v in range(cfg.n + cfg.m)]
     return complex(frame_integrand(g.edges, points, columns, (kind,))[0])

@@ -601,26 +601,19 @@ def one_in_one_out_integral(u: complex, v: complex, samples: int,
     return value, stderr, total
 
 
-def contour_check(u: complex, v: complex, samples: int,
-                  seed: int) -> Tuple[bool, complex, float, int]:
+def contour_check(u: complex, v: complex, samples: int, seed: int) -> dict:
     """Test :func:`one_in_one_out_integral` at (u, v) against zero.
 
-    Returns (passed, value, stderr, samples); it passes when
-    |value| < max(CONTOUR_TOL, 3 stderr).
+    Returns the report row ``{u, v, value, stderr, passed, samples}``,
+    points as ``[re, im]``; it passes when |value| < max(CONTOUR_TOL,
+    3 stderr).
     """
     val, err, ns = one_in_one_out_integral(u, v, samples, seed)
-    return abs(val) < max(CONTOUR_TOL, 3.0 * err), val, err, ns
+    return {"u": [u.real, u.imag], "v": [v.real, v.imag], "value": [val.real, val.imag],
+            "stderr": err, "passed": abs(val) < max(CONTOUR_TOL, 3.0 * err), "samples": ns}
 
 
-@dataclass(frozen=True)
-class GlobalizationReport:
-    vector_pair: Tuple[Tuple[str, str, complex, float, bool], ...]
-    linear_slot: Tuple[Tuple[str, str, bool], ...]
-    contour: Tuple[Tuple[complex, complex, complex, float, bool], ...]
-    passed: bool
-
-
-def check_globalization(samples: int, seed: int) -> GlobalizationReport:
+def check_globalization(samples: int, seed: int) -> dict:
     """Checks that make the log components U^log transferable off flat space.
 
     Every graph feeding two vector fields at the second component (each
@@ -628,19 +621,17 @@ def check_globalization(samples: int, seed: int) -> GlobalizationReport:
     graph feeding a linear vector field plus bivectors at the third must be
     structurally vanishing or annihilated by the linearity of the
     coefficient.  The middle-point contour integral is measured directly at
-    five random endpoint pairs by :func:`contour_check`.
+    five random endpoint pairs by :func:`contour_check`.  Returns
+    ``{vector_pair, linear_slot, contour, passed}``: the rows of the first
+    and third, and a ``{graph, class, passed}`` row per linear-slot graph.
 
     No part depends on the propagator kind: the one vector-pair graph,
     ``2 0 ; a1>a2 a2>a1``, weighs an exact zero in both kinds (an odd
     automorphism), the linear-slot rows are combinatorial and the contour
     is the log form's, so the check runs for U^log alone.
     """
-    rows_pair = []
-    for g in enumerate_graphs(2, 0, 2):
-        if g.out_degree(0) != 1 or g.out_degree(1) != 1:
-            continue
-        ok, est, pattern, _ = vanishing_check(g, LOG, samples, seed)
-        rows_pair.append((encode_graph(g), pattern, est.value, est.stderr, ok))
+    rows_pair = [vanishing_check(g, LOG, samples, seed) for g in enumerate_graphs(2, 0, 2)
+                 if g.out_degree(0) == g.out_degree(1) == 1]
 
     dim = 2
     xi = vector_field(dim, [(0, (1, 0), 1)])  # linear: x d/dx
@@ -650,25 +641,21 @@ def check_globalization(samples: int, seed: int) -> GlobalizationReport:
         if (g.out_degree(0), g.out_degree(1), g.out_degree(2)) != (1, 2, 2):
             continue
         if g.in_degree(0) >= 2:
-            dop = d_gamma(g, [xi, pi, pi])
-            ok = dop.is_zero()
-            rows_lin.append((encode_graph(g), "zero-by-linearity", ok))
+            cls, ok = "zero-by-linearity", d_gamma(g, [xi, pi, pi]).is_zero()
         else:
             pattern = detect_vanishing_pattern(g)
-            rows_lin.append((encode_graph(g), pattern or "unprotected", pattern is not None))
+            cls, ok = pattern or "unprotected", pattern is not None
+        rows_lin.append({"graph": encode_graph(g), "class": cls, "passed": ok})
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 777]))
     rows_contour = []
     for k in range(5):
         u = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 1.8))
         v = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.4, 1.8))
-        ok, val, err, _ = contour_check(u, v, samples, seed + k)
-        rows_contour.append((u, v, val, err, ok))
+        rows_contour.append(contour_check(u, v, samples, seed + k))
 
-    passed = (all(r[-1] for r in rows_pair) and all(r[-1] for r in rows_lin)
-              and all(r[-1] for r in rows_contour))
-    return GlobalizationReport(tuple(rows_pair), tuple(rows_lin),
-                               tuple(rows_contour), passed)
+    return {"vector_pair": rows_pair, "linear_slot": rows_lin, "contour": rows_contour,
+            "passed": all(r["passed"] for r in rows_pair + rows_lin + rows_contour)}
 
 
 # ---------------------------------------------------------------------------

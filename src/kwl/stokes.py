@@ -277,6 +277,15 @@ class CountertermReport:
     def deviation(self) -> float:
         return abs(self.limit - self.expected)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "graph": self.graph, "kind": self.kind, "subset": list(self.subset),
+            "scales": list(self.scales), "values": [[v.real, v.imag] for v in self.values],
+            "limit": [self.limit.real, self.limit.imag],
+            "expected": [self.expected.real, self.expected.imag],
+            "deviation": self.deviation, "cauchy_decreasing": self.cauchy_decreasing,
+        }
+
 
 # probe coordinate ranges: angle of the circle-pinned point, then x and y of
 # free aerial points; free ground points step right from 1 by 0.5 to 1.5

@@ -137,18 +137,11 @@ def _swept_graphs(deficit: int, one_per_class: bool = False):
 
 
 def check_structural_vanishing(cfg: SuiteConfig) -> CheckResult:
-    rows = []
-    ok = True
     swept = [g for g in _swept_graphs(0, one_per_class=True)
              if detect_vanishing_pattern(g) is not None]
     prefetch_weights(swept, LOG, cfg.samples, cfg.seed)
-    for g in swept:
-        good, est, pattern, bound = vanishing_check(g, LOG, cfg.samples, cfg.seed)
-        ok = ok and good
-        rows.append({"graph": encode_graph(g), "pattern": pattern,
-                     "value": _c(est.value), "stderr": est.stderr,
-                     "bound": bound, "passed": good, "exact": est.exact})
-    return CheckResult("structural_vanishing", ok, {
+    rows = [vanishing_check(g, LOG, cfg.samples, cfg.seed) for g in swept]
+    return CheckResult("structural_vanishing", all(r["passed"] for r in rows), {
         "graphs": rows, "count": len(rows), "sampled": sum(not r["exact"] for r in rows)})
 
 
@@ -159,15 +152,11 @@ def check_structural_vanishing(cfg: SuiteConfig) -> CheckResult:
 def check_contour_identity(cfg: SuiteConfig) -> CheckResult:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     rows = []
-    ok = True
     for _ in range(5):
         u = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
         v = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
-        good, val, err, ns = contour_check(u, v, cfg.samples, cfg.seed)
-        ok = ok and good
-        rows.append({"u": _c(u), "v": _c(v), "value": _c(val),
-                     "stderr": err, "passed": good, "samples": ns})
-    return CheckResult("contour_identity", ok, {"pairs": rows})
+        rows.append(contour_check(u, v, cfg.samples, cfg.seed))
+    return CheckResult("contour_identity", all(r["passed"] for r in rows), {"pairs": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +175,7 @@ def check_stokes_identities(cfg: SuiteConfig) -> CheckResult:
                 worst = {"residual": abs(rep.residual), "graph": rep.graph,
                          "kind": kind, "stderr": rep.stderr}
             if not rep.passed:
-                failures.append({"graph": rep.graph, "kind": kind,
-                                 "residual": _c(rep.residual), "stderr": rep.stderr})
+                failures.append(rep.to_json_dict())
     ok = not failures
     return CheckResult("stokes_identities", ok, {
         "checked_angle": counts[ANGLE], "checked_log": counts[LOG],
@@ -201,39 +189,26 @@ def check_stokes_identities(cfg: SuiteConfig) -> CheckResult:
 
 def check_counterterm(cfg: SuiteConfig) -> CheckResult:
     rows = []
-    ok = True
 
     g21 = parse_graph("2 1 ; a1>a2 a1>g1 a2>g1")
     for kind in (LOG, ANGLE):
         rep = counterterm_probe(g21, [0, 1], kind, seed=cfg.seed)
         dev = rep.deviation / max(1.0, abs(rep.expected))
-        good = rep.cauchy_decreasing and dev <= PROBE_TOL
-        ok = ok and good
-        rows.append({"graph": rep.graph, "kind": kind, "subset": list(rep.subset),
-                     "limit": _c(rep.limit), "expected": _c(rep.expected),
-                     "relative_deviation": dev, "cauchy": rep.cauchy_decreasing,
-                     "passed": good})
+        rows.append({**rep.to_json_dict(), "relative_deviation": dev,
+                     "passed": rep.cauchy_decreasing and dev <= PROBE_TOL})
 
     g31 = parse_graph("3 1 ; a1>a2 a1>a3 a2>a3 a2>g1 a3>g1")
     rep = counterterm_probe(g31, [0, 1, 2], LOG, seed=cfg.seed)
-    good = abs(rep.limit) < PROBE_TOL
-    ok = ok and good
-    rows.append({"graph": rep.graph, "kind": LOG, "subset": list(rep.subset),
-                 "limit": _c(rep.limit), "expected": [0.0, 0.0],
-                 "cauchy": rep.cauchy_decreasing, "passed": good})
+    rows.append({**rep.to_json_dict(), "passed": abs(rep.limit) < PROBE_TOL})
 
     # one degree lower the outer factor is top-degree and nonzero
     g22 = parse_graph("2 2 ; a1>a2 a1>g1 a2>g2")
     for kind in (LOG, ANGLE):
         rep = counterterm_probe(g22, [0, 1], kind, seed=cfg.seed)
         dev = rep.deviation / max(abs(rep.expected), 1e-9)
-        good = dev <= PROBE_TOL and abs(rep.expected) > 1e-6
-        ok = ok and good
-        rows.append({"graph": rep.graph, "kind": kind, "subset": list(rep.subset),
-                     "limit": _c(rep.limit), "expected": _c(rep.expected),
-                     "relative_deviation": dev, "cauchy": rep.cauchy_decreasing,
-                     "passed": good})
-    return CheckResult("counterterm", ok, {"probes": rows})
+        rows.append({**rep.to_json_dict(), "relative_deviation": dev,
+                     "passed": dev <= PROBE_TOL and abs(rep.expected) > 1e-6})
+    return CheckResult("counterterm", all(r["passed"] for r in rows), {"probes": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +337,8 @@ def check_star_product(cfg: SuiteConfig) -> CheckResult:
 
 
 def check_globalization_suite(cfg: SuiteConfig) -> CheckResult:
-    rep = check_globalization(max(cfg.samples // 5, MIN_SAMPLES), cfg.seed)
-    det = {
-        "vector_pair": [{"graph": g, "pattern": p, "value": _c(v), "stderr": e, "passed": okk}
-                        for g, p, v, e, okk in rep.vector_pair],
-        "linear_slot_total": len(rep.linear_slot),
-        "linear_slot_unprotected": [g for g, c, okk in rep.linear_slot if not okk],
-        "contour": [{"value": _c(v), "stderr": e, "passed": okk}
-                    for _, _, v, e, okk in rep.contour],
-    }
-    return CheckResult("globalization", rep.passed, det)
+    details = check_globalization(max(cfg.samples // 5, MIN_SAMPLES), cfg.seed)
+    return CheckResult("globalization", details.pop("passed"), details)
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def class_store(name: str) -> dict:
         return _stores.setdefault(name, {})
 
 
-#: :func:`_class_of`'s result by labelled graph; :func:`weight_class` enters each
+#: :func:`weight_class`'s result by labelled graph; it enters each
 #: representative, under its class key, as the one object of its class
 _labelled = class_store("labelled graph classes")
 
@@ -326,18 +326,23 @@ def weight_class(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
     the empty top-degree graph; then parity 0 (:func:`graphs.canonical_key`:
     an odd automorphism) and an empty :func:`forms.frame_plan` (the
     integrand vanishes identically) decide an exact zero.  Raises on a
-    top-degree slice of more than ``qmc.MAX_DIM`` dimensions."""
+    top-degree slice of more than ``qmc.MAX_DIM`` dimensions.  Each labelled
+    graph is searched once, and a representative found never."""
+    labelled = (g.n, g.m, g.edges)
+    hit = _labelled.get(labelled)
+    if hit is not None:
+        return hit
     dim = gauge_dim(g.n, g.m)
     if len(g.edges) != dim or dim == 0:
-        return complex(len(g.edges) == dim == 0), None, 0
+        return _labelled.setdefault(labelled, (complex(len(g.edges) == dim == 0), None, 0))
     if dim > qmc.MAX_DIM:
         raise ValueError(f"the slice of a ({g.n},{g.m}) graph has {dim} dimensions; "
                          f"the Sobol table stops at {qmc.MAX_DIM}")
     key, parity = canonical_key(g)
     if parity == 0 or not frame_plan(key[2], gauge_frame(key[0], key[1], 1.0)):
-        return 0.0 + 0j, None, 0
+        return _labelled.setdefault(labelled, (0.0 + 0j, None, 0))
     rep = (_labelled.get(key) or _labelled.setdefault(key, (None, canonical_graph(key), 1)))[1]
-    return None, rep, parity
+    return _labelled.setdefault(labelled, (None, rep, parity))
 
 
 def compute_weights(graphs: Sequence[Graph], kinds: Tuple[str, ...], samples: int,
@@ -399,17 +404,11 @@ def compute_weight(g: Graph, kind, samples: int, seed: int,
     return ests if isinstance(kind, tuple) else ests[0]
 
 
-def _class_of(g: Graph) -> Tuple[Optional[complex], Optional[Graph], int]:
-    """:func:`weight_class`, searched once per labelled graph, never for a representative found."""
-    key = (g.n, g.m, g.edges)
-    return _labelled.get(key) or _labelled.setdefault(key, weight_class(g))
-
-
 def _decided(g: Graph, kind: str, seed: int) -> Optional[WeightEstimate]:
     """``g``'s exact estimate in ``kind``, else None: :func:`weight_class`'s
     value, or 0 in the log kind if the class's representative
     :func:`forms.log_vanishes` (cached until :func:`forms.clear_plans`)."""
-    exact, rep, _ = _class_of(g)
+    exact, rep, _ = weight_class(g)
     if exact is None and kind == LOG and class_log_vanishes(rep.n, rep.m, rep.edges):
         exact = 0.0 + 0j
     return None if exact is None else _exact(exact, g, kind, seed)
@@ -426,7 +425,7 @@ def cached_weight(g: Graph, kind: str, samples: int, seed: int,
     samples those not decided exact in one kernel pass, and all are kept.
     """
     check_request(kind, samples, seed)
-    exact, rep, parity = _class_of(g)
+    exact, rep, parity = weight_class(g)
     if exact is not None:
         return _exact(exact, g, kind, seed)
     key = (rep.n, rep.m, rep.edges)
@@ -457,7 +456,7 @@ def prefetch_weights(graphs: Iterable[Graph], kind: str, samples: int, seed: int
     check_request(kind, samples, seed)
     groups: Dict[tuple, Dict[tuple, Graph]] = {}
     for g in graphs:
-        exact, rep, _ = _class_of(g)
+        exact, rep, _ = weight_class(g)
         if exact is None:
             key = (rep.n, rep.m, rep.edges)
             with _cache_lock:
@@ -507,19 +506,19 @@ def detect_vanishing_pattern(g: Graph) -> Optional[str]:
     return None
 
 
-def vanishing_check(g: Graph, kind: str, samples: int, seed: int):
+def vanishing_check(g: Graph, kind: str, samples: int, seed: int) -> dict:
     """Measure the weight of a pattern-bearing graph and test it against 0.
 
-    Returns (passed, estimate, pattern, bound).  An exact estimate passes
-    only at 0, with bound 0; a sampled one when |value| < bound =
-    max(VANISHING_TOL, 3 stderr).  Raises when no structural pattern is
-    present.
+    Returns the report row ``{graph, pattern, value, stderr, bound, passed,
+    exact}``.  An exact estimate passes only at 0, with bound 0; a sampled
+    one when |value| < bound = max(VANISHING_TOL, 3 stderr).  Raises when
+    no structural pattern is present.
     """
     pattern = detect_vanishing_pattern(g)
     if pattern is None:
         raise ValueError("graph exhibits none of the structural vanishing patterns")
     est = cached_weight(g, kind, samples, seed)
-    if est.exact:
-        return est.value == 0, est, pattern, 0.0
-    bound = max(VANISHING_TOL, 3.0 * est.stderr)
-    return abs(est.value) < bound, est, pattern, bound
+    bound = 0.0 if est.exact else max(VANISHING_TOL, 3.0 * est.stderr)
+    passed = est.value == 0 if est.exact else abs(est.value) < bound
+    return {"graph": est.graph, "pattern": pattern, "value": [est.value.real, est.value.imag],
+            "stderr": est.stderr, "bound": bound, "passed": passed, "exact": est.exact}

@@ -325,6 +325,21 @@ def test_counterterm_command(capsys):
     assert abs(complex(*data["limit"])) < 1e-3
 
 
+def test_counterterm_prints_the_suite_probe_row(capsys):
+    code, out = run_cli(["counterterm", "--graph", "2 1 ; a1>a2 a1>g1 a2>g1", "--subset", "0,1",
+                         "--kind", "log", "--seed", "5"], capsys)
+    row = suite.check_counterterm(suite.SuiteConfig(seed=5)).details["probes"][0]
+    del row["relative_deviation"], row["passed"]  # the suite's verdict keys
+    assert code == 0 and json.loads(out) == row
+
+
+def test_counterterm_names_the_top_degree_of_a_form_two_below(capsys):
+    # a (3,0) slice has dimension 4: one edge is neither the top degree nor one less
+    err = assert_usage_error(["counterterm", "--graph", "3 0 ; a1>a2", "--subset", "0,1"],
+                             capsys)
+    assert "top degree 4" in err and "got 1 edges" in err
+
+
 def test_counterterm_takes_no_sample_budget():
     with pytest.raises(SystemExit) as exc:
         main(["counterterm", "--graph", "2 1 ; a1>a2 a1>g1 a2>g1", "--subset", "0,1",
@@ -403,6 +418,13 @@ def test_globalization_takes_no_kind(capsys):
     assert "unrecognized arguments: --kind log" in err
     code, out = run_cli(argv, capsys)
     assert code == 0 and "kind" not in json.loads(out)
+
+
+def test_globalization_prints_the_suite_rows(capsys):
+    # both at a budget of 10^4: the suite's check takes a fifth of its samples
+    code, out = run_cli(["globalization", "--samples", "10000", "--seed", "3"], capsys)
+    res = suite.check_globalization_suite(suite.SuiteConfig(seed=3, samples=50000))
+    assert code == 0 and json.loads(out) == {**res.details, "passed": res.passed}
 
 
 def test_suite_reduced_config_runs_and_is_deterministic(tmp_path, capsys):

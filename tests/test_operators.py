@@ -562,14 +562,15 @@ def test_jacobi_defect_two_dim_always_zero():
 def test_one_in_one_out_integral_vanishes():
     val, err, _ = one_in_one_out_integral(0.3 + 1.1j, -0.4 + 0.8j, 2 * 10 ** 5, 3)
     assert abs(val) < max(1e-2, 3 * err)
-    assert contour_check(0.3 + 1.1j, -0.4 + 0.8j, 2 * 10 ** 5, 3)[:3] == (True, val, err)
+    row = contour_check(0.3 + 1.1j, -0.4 + 0.8j, 2 * 10 ** 5, 3)
+    assert (row["passed"], row["value"], row["stderr"]) == (True, [val.real, val.imag], err)
 
 
 def test_globalization_log():
     rep = check_globalization(10 ** 5, seed=4)
-    assert rep.passed
-    assert all(ok for _, _, ok in rep.linear_slot)
-    classes = {c for _, c, _ in rep.linear_slot}
+    assert rep["passed"]
+    assert all(row["passed"] for row in rep["linear_slot"])
+    classes = {row["class"] for row in rep["linear_slot"]}
     assert "zero-by-linearity" in classes
 
 

@@ -433,6 +433,21 @@ def test_warm_identity_contracts_and_searches_nothing(monkeypatch):
     assert [st for st, _, _ in rep.terms] == [st for st, _ in boundary_strata(g)]
 
 
+def test_identity_rows_search_each_labelled_graph_once(monkeypatch):
+    # the rows' factor classes come from weight_class's memo: while every
+    # swept identity row is built, no labelled graph is searched twice
+    searched = []
+    search = weights.canonical_key
+    monkeypatch.setattr(weights, "canonical_key", lambda g: searched.append(g) or search(g))
+    weights.clear_weight_cache()
+    try:
+        for g in suite._swept_graphs(1):
+            stokes._identity_row(g)
+    finally:
+        weights.clear_weight_cache()
+    assert searched and len(searched) == len(set(searched))
+
+
 @pytest.mark.parametrize("kind", [ANGLE, LOG])
 @pytest.mark.parametrize("seed", [5, 7])
 def test_warm_identity_reuses_the_stratum_records(kind, seed):
@@ -471,7 +486,7 @@ def test_identity_checks_weigh_both_kinds_in_one_pass(monkeypatch):
     assert _weighed_classes(monkeypatch, LOG, 1 << 10, 3) == []
     # a one-kind check pays for its kind alone
     weights.clear_weight_cache()
-    assert weights.vanishing_check(parse_graph("2 1 ; a1>a2 a2>a1 a1>g1"), LOG, 1 << 10, 3)[0]
+    assert weights.vanishing_check(parse_graph("2 1 ; a1>a2 a2>a1 a1>g1"), LOG, 1 << 10, 3)["passed"]
     assert weights._cache and {kind for _, kind, _, _ in weights._cache} == {LOG}
     weights.clear_weight_cache()
 

@@ -731,18 +731,16 @@ def test_pattern_detection():
 
 
 def test_vanishing_check_examples():
-    ok, est, pattern, bound = vanishing_check(
-        parse_graph("2 1 ; a1>a2 a2>a1 a1>g1"), LOG, 10 ** 5, 3)
-    assert ok and pattern == ONE_IN_ONE_OUT
-    assert bound == max(5e-3, 3.0 * est.stderr) and abs(est.value) < bound
+    row = vanishing_check(parse_graph("2 1 ; a1>a2 a2>a1 a1>g1"), LOG, 10 ** 5, 3)
+    assert row["passed"] and row["pattern"] == ONE_IN_ONE_OUT
+    assert row["bound"] == max(5e-3, 3.0 * row["stderr"])
+    assert abs(complex(*row["value"])) < row["bound"]
 
-    ok, est, pattern, bound = vanishing_check(
-        parse_graph("2 2 ; a1>a2 a1>g1 a1>g2"), LOG, 10 ** 5, 3)
-    assert ok and pattern == UNIVALENT
+    row = vanishing_check(parse_graph("2 2 ; a1>a2 a1>g1 a1>g2"), LOG, 10 ** 5, 3)
+    assert row["passed"] and row["pattern"] == UNIVALENT
 
-    ok, est, pattern, bound = vanishing_check(
-        parse_graph("2 2 ; a1>a2 a1>g1 a1>g2"), ANGLE, 10 ** 5, 3)
-    assert ok  # degree-based vanishing holds for the angle propagator too
+    row = vanishing_check(parse_graph("2 2 ; a1>a2 a1>g1 a1>g2"), ANGLE, 10 ** 5, 3)
+    assert row["passed"]  # degree-based vanishing holds for the angle propagator too
 
     with pytest.raises(ValueError, match="pattern"):
         vanishing_check(WEDGE, LOG, 10 ** 4, 3)
@@ -756,8 +754,8 @@ def test_vanishing_check_holds_an_exact_weight_to_zero(monkeypatch):
         monkeypatch.setattr(weights, "cached_weight", lambda g, kind, samples, seed:
                             WeightEstimate(1e-30 + 0j, 0.0, samples, seed, kind,
                                            encode_graph(g), exact=exact))
-        ok, est, _, got = vanishing_check(g, LOG, 1 << 10, 3)
-        assert (ok, est.exact, got) == (passed, exact, bound)
+        row = vanishing_check(g, LOG, 1 << 10, 3)
+        assert (row["passed"], row["exact"], row["bound"]) == (passed, exact, bound)
 
 
 #: per (n, m), the top-degree labelled graphs of each pattern on at most four vertices
